@@ -37,7 +37,7 @@ from .dynamics import (
     monomial_exponents,
     monomial_index,
 )
-from .errors import DivergenceError, IterationLimitError, TrajectoryParseError
+from .errors import ConfigError, DivergenceError, IterationLimitError, TrajectoryParseError
 from .gramsysid import gram_assemble, gram_solve
 from .kernels import from_name
 from .quadrature import empirical_order, norm_distance_squared, occupation_estimate
@@ -55,10 +55,6 @@ from .trajectory import (
 )
 
 FMT = "%.17g"
-
-
-class ConfigError(ValueError):
-    """Bad configuration or input data; maps to exit code 2."""
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
-from .trajectory import Trajectory
+from .trajectory import GRID_RTOL, Trajectory
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,8 @@ def integrate_rk4(
 ) -> Trajectory:
     """Classical fixed-step RK4 integration of x' = f(x) (+ disturbance).
 
-    The step count is round(T/h), which must land within 0.5 steps of T/h.
+    T/h must be a whole number of steps, at least 2, to a relative tolerance
+    of GRID_RTOL; otherwise the simulated span would not be T.
     process_noise is either a callable eta(x) added to the field, or a pair
     (eps, seed) producing a random disturbance drawn uniformly from
     [-eps, eps]^n once per step and held constant across the step's stages.
@@ -239,7 +240,7 @@ def integrate_rk4(
         raise ValueError("T and h must be positive")
     ratio = T / h
     steps = int(round(ratio))
-    if abs(ratio - steps) > 0.5 + 1e-12 or steps < 2:
+    if abs(ratio - steps) > GRID_RTOL * max(steps, 1) or steps < 2:
         raise ValueError(f"T/h = {ratio} does not give a usable whole number of steps")
 
     rng = None

@@ -7,6 +7,10 @@ argument validation raises ValueError directly at the call site.
 from __future__ import annotations
 
 
+class ConfigError(ValueError):
+    """Bad configuration or input data; maps to exit code 2."""
+
+
 class TrajectoryParseError(ValueError):
     """Malformed trajectory CSV. `line` is the 1-based line number in the file."""
 

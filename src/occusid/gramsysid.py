@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import BasisSet
 from .kernels import CHUNK
 from .quadrature import as_rule, weights
-from .sysid import ConstraintSystem, EstimationResult, _result, _svd_solve
+from .sysid import ConstraintSystem, EstimationResult, _require_finite, _result, _svd_solve
 from .trajectory import as_trajectory_set
 
 
@@ -79,41 +79,42 @@ def _double_quad(kernel, X, w, A_vals, B_vals) -> float:
 
 def _gram_blocks(traj, basis: BasisSet, kernel, rule):
     """One trajectory's (G, r, target_norm_sq) contribution."""
-    X = traj.samples
-    w = weights(rule, traj.n_intervals, traj.step)
-    Vs = basis.values(X)  # (M, P, n)
-    M = len(basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = traj.samples
+        w = weights(rule, traj.n_intervals, traj.step)
+        Vs = basis.values(X)  # (M, P, n)
+        M = len(basis)
 
-    # The x-argument of the pairwise form carries the t axis and the
-    # y-argument the tau axis, so the row-side field is the m' one.
-    G = np.empty((M, M))
-    for m in range(M):
-        for mp in range(m + 1):
-            val = _double_quad(kernel, X, w, Vs[mp], Vs[m])
-            G[m, mp] = val
-            G[mp, m] = val
-
-    # r[m]: quadrature of the endpoint-jump gradient against Y_m. One
-    # assemble_block call with the two endpoints as "centers" gives every m.
-    ends = np.stack([traj.initial, traj.final])
-    blk = kernel.assemble_block(X, ends, Vs, w)  # (2, M)
-    r = blk[1] - blk[0]
-
-    jump_sq = (
-        kernel.eval(traj.final, traj.final)
-        - 2.0 * kernel.eval(traj.final, traj.initial)
-        + kernel.eval(traj.initial, traj.initial)
-    )
-
-    kv = basis.known_values(X)
-    if kv is not None:
-        kblk = kernel.assemble_block(X, ends, kv[None], w)  # (2, 1)
-        jump_dot_known = float(kblk[1, 0] - kblk[0, 0])
-        known_sq = _double_quad(kernel, X, w, kv, kv)
+        # The x-argument of the pairwise form carries the t axis and the
+        # y-argument the tau axis, so the row-side field is the m' one.
+        G = np.empty((M, M))
         for m in range(M):
-            r[m] -= _double_quad(kernel, X, w, Vs[m], kv)
-        jump_sq = jump_sq - 2.0 * jump_dot_known + known_sq
+            for mp in range(m + 1):
+                val = _double_quad(kernel, X, w, Vs[mp], Vs[m])
+                G[m, mp] = val
+                G[mp, m] = val
 
+        # r[m]: quadrature of the endpoint-jump gradient against Y_m. One
+        # assemble_block call with the two endpoints as "centers" gives every m.
+        ends = np.stack([traj.initial, traj.final])
+        blk = kernel.assemble_block(X, ends, Vs, w)  # (2, M)
+        r = blk[1] - blk[0]
+
+        jump_sq = (
+            kernel.eval(traj.final, traj.final)
+            - 2.0 * kernel.eval(traj.final, traj.initial)
+            + kernel.eval(traj.initial, traj.initial)
+        )
+
+        kv = basis.known_values(X)
+        if kv is not None:
+            kblk = kernel.assemble_block(X, ends, kv[None], w)  # (2, 1)
+            jump_dot_known = float(kblk[1, 0] - kblk[0, 0])
+            known_sq = _double_quad(kernel, X, w, kv, kv)
+            for m in range(M):
+                r[m] -= _double_quad(kernel, X, w, Vs[m], kv)
+            jump_sq = jump_sq - 2.0 * jump_dot_known + known_sq
+    _require_finite(kernel, G, r, jump_sq)
     return G, r, jump_sq
 
 

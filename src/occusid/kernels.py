@@ -7,17 +7,26 @@ Four families are supported:
     polynomial    K(x, y) = (1 + x.y / mu)^degree
     linear        K(x, y) = x.y
 
-Beyond pointwise evaluation, each family exposes the first-argument gradient,
-the mixed second derivative matrix grad1grad2[i][j] = d^2 K / dx_i dy_j, and
-two closed-form integrands:
+Each family is a scalar profile K(x, y) = f(z) of one scalar z: z = x.y for
+the dot-product families and z = ||x - y||^2 for gaussian_rbf. With
+
+    dz/dx = beta (y - rho x),  dz/dy = beta (x - rho y),  d2z/dxdy = beta I,
+
+where (rho, beta) = (0, 1) for the dot-product families and (1, -2) for
+gaussian_rbf, every derivative the identification needs follows from f, f'
+and f'':
+
+    grad1(x, y)      = beta f' (y - rho x)
+    grad1grad2(x, y) = beta f' I + beta^2 f'' (y - rho x)(x - rho y)^T
+
+and the two integrands of the Gram-style inner-product systems are
 
     pre_inner_integrand(x, y, a, b) = a^T grad1grad2(x, y) b
         (a contracts the x-derivative index, b the y-derivative index)
     rhs_integrand(x, (start, end), v) = (grad1(x, end) - grad1(x, start)) . v
 
-These are the building blocks of the Gram-style inner-product systems; the
-closed forms are written out per family rather than assembled from the
-gradient matrices, and the test suite cross-checks the two routes.
+Only the profile is written per family; every Kernel operation is written
+once over it. The pointwise operations call the vectorized ones.
 
 FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
@@ -25,7 +34,8 @@ factor exactly through the center-constraint matrix.
 
 Vectorized helpers (matrix, grad1_contract, assemble_block, ...) accumulate
 long time axes in fixed-size chunks, in time order, so results are
-reproducible run to run.
+reproducible run to run. Overflow yields non-finite entries without a
+warning; the assembly layers check for them.
 """
 
 from __future__ import annotations
@@ -41,12 +51,47 @@ FAMILIES = ("gaussian_rbf", "exp_dot", "polynomial", "linear")
 # Fixed chunk length for accumulating quadratures along long trajectories.
 CHUNK = 8192
 
+_QUIET = {"over": "ignore", "under": "ignore", "invalid": "ignore"}
+
 
 def _as_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a single point, got shape {x.shape}")
     return x
+
+
+def _rows(X) -> np.ndarray:
+    return np.atleast_2d(np.asarray(X, dtype=float))
+
+
+def _rowdot(U, W) -> np.ndarray:
+    """U[p] . W[p], shape (P,)."""
+    return np.einsum("pd,pd->p", U, W)
+
+
+def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
+    """c * (U[p] . W[q] + u[p] + w[q]), shape (P, Q), from one matrix product.
+
+    u and w ride along as extra columns, and a scalar c scales the small left
+    operand, so none of them costs a pass over the (P, Q) result; an array c
+    is multiplied in afterwards.
+    """
+    P, n = U.shape
+    Ua = np.empty((P, n + 2))
+    Ua[:, :n] = U
+    Ua[:, n] = u
+    Ua[:, n + 1] = 1.0
+    Wa = np.empty((W.shape[0], n + 2))
+    Wa[:, :n] = W
+    Wa[:, n] = 1.0
+    Wa[:, n + 1] = w
+    if np.ndim(c):
+        out = Ua @ Wa.T
+        out *= c
+        return out
+    Ua *= c
+    return Ua @ Wa.T
 
 
 @dataclass(frozen=True)
@@ -69,32 +114,53 @@ class Kernel:
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 2:
                 raise ValueError(f"polynomial degree must be an integer >= 2, got {self.degree}")
+        radial = self.family == "gaussian_rbf"
+        object.__setattr__(self, "_rho", 1.0 if radial else 0.0)
+        object.__setattr__(self, "_beta", -2.0 if radial else 1.0)
+
+    def _profile(self, z):
+        """(base, c0, c1, c2) with f^(k)(z) = base * c_k, from one transcendental pass.
+
+        z is consumed: the result may reuse its memory. The factors are
+        scalars except for polynomial, where they carry powers of
+        u = 1 + z / mu, and linear, whose f(z) = z.
+        """
+        mu = self.mu
+        if self.family == "gaussian_rbf":
+            return np.exp(np.divide(z, -mu, out=z), out=z), 1.0, -1.0 / mu, 1.0 / (mu * mu)
+        if self.family == "exp_dot":
+            return np.exp(np.multiply(z, mu, out=z), out=z), 1.0, mu, mu * mu
+        if self.family == "polynomial":
+            d = self.degree
+            u = np.divide(z, mu, out=z)
+            u += 1.0
+            return u ** (d - 2), u * u, (d / mu) * u, d * (d - 1) / (mu * mu)
+        return np.ones_like(z), z, 1.0, 0.0
+
+    def _z(self, X, Y) -> np.ndarray:
+        """z[p, q] = rho (|X[p]|^2 + |Y[q]|^2) + beta X[p] . Y[q]."""
+        z = (self._beta * X) @ Y.T
+        if self._rho:  # skipped by the dot-product families: two passes over (P, Q)
+            z += self._rho * _rowdot(X, X)[:, None]
+            z += self._rho * _rowdot(Y, Y)
+        return z
+
+    def _integrand_guard(self, name: str) -> None:
+        if self.family == "linear":
+            raise UnsupportedKernelError(
+                f"{name} is available for gaussian_rbf, exp_dot and polynomial only"
+            )
 
     # -- pointwise API ------------------------------------------------------
 
     def eval(self, x, y) -> float:
-        x, y = _as_point(x), _as_point(y)
-        if self.family == "gaussian_rbf":
-            d = x - y
-            return float(np.exp(-(d @ d) / self.mu))
-        if self.family == "exp_dot":
-            return float(np.exp(self.mu * (x @ y)))
-        if self.family == "polynomial":
-            return float((1.0 + (x @ y) / self.mu) ** self.degree)
-        return float(x @ y)
+        return float(self.matrix(_as_point(x)[None], _as_point(y)[None])[0, 0])
 
     def grad1(self, x, y) -> np.ndarray:
         """Gradient in the first argument, shape (n,)."""
         x, y = _as_point(x), _as_point(y)
-        if self.family == "gaussian_rbf":
-            d = x - y
-            return (-2.0 / self.mu) * d * np.exp(-(d @ d) / self.mu)
-        if self.family == "exp_dot":
-            return self.mu * y * np.exp(self.mu * (x @ y))
-        if self.family == "polynomial":
-            u = 1.0 + (x @ y) / self.mu
-            return (self.degree / self.mu) * u ** (self.degree - 1) * y
-        return y.copy()
+        base, _, c1, _ = self._profile(self._z(x[None], y[None]))
+        return (self._beta * (base * c1).item()) * (y - self._rho * x)
 
     def grad2(self, x, y) -> np.ndarray:
         """Gradient in the second argument; equals grad1(y, x) by symmetry."""
@@ -103,108 +169,47 @@ class Kernel:
     def grad1grad2(self, x, y) -> np.ndarray:
         """Mixed second derivatives: entry (i, j) is d^2 K / dx_i dy_j."""
         x, y = _as_point(x), _as_point(y)
-        n = x.shape[0]
-        eye = np.eye(n)
-        if self.family == "gaussian_rbf":
-            d = x - y
-            k = np.exp(-(d @ d) / self.mu)
-            return (2.0 / self.mu) * (eye - (2.0 / self.mu) * np.outer(d, d)) * k
-        if self.family == "exp_dot":
-            k = np.exp(self.mu * (x @ y))
-            return self.mu * (eye + self.mu * np.outer(y, x)) * k
-        if self.family == "polynomial":
-            u = 1.0 + (x @ y) / self.mu
-            c = self.degree / self.mu
-            return c * u ** (self.degree - 2) * (u * eye + ((self.degree - 1) / self.mu) * np.outer(y, x))
-        return eye
+        rho, beta = self._rho, self._beta
+        base, _, c1, c2 = self._profile(self._z(x[None], y[None]))
+        f1, f2 = (base * c1).item(), (base * c2).item()
+        return beta * f1 * np.eye(x.shape[0]) + beta * beta * f2 * np.outer(y - rho * x, x - rho * y)
 
     def pre_inner_integrand(self, x, y, a, b) -> float:
-        """Closed form of a^T grad1grad2(x, y) b.
+        """a^T grad1grad2(x, y) b.
 
         `a` is the field value contracted against the x-derivative index and
         `b` the one against the y-derivative index; in the occupation inner
         product a carries Y_m'(x) at x = gamma(t) and b carries Y_m(y) at
         y = gamma(tau).
         """
-        x, y, a, b = _as_point(x), _as_point(y), _as_point(a), _as_point(b)
-        if self.family == "gaussian_rbf":
-            d = x - y
-            k = np.exp(-(d @ d) / self.mu)
-            c = 2.0 / self.mu
-            return float(c * ((a @ b) - c * (a @ d) * (d @ b)) * k)
-        if self.family == "exp_dot":
-            k = np.exp(self.mu * (x @ y))
-            return float(self.mu * ((a @ b) + self.mu * (a @ y) * (x @ b)) * k)
-        if self.family == "polynomial":
-            u = 1.0 + (x @ y) / self.mu
-            c = self.degree / self.mu
-            return float(
-                c * u ** (self.degree - 2) * (u * (a @ b) + ((self.degree - 1) / self.mu) * (a @ y) * (x @ b))
-            )
-        raise UnsupportedKernelError(
-            "pre_inner_integrand has closed forms for gaussian_rbf, exp_dot and polynomial only"
-        )
+        self._integrand_guard("pre_inner_integrand")
+        x, y, a, b = (_as_point(p)[None] for p in (x, y, a, b))
+        return float(self.pre_inner_pairwise(x, y, a, b)[0, 0])
 
     def rhs_integrand(self, x, endpoints, v) -> float:
-        """Closed form of (grad1(x, end) - grad1(x, start)) . v."""
+        """(grad1(x, end) - grad1(x, start)) . v."""
+        self._integrand_guard("rhs_integrand")
         x, v = _as_point(x), _as_point(v)
-        start, end = (_as_point(p) for p in endpoints)
-        if self.family == "gaussian_rbf":
-            de, ds = x - end, x - start
-            return float(
-                (-2.0 / self.mu)
-                * ((de @ v) * np.exp(-(de @ de) / self.mu) - (ds @ v) * np.exp(-(ds @ ds) / self.mu))
-            )
-        if self.family == "exp_dot":
-            return float(
-                self.mu
-                * ((end @ v) * np.exp(self.mu * (x @ end)) - (start @ v) * np.exp(self.mu * (x @ start)))
-            )
-        if self.family == "polynomial":
-            ue = 1.0 + (x @ end) / self.mu
-            us = 1.0 + (x @ start) / self.mu
-            c = self.degree / self.mu
-            return float(c * ((end @ v) * ue ** (self.degree - 1) - (start @ v) * us ** (self.degree - 1)))
-        raise UnsupportedKernelError(
-            "rhs_integrand has closed forms for gaussian_rbf, exp_dot and polynomial only"
-        )
+        ends = np.stack([_as_point(p) for p in endpoints])
+        g = self.grad1_contract(x[None], ends, v[None])[0]
+        return float(g[1] - g[0])
 
     # -- vectorized helpers -------------------------------------------------
 
     def matrix(self, X, Y) -> np.ndarray:
         """Kernel matrix [eval(X[p], Y[q])], shape (P, Q)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        with np.errstate(over="ignore", under="ignore"):
-            if self.family == "gaussian_rbf":
-                sq = (
-                    np.sum(X * X, axis=1)[:, None]
-                    + np.sum(Y * Y, axis=1)[None, :]
-                    - 2.0 * (X @ Y.T)
-                )
-                return np.exp(-sq / self.mu)
-            if self.family == "exp_dot":
-                return np.exp(self.mu * (X @ Y.T))
-            if self.family == "polynomial":
-                return (1.0 + (X @ Y.T) / self.mu) ** self.degree
-            return X @ Y.T
+        with np.errstate(**_QUIET):
+            base, c0, _, _ = self._profile(self._z(_rows(X), _rows(Y)))
+            base *= c0
+            return base
 
     def grad1_contract(self, X, C, V) -> np.ndarray:
         """Matrix of grad1(X[p], C[s]) . V[p], shape (P, S)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        with np.errstate(over="ignore", under="ignore"):
-            if self.family == "gaussian_rbf":
-                K = self.matrix(X, C)
-                xv = np.sum(X * V, axis=1)[:, None]
-                return (-2.0 / self.mu) * (xv - V @ C.T) * K
-            if self.family == "exp_dot":
-                return self.mu * (V @ C.T) * self.matrix(X, C)
-            if self.family == "polynomial":
-                u = 1.0 + (X @ C.T) / self.mu
-                return (self.degree / self.mu) * (V @ C.T) * u ** (self.degree - 1)
-            return V @ C.T
+        X, C, V = _rows(X), _rows(C), _rows(V)
+        with np.errstate(**_QUIET):
+            base, _, c1, _ = self._profile(self._z(X, C))
+            base *= _pair(V, C, -self._rho * _rowdot(V, X), 0.0, self._beta * c1)
+            return base
 
     def assemble_block(self, X, C, Vs, w) -> np.ndarray:
         """One trajectory's constraint rows: sum_p w[p] grad1(X[p], C[s]) . Vs[i, p].
@@ -218,75 +223,52 @@ class Kernel:
         return self.assemble_block_multi(X, C, Vs, [w])[0]
 
     def assemble_block_multi(self, X, C, Vs, ws) -> list[np.ndarray]:
-        """assemble_block for several weight vectors sharing one kernel pass."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
+        """assemble_block for several weight vectors sharing one kernel pass.
+
+        Entry (s, i) is sum_p w[p] beta f'(z_ps) (C[s] . v - rho X[p] . v)
+        with v = Vs[i, p]; the second term drops out for rho = 0.
+        """
+        X, C = _rows(X), _rows(C)
         Vs = np.asarray(Vs, dtype=float)
         ws = [np.asarray(w, dtype=float) for w in ws]
-        P = X.shape[0]
-        S = C.shape[0]
+        P, n = X.shape
         M = Vs.shape[0]
-        if self.family == "linear":
-            # Exact: A[s, i] = sum_d C[s, d] * (sum_p w[p] Vs[i, p, d]).
-            out = []
-            for w in ws:
-                Mq = np.tensordot(Vs, w, axes=(1, 0))  # (M, n)
-                out.append(C @ Mq.T)
-            return out
-        acc = [np.zeros((S, M)) for _ in ws]
-        Ct = C.T[None, :, :]  # (1, n, S), broadcast against (M, n, S) contractions
-        with np.errstate(over="ignore", under="ignore"):
+        rho = self._rho
+        acc = [np.zeros((C.shape[0], M)) for _ in ws]
+        with np.errstate(**_QUIET):
             for lo in range(0, P, CHUNK):
                 hi = min(lo + CHUNK, P)
                 Xc = X[lo:hi]
-                Vc = Vs[:, lo:hi, :]
-                if self.family == "gaussian_rbf":
-                    K = self.matrix(Xc, C)
-                    rd = np.sum(Vc * Xc[None, :, :], axis=2)  # (M, P_c)
-                    for j, w in enumerate(ws):
-                        wc = w[lo:hi]
-                        B0 = (wc * rd) @ K  # (M, S)
-                        B1 = np.tensordot(Vc * wc[None, :, None], K, axes=(1, 0))  # (M, n, S)
-                        acc[j] += (-2.0 / self.mu) * (B0 - (B1 * Ct).sum(axis=1)).T
-                else:
-                    if self.family == "exp_dot":
-                        G = self.mu * np.exp(self.mu * (Xc @ C.T))
-                    else:  # polynomial
-                        u = 1.0 + (Xc @ C.T) / self.mu
-                        G = (self.degree / self.mu) * u ** (self.degree - 1)
-                    for j, w in enumerate(ws):
-                        wc = w[lo:hi]
-                        B1 = np.tensordot(Vc * wc[None, :, None], G, axes=(1, 0))
-                        acc[j] += (B1 * Ct).sum(axis=1).T
+                Vc = Vs[:, lo:hi, :].transpose(0, 2, 1)  # (M, n, P_c)
+                base, _, c1, _ = self._profile(self._z(Xc, C))
+                F, scale = (base * c1, self._beta) if np.ndim(c1) else (base, self._beta * c1)
+                if rho:
+                    xv = (-rho) * np.einsum("mdp,pd->mp", Vc, Xc)
+                for j, w in enumerate(ws):
+                    sw = scale * w[lo:hi]
+                    Vw = np.multiply(Vc, sw, out=np.empty(Vc.shape))
+                    blk = (Vw.reshape(M * n, -1) @ F).reshape(M, n, -1)
+                    blk = (blk * C.T[None]).sum(axis=1)  # (M, S)
+                    if rho:
+                        blk += (xv * sw) @ F
+                    acc[j] += blk.T
         return acc
 
     def pre_inner_pairwise(self, X, Y, A, B) -> np.ndarray:
-        """Matrix of pre_inner_integrand(X[p], Y[q], A[p], B[q]), shape (P, Q)."""
-        if self.family == "linear":
-            raise UnsupportedKernelError(
-                "pre_inner_pairwise is available for gaussian_rbf, exp_dot and polynomial only"
-            )
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        with np.errstate(over="ignore", under="ignore"):
-            AB = A @ B.T
-            if self.family == "gaussian_rbf":
-                K = self.matrix(X, Y)
-                c = 2.0 / self.mu
-                ad = np.sum(A * X, axis=1)[:, None] - A @ Y.T  # A[p] . (X[p]-Y[q])
-                db = X @ B.T - np.sum(B * Y, axis=1)[None, :]  # (X[p]-Y[q]) . B[q]
-                return c * (AB - c * ad * db) * K
-            if self.family == "exp_dot":
-                K = self.matrix(X, Y)
-                return self.mu * (AB + self.mu * (A @ Y.T) * (X @ B.T)) * K
-            # polynomial
-            u = 1.0 + (X @ Y.T) / self.mu
-            c = self.degree / self.mu
-            return c * u ** (self.degree - 2) * (
-                u * AB + ((self.degree - 1) / self.mu) * (A @ Y.T) * (X @ B.T)
-            )
+        """Matrix of pre_inner_integrand(X[p], Y[q], A[p], B[q]), shape (P, Q).
+
+        beta f' A[p] . B[q] + beta^2 f'' (A[p] . (y - rho x)) ((x - rho y) . B[q]).
+        """
+        self._integrand_guard("pre_inner_pairwise")
+        X, Y, A, B = _rows(X), _rows(Y), _rows(A), _rows(B)
+        rho, beta = self._rho, self._beta
+        with np.errstate(**_QUIET):
+            base, _, c1, c2 = self._profile(self._z(X, Y))
+            out = _pair(A, Y, -rho * _rowdot(A, X), 0.0, beta * beta * c2)
+            out *= _pair(X, B, 0.0, -rho * _rowdot(B, Y))
+            out += _pair(A, B, 0.0, 0.0, beta * c1)
+            out *= base
+            return out
 
 
 class FeatureMapKernel:

@@ -194,9 +194,11 @@ def gradient_chase_step(state: StreamState) -> StreamState:
     A, b = state.matrices()
     alpha = state.alpha if state.alpha is not None else state._auto_alpha
     state.theta = state.theta - alpha * (A.T @ (A @ state.theta - b))
-    if np.linalg.norm(state.theta) > 1e6:
+    norm = np.linalg.norm(state.theta)
+    if not norm <= 1e6:
         raise DivergenceError(
-            "parameter iterate exceeded norm 1e6; the step size is too large for this system",
+            f"parameter iterate reached norm {norm:.3g} (limit 1e6); "
+            "the step size is too large for this system",
             time_reached=state.time,
         )
     return state

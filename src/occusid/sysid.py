@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import BasisSet
-from .errors import IterationLimitError
+from .errors import DivergenceError, IterationLimitError
 from .quadrature import as_rule, weights
 from .trajectory import as_trajectory_set
 
@@ -123,6 +123,17 @@ class Diagnostics(NamedTuple):
     rank: int
 
 
+def _require_finite(kernel, *arrays) -> None:
+    """DivergenceError, naming the kernel, when kernel overflow left non-finite entries."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    k = getattr(kernel, "base", kernel)  # a FeatureMapKernel reports its base family
+    raise DivergenceError(
+        f"kernel {k.family} with mu={k.mu:g} gives non-finite constraint entries on this "
+        "data; choose another mu or rescale the data"
+    )
+
+
 def _block_for_trajectory(traj, centers, basis, kernel, rules):
     """Per-rule (A_block, b_block) for one trajectory, sharing kernel passes."""
     X = traj.samples
@@ -134,6 +145,7 @@ def _block_for_trajectory(traj, centers, basis, kernel, rules):
     blocks = kernel.assemble_block_multi(X, centers, Vs, ws)
     phi_end = kernel.matrix(traj.final[None], centers)[0]
     phi_start = kernel.matrix(traj.initial[None], centers)[0]
+    _require_finite(kernel, phi_end, phi_start, *blocks)
     out = []
     for blk in blocks:
         if kv is not None:
@@ -218,7 +230,7 @@ def solve_ridge(sys: ConstraintSystem, lam: float, rcond: float = 1e-12) -> Esti
         return _result(sys.A, sys.b, np.zeros(sys.n_parameters), np.inf, 0, degenerate=True)
     filt = np.divide(s, s * s + lam, out=np.zeros_like(s), where=(s * s + lam) > 0)
     theta = Vt.T @ (filt * (U.T @ sys.b))
-    rank = int(np.count_nonzero(s > 1e-12 * s[0]))
+    rank = int(np.count_nonzero(s > rcond * s[0]))
     cond = float(s[0] / s[rank - 1]) if rank else np.inf
     return _result(sys.A, sys.b, theta, cond, rank)
 

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ class TestIdentify:
         rc = run(["identify", "--trajectories", str(tmp_path / "nope.csv"),
                   "--centers=-1:1:1,-1:1:1", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_kernel_overflow_is_numerical_error(self, tmp_path, capsys):
+        # exp(mu x.c) overflows on Lorenz-sized states
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["identify", "--system", "lorenz", "--kernel", "expdot", "--mu", "1",
+                      "--T", "2", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "exp_dot" in err and "mu=1" in err
+        assert [str(w.message) for w in caught] == []
 
 
 class TestConfigFile:

@@ -110,8 +110,11 @@ class TestIntegrateRk4:
         field = oc.VectorField(1, lambda x: x.copy())
         with pytest.raises(ValueError):
             oc.integrate_rk4(field, np.array([1.0]), 1.0, 0.9)  # one step is too few
-        # non-integer T/h snaps to the nearest step count
-        tr = oc.integrate_rk4(field, np.array([1.0]), 1.0, 0.3)  # T/h = 3.33
+        # a T/h that is not whole would silently simulate another span (0.9 s here)
+        with pytest.raises(ValueError, match="whole number"):
+            oc.integrate_rk4(field, np.array([1.0]), 1.0, 0.3)  # T/h = 3.33
+        # a ratio that is whole up to rounding is accepted
+        tr = oc.integrate_rk4(field, np.array([1.0]), 0.3, 0.1)  # 0.3 / 0.1 = 2.9999999999999996
         assert tr.samples.shape == (4, 1)
 
     def test_divergence_raises_with_time(self):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import occusid as oc
-from occusid.errors import UnsupportedKernelError
+from occusid.errors import DivergenceError, UnsupportedKernelError
 from occusid.trajectory import Trajectory
 
 
@@ -35,6 +37,14 @@ class TestGramSystem:
 
 
 class TestGramAssemble:
+    def test_kernel_overflow_raises_divergence(self, pair):
+        basis, t1, _ = pair
+        big = Trajectory(30.0 * t1.samples, t1.step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=r"exp_dot with mu=2"):
+                oc.gram_assemble([big], basis, oc.exp_dot(2.0), "simpson")
+
     def test_symmetric_bitwise(self, pair):
         basis, t1, _ = pair
         g = oc.gram_assemble([t1], basis, oc.gaussian_rbf(10.0), "simpson")

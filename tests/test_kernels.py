@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import occusid as oc
 from occusid.errors import UnsupportedKernelError
-from occusid.kernels import FeatureMapKernel
+from occusid.kernels import CHUNK, FeatureMapKernel
 
 ALL = [
     oc.gaussian_rbf(2.0),
@@ -169,6 +169,32 @@ class TestVectorized:
                 assert P[p, q] == pytest.approx(
                     kern.pre_inner_integrand(X[p], Y[q], A[p], B[q]), rel=1e-10, abs=1e-12
                 )
+
+    @pytest.mark.parametrize("kern", ALL, ids=lambda k: k.family)
+    def test_assemble_block_accumulates_across_chunk(self, kern):
+        # P = CHUNK + 5 crosses one chunk boundary: the whole quadrature is
+        # the sum of the one over the first chunk and the one over the rest.
+        rng = np.random.default_rng(20)
+        P = CHUNK + 5
+        X = rng.uniform(-1.0, 1.0, size=(P, 2))
+        C = rng.uniform(-1.0, 1.0, size=(3, 2))
+        Vs = rng.uniform(-1.0, 1.0, size=(2, P, 2))
+        w = rng.uniform(0.1, 1.0, size=P)
+        whole = kern.assemble_block(X, C, Vs, w)
+        parts = (kern.assemble_block(X[:CHUNK], C, Vs[:, :CHUNK], w[:CHUNK])
+                 + kern.assemble_block(X[CHUNK:], C, Vs[:, CHUNK:], w[CHUNK:]))
+        assert np.allclose(whole, parts, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kern", INTEGRAND, ids=lambda k: k.family)
+    def test_pre_inner_pairwise_rows_across_chunk(self, kern):
+        rng = np.random.default_rng(21)
+        P = CHUNK + 5
+        X, A = rng.uniform(-1.0, 1.0, size=(2, P, 2))
+        Y, B = rng.uniform(-1.0, 1.0, size=(2, 3, 2))
+        whole = kern.pre_inner_pairwise(X, Y, A, B)
+        parts = np.vstack([kern.pre_inner_pairwise(X[:CHUNK], Y, A[:CHUNK], B),
+                           kern.pre_inner_pairwise(X[CHUNK:], Y, A[CHUNK:], B)])
+        assert np.allclose(whole, parts, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kern", ALL, ids=lambda k: k.family)
     def test_kernel_matrix_psd(self, kern):

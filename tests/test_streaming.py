@@ -133,6 +133,13 @@ class TestGradientChase:
                 oc.gradient_chase_step(st)
         assert exc.value.time_reached == pytest.approx(st.time)
 
+    def test_nan_iterate_diverges(self, setup):
+        basis, tr, _ = setup
+        st = fresh_stream(setup, theta0=np.full(len(basis), np.nan))
+        oc.stream_push(st, tr.samples[:2])
+        with pytest.raises(DivergenceError, match="nan"):
+            oc.gradient_chase_step(st)
+
 
 class TestWindowTracking:
     def test_window_follows_parameter_switch(self):

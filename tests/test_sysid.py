@@ -183,6 +183,13 @@ class TestSolveRidge:
         with pytest.raises(ValueError):
             oc.solve_ridge(s, -0.5)
 
+    def test_rank_uses_rcond(self):
+        s = oc.ConstraintSystem(np.diag([1.0, 1e-8]), np.ones(2), 1, 2)
+        ridge = oc.solve_ridge(s, 0.0, rcond=1e-6)
+        assert ridge.effective_rank == oc.solve_pinv(s, rcond=1e-6).effective_rank == 1
+        assert ridge.condition_number == 1.0
+        assert oc.solve_ridge(s, 0.0, rcond=1e-12).effective_rank == 2
+
 
 class TestSolveSparse:
     def test_orthonormal_soft_threshold(self):
