@@ -44,7 +44,6 @@ from .quadrature import empirical_order, norm_distance_squared, occupation_estim
 from .streaming import gradient_chase_step, new_stream, stream_matrices, stream_push
 from .sysid import assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
 from .trajectory import (
-    GRID_RTOL,
     Trajectory,
     add_measurement_noise,
     load_csv,

@@ -15,6 +15,23 @@ trajectories augment the system by summing their (G, r) contributions; a
 stacked variant keeps the per-trajectory blocks separate for least-squares
 treatment.
 
+The double integral is bilinear in the two fields, so it is never formed per
+pair of basis functions. With quadrature weights w and the fields stacked as
+F (M', P, n), the kernel blocks H_de[p, q] = d^2 K / dx_d dy_e (x_p, x_q) come
+from pre_inner_pairwise with the constant unit fields e_d and e_e, and
+
+    G_full = sum_{d, e} U_d H_de U_e^T,   U_d = w * F[:, :, d]  (M', P)
+
+gives every entry by matrix products. On one trajectory H_ed = H_de^T, so
+only the n(n + 1)/2 blocks with d <= e are built, a row block of GRAM_ROWS
+samples at a time, each contracted before the next one is built. The cost
+depends on the state dimension n, not on the M(M + 1)/2 basis pairs.
+
+A known part h of the dynamics rides along as field M' - 1 = M: G is
+G_full[:M, :M], r loses G_full[:M, M], and the constant term gains
+G_full[M, M] - 2 <jump, h>, where <jump, h> comes from the same
+assemble_block call that gives r.
+
 For a separable kernel built from a finite center set (FeatureMapKernel),
 this system is exactly the normal-equations factorization of the direct
 constraint system: G = V^T V and r = V^T b at the same quadrature rule. The
@@ -28,10 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import BasisSet
-from .kernels import CHUNK
 from .quadrature import as_rule, weights
 from .sysid import ConstraintSystem, EstimationResult, _require_finite, _result, _svd_solve
 from .trajectory import as_trajectory_set
+
+# Rows of each mixed-derivative kernel block built at once: a (GRAM_ROWS, P)
+# block is contracted before the next one is built, which bounds memory.
+GRAM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -67,55 +87,59 @@ class GramSystem:
         return self.G.shape[0]
 
 
-def _double_quad(kernel, X, w, A_vals, B_vals) -> float:
-    """w^T [pre_inner_pairwise(X, X, A_vals, B_vals)] w, row-chunked."""
-    total = 0.0
-    for lo in range(0, X.shape[0], CHUNK):
-        hi = min(lo + CHUNK, X.shape[0])
-        block = kernel.pre_inner_pairwise(X[lo:hi], X, A_vals[lo:hi], B_vals)
-        total += float(w[lo:hi] @ (block @ w))
-    return total
-
-
 def _gram_blocks(traj, basis: BasisSet, kernel, rule):
-    """One trajectory's (G, r, target_norm_sq) contribution."""
+    """One trajectory's (G, r, target_norm_sq) contribution.
+
+    G_full is contracted from the unit-field kernel blocks H_de, one row
+    block at a time, as the module docstring describes.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         X = traj.samples
+        P, n = X.shape
         w = weights(rule, traj.n_intervals, traj.step)
-        Vs = basis.values(X)  # (M, P, n)
         M = len(basis)
+        F = basis.values(X)  # (M, P, n)
+        kv = basis.known_values(X)
+        if kv is not None:
+            F = np.concatenate([F, kv[None]])
+        U = np.ascontiguousarray((F * w[:, None]).transpose(2, 0, 1))  # (n, M', P)
+        E = np.eye(n)
 
-        # The x-argument of the pairwise form carries the t axis and the
-        # y-argument the tau axis, so the row-side field is the m' one.
-        G = np.empty((M, M))
-        for m in range(M):
-            for mp in range(m + 1):
-                val = _double_quad(kernel, X, w, Vs[mp], Vs[m])
-                G[m, mp] = val
-                G[mp, m] = val
+        # H_ed = H_de^T on one trajectory, so a d < e block is built once and
+        # counted twice; symmetrizing at the end restores the mirror half.
+        G_full = np.zeros((F.shape[0], F.shape[0]))
+        for lo in range(0, P, GRAM_ROWS):
+            hi = min(lo + GRAM_ROWS, P)
+            for d in range(n):
+                Ed = np.broadcast_to(E[d], (hi - lo, n))
+                for e in range(d, n):
+                    Ee = np.broadcast_to(E[e], (P, n))
+                    # H_de is freed after the first product, before the next one is built
+                    T = U[d, :, lo:hi] @ kernel.pre_inner_pairwise(X[lo:hi], X, Ed, Ee) @ U[e].T
+                    G_full += T if d == e else 2.0 * T
+            if not np.isfinite(G_full).all():
+                break  # kernel overflow; _require_finite reports it below
+        G_full = 0.5 * (G_full + G_full.T)
 
         # r[m]: quadrature of the endpoint-jump gradient against Y_m. One
-        # assemble_block call with the two endpoints as "centers" gives every m.
+        # assemble_block call with the two endpoints as "centers" gives every
+        # field, the known part included.
         ends = np.stack([traj.initial, traj.final])
-        blk = kernel.assemble_block(X, ends, Vs, w)  # (2, M)
-        r = blk[1] - blk[0]
-
+        blk = kernel.assemble_block(X, ends, F, w)  # (2, M')
+        jump = blk[1] - blk[0]
         jump_sq = (
             kernel.eval(traj.final, traj.final)
             - 2.0 * kernel.eval(traj.final, traj.initial)
             + kernel.eval(traj.initial, traj.initial)
         )
-
-        kv = basis.known_values(X)
-        if kv is not None:
-            kblk = kernel.assemble_block(X, ends, kv[None], w)  # (2, 1)
-            jump_dot_known = float(kblk[1, 0] - kblk[0, 0])
-            known_sq = _double_quad(kernel, X, w, kv, kv)
-            for m in range(M):
-                r[m] -= _double_quad(kernel, X, w, Vs[m], kv)
-            jump_sq = jump_sq - 2.0 * jump_dot_known + known_sq
+        if kv is None:
+            r = jump
+        else:
+            r = jump[:M] - G_full[:M, M]
+            jump_sq = jump_sq - 2.0 * jump[M] + G_full[M, M]
+    G = G_full[:M, :M]
     _require_finite(kernel, G, r, jump_sq)
-    return G, r, jump_sq
+    return G, r, float(jump_sq)
 
 
 def gram_assemble(trajs, basis: BasisSet, kernel, rule) -> GramSystem:

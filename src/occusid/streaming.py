@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import BasisSet
 from .errors import DivergenceError
 from .sysid import _svd_solve
-from .trajectory import GRID_RTOL
+from .trajectory import GRID_RTOL, off_grid
 
 
 class StreamState:
@@ -120,8 +120,8 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
     """Append samples that continue the uniform grid; update accumulators.
 
     times, when given, are the absolute sample times and are checked against
-    the grid (the first sample ever seen sets the origin); a deviation beyond
-    GRID_RTOL of one step is a grid discontinuity error.
+    the grid (the first sample ever seen sets the origin); a time that is
+    `off_grid` is a grid discontinuity error.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != state.basis.dim:
@@ -135,7 +135,7 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
         x = samples[q]
         if times is not None:
             t_expect = times[q] if state.t0 is None else state.t0 + (state.n_samples) * h
-            if abs(times[q] - t_expect) > GRID_RTOL * max(h, abs(t_expect)):
+            if off_grid(times[q], t_expect, h):
                 raise ValueError(
                     f"grid discontinuity: got time {times[q]!r}, expected {t_expect!r}"
                 )

@@ -18,6 +18,17 @@ from .errors import TrajectoryParseError
 GRID_RTOL = 1e-9
 
 
+def off_grid(t, t_grid, h):
+    """True where a sample time t misses its grid value t_grid (grid step h).
+
+    The allowed deviation is GRID_RTOL of one step plus four units in the last
+    place of t_grid: far from the origin the times carry that much rounding
+    themselves, while a step-relative slack alone would reject them and a
+    |t|-relative one would accept whole missed steps.
+    """
+    return np.abs(t - t_grid) > GRID_RTOL * h + 4.0 * np.spacing(np.abs(t_grid))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -188,9 +199,9 @@ def save_csv(traj: Trajectory, path) -> None:
 def load_csv(path) -> Trajectory:
     """Read a trajectory CSV written by save_csv (or produced externally).
 
-    The header must be exactly `t,x1,...,xn`; the time column must lie on a
-    uniform grid within GRID_RTOL of the inferred step. Errors report the
-    offending 1-based line number.
+    The header must be exactly `t,x1,...,xn`; no time may be `off_grid` on
+    the uniform grid of the step inferred from the first two rows. Errors
+    report the offending 1-based line number.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -230,8 +241,7 @@ def load_csv(path) -> Trajectory:
     if h <= 0:
         raise TrajectoryParseError(f"time step must be positive, got {h}", line=3)
     grid = t[0] + h * np.arange(len(t))
-    off = np.abs(t - grid)
-    bad = np.nonzero(off > GRID_RTOL * h)[0]
+    bad = np.nonzero(off_grid(t, grid, h))[0]
     if bad.size:
         k = int(bad[0])
         raise TrajectoryParseError(

@@ -149,6 +149,19 @@ class TestIdentify:
         assert "exp_dot" in err and "mu=1" in err
         assert [str(w.message) for w in caught] == []
 
+    def test_kernel_overflow_gram_is_numerical_error(self, tmp_path, capsys):
+        # the Gram route meets the same overflow; it fails after a few
+        # kernel block passes rather than one per basis pair
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["identify", "--system", "lorenz", "--kernel", "expdot", "--mu", "1",
+                      "--T", "2", "--solver", "gram", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:")
+        assert "exp_dot" in err and "mu=1" in err
+        assert [str(w.message) for w in caught] == []
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

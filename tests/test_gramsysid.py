@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import occusid as oc
+from occusid import gramsysid
 from occusid.errors import DivergenceError, UnsupportedKernelError
+from occusid.quadrature import weights
 from occusid.trajectory import Trajectory
 
 
@@ -194,3 +196,103 @@ class TestStacked:
         st = oc.gram_assemble_stacked([t1], basis, kern, "simpson")
         g = oc.gram_assemble([t1], basis, kern, "simpson")
         assert np.abs(oc.solve_pinv(st).theta_hat - oc.gram_solve(g).theta_hat).max() < 1e-6
+
+
+def _per_pair_gram(traj, basis, kernel, rule):
+    """The per-pair double quadrature: one P x P pre_inner_pairwise per (m, m') pair.
+
+    Kept as the reference for the unit-field contraction in _gram_blocks.
+    """
+    X = traj.samples
+    w = weights(rule, traj.n_intervals, traj.step)
+    Vs = basis.values(X)
+    M = len(basis)
+
+    def dq(A, B):
+        return float(w @ (kernel.pre_inner_pairwise(X, X, A, B) @ w))
+
+    G = np.empty((M, M))
+    for m in range(M):
+        for mp in range(m + 1):
+            G[m, mp] = G[mp, m] = dq(Vs[mp], Vs[m])
+    ends = np.stack([traj.initial, traj.final])
+    blk = kernel.assemble_block(X, ends, Vs, w)
+    r = blk[1] - blk[0]
+    jump_sq = (
+        kernel.eval(traj.final, traj.final)
+        - 2.0 * kernel.eval(traj.final, traj.initial)
+        + kernel.eval(traj.initial, traj.initial)
+    )
+    kv = basis.known_values(X)
+    if kv is not None:
+        kblk = kernel.assemble_block(X, ends, kv[None], w)
+        r = r - np.array([dq(Vs[m], kv) for m in range(M)])
+        jump_sq += -2.0 * (kblk[1, 0] - kblk[0, 0]) + dq(kv, kv)
+    return G, r, jump_sq
+
+
+def _emps_case(h):
+    field, _, basis = oc.builtin_system("emps_form", control=lambda t: np.sin(2 * np.pi * t))
+    return basis, oc.integrate_rk4(field, np.array([0.1, 0.0, 0.0]), 1.0, h)
+
+
+def _system1_case(h):
+    field, _, basis = oc.builtin_system("system1")
+    return basis, oc.integrate_rk4(field, np.array([0.3, -2.0]), 1.0, h)
+
+
+def _rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+_CENTERS = oc.lattice_centers([(-1, 1), (-3, -1)], 1.0)
+
+
+class TestContractionMatchesPerPair:
+    # The GEMM contraction against the per-pair quadrature it replaced, on
+    # every family with an integrand, a separable kernel, a known part, and a
+    # trajectory longer than one row block.
+    @pytest.mark.parametrize(
+        "case, h, kernel, rule",
+        [
+            (_system1_case, 1e-2, oc.gaussian_rbf(10.0), "simpson"),
+            (_system1_case, 1e-2, oc.exp_dot(0.5), "trapezoid"),
+            (_system1_case, 1e-2, oc.polynomial(2.0, 3), "simpson"),
+            (_system1_case, 1e-2, oc.FeatureMapKernel(oc.gaussian_rbf(10.0), _CENTERS), "simpson"),
+            (_emps_case, 1e-2, oc.gaussian_rbf(5.0), "simpson"),
+            (_system1_case, 1.0 / 600, oc.gaussian_rbf(10.0), "rh"),
+            (_emps_case, 1.0 / 600, oc.exp_dot(0.5), "trapezoid"),
+        ],
+        ids=["gaussian", "exp_dot", "poly3", "feature_map", "emps_known",
+             "gaussian_long", "emps_long"],
+    )
+    def test_matches_per_pair(self, case, h, kernel, rule):
+        basis, traj = case(h)
+        g = oc.gram_assemble([traj], basis, kernel, rule)
+        G, r, c = _per_pair_gram(traj, basis, kernel, rule)
+        assert _rel(g.G, G) <= 1e-12
+        assert _rel(g.r, r) <= 1e-12
+        assert abs(g.target_norm_sq - c) <= 1e-12 * abs(c)
+
+
+class TestKernelPasses:
+    # Each row block builds the n(n+1)/2 mixed-derivative blocks H_de, d <= e,
+    # once, whatever the number of basis fields.
+    @pytest.mark.parametrize("case", [_system1_case, _emps_case], ids=["n2", "n3_known"])
+    def test_blocks_per_row_block(self, case, monkeypatch):
+        basis, traj = case(1.0 / 600)
+        calls = []
+        inner = oc.Kernel.pre_inner_pairwise
+
+        def spy(self, X, Y, A, B):
+            calls.append(len(X))
+            return inner(self, X, Y, A, B)
+
+        monkeypatch.setattr(oc.Kernel, "pre_inner_pairwise", spy)
+        oc.gram_assemble([traj], basis, oc.gaussian_rbf(10.0), "simpson")
+        n = traj.dim
+        n_blocks = -(-traj.n_samples // gramsysid.GRAM_ROWS)
+        assert n_blocks >= 3 and traj.n_samples % gramsysid.GRAM_ROWS  # a partial last block
+        assert len(calls) == n_blocks * n * (n + 1) // 2
+        assert sum(calls) == traj.n_samples * n * (n + 1) // 2

@@ -218,6 +218,53 @@ class TestCsv:
         assert tr.n_samples == 5
 
 
+class TestGridRule:
+    # load_csv and stream_push share one on-grid rule (off_grid); far from
+    # the origin a step-relative slack alone rejected rounded times, and a
+    # |t|-relative one accepted whole steps of error.
+    CASES = [
+        # (t0, h, offset of the 4th time in steps, accepted)
+        (0.0, 0.1, 0.0, True),
+        (0.0, 0.1, 0.5 * GRID_RTOL, True),
+        (0.0, 0.1, 10 * GRID_RTOL, False),
+        (0.0, 0.1, 0.5, False),
+        (1e6, 0.25, 0.0, True),
+        (1e6, 0.25, 4e-6, False),
+        (1e6, 0.1, 0.0, True),
+        (1e6, 0.1, 1e-4, False),
+        (1e9, 0.5, 0.0, True),
+        (1e9, 0.5, 0.01, False),
+    ]
+
+    @staticmethod
+    def _csv_accepts(tmp_path, times):
+        lines = ["t,x1"] + [f"{t:.17g},{i}" for i, t in enumerate(times)]
+        path = tmp_path / "grid.csv"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            oc.load_csv(path)
+        except TrajectoryParseError:
+            return False
+        return True
+
+    @staticmethod
+    def _stream_accepts(times, h):
+        basis = oc.BasisSet(dim=1, functions=(lambda X: X,), labels=("x1",))
+        st = oc.new_stream(np.array([[0.0]]), basis, oc.gaussian_rbf(1.0), h)
+        try:
+            oc.stream_push(st, np.arange(len(times), dtype=float)[:, None], times=times)
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("t0, h, offset, accepted", CASES)
+    def test_both_paths_agree(self, tmp_path, t0, h, offset, accepted):
+        times = t0 + np.arange(5) * h
+        times[3] += offset * h
+        assert self._csv_accepts(tmp_path, times) == accepted
+        assert self._stream_accepts(times, h) == accepted
+
+
 class TestTrajectorySet:
     def test_as_trajectory_set(self):
         trs = [ramp(5), ramp(7)]
