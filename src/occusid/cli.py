@@ -17,12 +17,13 @@ standard error as `error: <category>: <message>`.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -45,6 +46,8 @@ from .streaming import gradient_chase_step, new_stream, stream_matrices, stream_
 from .sysid import assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
 from .trajectory import (
     Trajectory,
+    _parse_header,
+    _parse_rows,
     add_measurement_noise,
     load_csv,
     moving_average,
@@ -144,11 +147,22 @@ def parse_centers(spec: str) -> np.ndarray:
     return lattice_centers(bounds, widths)
 
 
-def _mu_for(cfg: ExperimentConfig) -> float:
+def _kernel_for(cfg: ExperimentConfig):
     mu = cfg.mu if cfg.mu is not None else _default_mu(cfg.kernel, cfg.system)
     if mu <= 0:
         raise ConfigError(f"mu must be positive, got {mu}")
-    return mu
+    return from_name(cfg.kernel, mu=mu, degree=cfg.degree)
+
+
+def _builtin(cfg: ExperimentConfig):
+    """builtin_system(cfg.system), with the control signal read from --control-csv."""
+    if cfg.system == "emps_form" and cfg.control_csv is None:
+        raise ConfigError("emps_form needs --control-csv with the control signal")
+    control = control_from_csv(cfg.control_csv) if cfg.control_csv else None
+    try:
+        return builtin_system(cfg.system, control=control)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _simulate_system(cfg: ExperimentConfig):
@@ -159,12 +173,7 @@ def _simulate_system(cfg: ExperimentConfig):
     sim = _SYSTEM_SIM[name]
     T = cfg.T if cfg.T is not None else sim["T"]
     h = cfg.h if cfg.h is not None else sim["h"]
-    control = None
-    if name == "emps_form":
-        if cfg.control_csv is None:
-            raise ConfigError("emps_form needs --control-csv with the control signal")
-        control = control_from_csv(cfg.control_csv)
-    field, theta_true, sys_basis = builtin_system(name, control=control)
+    field, theta_true, sys_basis = _builtin(cfg)
     if name == "system1":
         x0s = lattice_centers([(-0.5, 0.5), (-2.5, -1.5)], 0.25)
     else:
@@ -179,46 +188,53 @@ def _simulate_system(cfg: ExperimentConfig):
     return trajs, theta_true, sys_basis
 
 
-def _load_trajectories(cfg: ExperimentConfig):
-    trajs = []
-    for path in cfg.trajectories:
-        if not os.path.exists(path):
-            raise ConfigError(f"trajectory file {path!r} does not exist")
-        trajs.append(load_csv(path))
+def _source_data(cfg: ExperimentConfig):
+    """Trajectories as loaded or simulated, plus (theta_true, basis) when known."""
+    if cfg.trajectories:
+        trajs = []
+        for path in cfg.trajectories:
+            if not os.path.exists(path):
+                raise ConfigError(f"trajectory file {path!r} does not exist")
+            trajs.append(load_csv(path))
+        if cfg.system is None:
+            return trajs, None, None
+        _, theta_true, sys_basis = _builtin(cfg)
+        return trajs, theta_true, sys_basis
+    if cfg.system is not None:
+        return _simulate_system(cfg)
+    raise ConfigError("either --system or --trajectories is required")
+
+
+def _pipeline_settings(cfg: ExperimentConfig) -> tuple[float, int, int]:
+    """(noise sigma, filter window, segments) with their defaults, range-checked."""
+    sigma = cfg.noise_sigma if cfg.noise_sigma is not None else 0.0
+    if sigma < 0:
+        raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
+    window = cfg.filter_window if cfg.filter_window is not None else 1
+    if window < 1:
+        raise ConfigError(f"filter window must be >= 1, got {window}")
+    parts = cfg.segments if cfg.segments is not None else 1
+    if parts < 1:
+        raise ConfigError(f"segments must be >= 1, got {parts}")
+    return sigma, window, parts
+
+
+def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
+    """Noise (trajectory j drawn with seeds[j]) -> moving average -> segments."""
+    sigma, window, parts = _pipeline_settings(cfg)
+    if sigma > 0:
+        trajs = [add_measurement_noise(t, sigma, sd) for t, sd in zip(trajs, seeds)]
+    if window > 1:
+        trajs = [moving_average(t, window) for t in trajs]
+    if parts > 1:
+        trajs = [piece for t in trajs for piece in segment(t, parts)]
     return trajs
 
 
 def _prepare_data(cfg: ExperimentConfig):
     """Trajectories after the load/simulate -> noise -> filter -> segment pipeline."""
-    if cfg.trajectories:
-        trajs = _load_trajectories(cfg)
-        theta_true, sys_basis = None, None
-        if cfg.system is not None:
-            control = control_from_csv(cfg.control_csv) if cfg.control_csv else None
-            try:
-                _, theta_true, sys_basis = builtin_system(cfg.system, control=control)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-    elif cfg.system is not None:
-        trajs, theta_true, sys_basis = _simulate_system(cfg)
-    else:
-        raise ConfigError("either --system or --trajectories is required")
-
-    sigma = cfg.noise_sigma if cfg.noise_sigma is not None else 0.0
-    if sigma < 0:
-        raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
-    if sigma > 0:
-        trajs = [add_measurement_noise(t, sigma, cfg.seed + j) for j, t in enumerate(trajs)]
-    window = cfg.filter_window if cfg.filter_window is not None else 1
-    if window < 1:
-        raise ConfigError(f"filter window must be >= 1, got {window}")
-    if window > 1:
-        trajs = [moving_average(t, window) for t in trajs]
-    parts = cfg.segments if cfg.segments is not None else 1
-    if parts < 1:
-        raise ConfigError(f"segments must be >= 1, got {parts}")
-    if parts > 1:
-        trajs = [piece for t in trajs for piece in segment(t, parts)]
+    trajs, theta_true, sys_basis = _source_data(cfg)
+    trajs = _noise_filter_segment(cfg, trajs, [cfg.seed + j for j in range(len(trajs))])
     return trajs, theta_true, sys_basis
 
 
@@ -302,7 +318,7 @@ def run_identify(cfg: ExperimentConfig) -> IdentifyOutcome:
     trajs, theta_true, sys_basis = _prepare_data(cfg)
     dim = trajs[0].dim
     basis, targets = _build_basis(cfg, dim, theta_true, sys_basis)
-    kernel = from_name(cfg.kernel, mu=_mu_for(cfg), degree=cfg.degree)
+    kernel = _kernel_for(cfg)
 
     solver = cfg.solver
     if solver == "ils":
@@ -384,11 +400,11 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.system is None:
         raise ConfigError("simulate requires --system")
-    out = _ensure_out(cfg)
     trajs, _, _ = _simulate_system(cfg)
-    sigma = cfg.noise_sigma if cfg.noise_sigma is not None else 0.0
-    if sigma > 0:
-        trajs = [add_measurement_noise(t, sigma, cfg.seed + j) for j, t in enumerate(trajs)]
+    # Only the noise stage applies: the files hold whole, unfiltered paths.
+    noise_only = replace(cfg, filter_window=None, segments=None)
+    trajs = _noise_filter_segment(noise_only, trajs, [cfg.seed + j for j in range(len(trajs))])
+    out = _ensure_out(cfg)
     paths = []
     for j, traj in enumerate(trajs):
         path = os.path.join(out, f"traj_{j:03d}.csv")
@@ -447,12 +463,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     out = _ensure_out(cfg)
-    tasks = [(asdict(cfg), cfg.param, v) for v in values]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            errors = list(pool.map(_sweep_point, tasks))
-    else:
-        errors = [_sweep_point(t) for t in tasks]
+    errors = _run_tasks(_sweep_point, [(asdict(cfg), cfg.param, v) for v in values], cfg.jobs)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write("value,error\n")
@@ -460,6 +471,19 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             fh.write(f"{FMT % v},{FMT % e}\n")
     print(f"wrote {path}")
     return 0
+
+
+def _run_tasks(fn, tasks, jobs: int) -> list:
+    """[fn(t) for t in tasks], spread over at most `jobs` worker processes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # spawn, not fork: the parent already runs BLAS threads.
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _mc_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -485,27 +509,18 @@ def _mc_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
 def _mc_trial(args):
     cfg_dict, trial, base = args
     cfg = ExperimentConfig(**cfg_dict)
-    trajs = [Trajectory(s, h) for s, h in base]
-    sigma = cfg.noise_sigma
-    if sigma > 0:
-        if len(trajs) == 1:
-            seeds = [cfg.seed + trial]
-        else:
-            seeds = [(cfg.seed + trial) * 100_003 + j for j in range(len(trajs))]
-        trajs = [add_measurement_noise(t, sigma, sd) for t, sd in zip(trajs, seeds)]
-    window = cfg.filter_window if cfg.filter_window is not None else 1
-    if window > 1:
-        trajs = [moving_average(t, window) for t in trajs]
-    if cfg.segments > 1:
-        trajs = [p for t in trajs for p in segment(t, cfg.segments)]
+    if len(base) == 1:
+        seeds = [cfg.seed + trial]
+    else:
+        seeds = [(cfg.seed + trial) * 100_003 + j for j in range(len(base))]
+    trajs = _noise_filter_segment(cfg, [Trajectory(s, h) for s, h in base], seeds)
 
     dim = trajs[0].dim
-    control = control_from_csv(cfg.control_csv) if cfg.control_csv else None
-    _, theta_true, sys_basis = builtin_system(cfg.system, control=control)
+    _, theta_true, sys_basis = _builtin(cfg)
     basis, targets = _build_basis(cfg, dim, theta_true, sys_basis)
     if targets is None:
         raise ConfigError("montecarlo needs a system with known parameters")
-    kernel = from_name(cfg.kernel, mu=_mu_for(cfg), degree=cfg.degree)
+    kernel = _kernel_for(cfg)
     centers = _centers_for(cfg, dim)
 
     ok = solve_pinv(assemble(trajs, centers, basis, kernel, cfg.rule), rcond=cfg.rcond)
@@ -524,17 +539,13 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
         raise ConfigError("montecarlo requires --system (or the default lorenz setup)")
     if cfg.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    out = _ensure_out(cfg)
+    _pipeline_settings(cfg)  # reject bad settings before the base data is simulated
     # Base data is simulated once, clean; noise/filter/segments are per trial.
-    base_cfg = replace(cfg, noise_sigma=0.0, filter_window=1, segments=1)
-    trajs, _, _ = _prepare_data(base_cfg)
+    trajs, _, _ = _source_data(cfg)
     base = [(t.samples, t.step) for t in trajs]
     tasks = [(asdict(cfg), trial, base) for trial in range(cfg.trials)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_mc_trial, tasks))
-    else:
-        rows = [_mc_trial(t) for t in tasks]
+    rows = _run_tasks(_mc_trial, tasks, cfg.jobs)
+    out = _ensure_out(cfg)
     path = os.path.join(out, "montecarlo.csv")
     with open(path, "w", newline="\n") as fh:
         fh.write("trial,ok_error,ils_error,ok_cond,ils_cond\n")
@@ -592,19 +603,9 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
     """
     if cfg.system is None:
         raise ConfigError("occupation convergence requires --system")
-    sim = _SYSTEM_SIM.get(cfg.system)
-    if sim is None:
-        raise ConfigError(f"unknown system {cfg.system!r}")
-    T = cfg.T if cfg.T is not None else sim["T"]
     h_fine = min(hs) / 64.0
-    control = control_from_csv(cfg.control_csv) if cfg.control_csv else None
-    field, _, _ = builtin_system(cfg.system, control=control)
-    if cfg.system == "system1":
-        x0 = lattice_centers([(-0.5, 0.5), (-2.5, -1.5)], 0.25)[0]
-    else:
-        x0 = _SYSTEM_X0[cfg.system]
-    fine = integrate_rk4(field, x0, T, h_fine)
-    kernel = from_name(cfg.kernel, mu=_mu_for(cfg), degree=cfg.degree)
+    (fine,), _, _ = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1))
+    kernel = _kernel_for(cfg)
     ref = occupation_estimate(fine, kernel, "simpson")
     errors = []
     for h in hs:
@@ -622,59 +623,38 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
     header = lines.readline()
     if header == "":
         return 0  # empty input: nothing to do
-    cols = [c.strip() for c in header.rstrip("\n").split(",")]
-    if len(cols) < 2 or cols[0] != "t" or cols[1:] != [f"x{i + 1}" for i in range(len(cols) - 1)]:
-        raise ConfigError(f"stream header must be t,x1,...,xn, got {header.rstrip()!r}")
-    dim = len(cols) - 1
+    dim = _parse_header(header.rstrip("\r\n"))
 
     degree = cfg.basis_degree if cfg.basis_degree is not None else 2
     basis = monomial_basis(MonomialSpec(dim, degree))
-    kernel = from_name(cfg.kernel, mu=_mu_for(cfg), degree=cfg.degree)
+    kernel = _kernel_for(cfg)
     centers = _centers_for(cfg, dim)
 
     state = None
-    pending: list[tuple[float, np.ndarray]] = []
+    pending: list[tuple[float, np.ndarray]] = []  # rows not yet pushed
     count = 0
-
-    def _push(t, x):
-        nonlocal state, count
-        stream_push(state, x, times=[t])
-        gradient_chase_step(state)
-        count += 1
-        if cfg.print_every > 0 and count % cfg.print_every == 0:
-            _print_stream_line(state)
-
     for lineno, raw in enumerate(lines, start=2):
-        raw = raw.strip()
-        if not raw:
+        times, rows = _parse_rows([raw.rstrip("\r\n")], dim, lineno)
+        if not rows:
             continue
-        cells = raw.split(",")
-        if len(cells) != dim + 1:
-            raise ConfigError(f"line {lineno}: expected {dim + 1} columns, got {len(cells)}")
-        try:
-            vals = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        t, x = vals[0], np.array(vals[1:])
+        pending.append((times[0], np.array(rows[0])))
         if state is None:
-            pending.append((t, x))
-            if len(pending) == 2:
-                h = cfg.h if cfg.h is not None else pending[1][0] - pending[0][0]
-                if h <= 0:
-                    raise ConfigError(f"line {lineno}: non-increasing time column")
-                state = new_stream(
-                    centers, basis, kernel, h, window=cfg.window, alpha=cfg.alpha
-                )
-                for pt, px in pending:
-                    try:
-                        _push(pt, px)
-                    except ValueError as exc:
-                        raise ConfigError(f"line {lineno}: {exc}") from None
-            continue
-        try:
-            _push(t, x)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+            if len(pending) < 2:
+                continue  # the first two rows fix the step
+            h = cfg.h if cfg.h is not None else pending[1][0] - pending[0][0]
+            if h <= 0:
+                raise ConfigError(f"line {lineno}: non-increasing time column")
+            state = new_stream(centers, basis, kernel, h, window=cfg.window, alpha=cfg.alpha)
+        for t, x in pending:
+            try:
+                stream_push(state, x, times=[t])
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+            gradient_chase_step(state)
+            count += 1
+            if cfg.print_every > 0 and count % cfg.print_every == 0:
+                _print_stream_line(state)
+        pending.clear()
 
     if state is None:
         return 0

@@ -69,21 +69,22 @@ class StreamState:
         self.time = 0.0
         self.t0 = None
         self.n_samples = 0
-        self.first_sample = None
-        self.prev_sample = None
         self._prev_rows = None  # (S, M) and (S,) pieces of the last sample
+        # psi(x) = [K(x, c_s)]_s at the window's right end and at its left end
+        # (the first sample, or the right end of the last expired panel).
+        self._psi_last = None
+        self._psi_left = None
+        # Panel sums over the active window; with window 0 nothing expires.
         self.A_acc = np.zeros((S, M))
         self.known_acc = np.zeros(S)
-        # Ring of (panel_A, panel_known, left_sample, end_time) for windowing.
-        self._panels = deque() if window > 0 else None
-        self.win_A = np.zeros((S, M)) if window > 0 else None
-        self.win_known = np.zeros(S) if window > 0 else None
+        # Ring of (panel_A, panel_known, psi of the right end, end_time).
+        self._panels = deque()
         self._auto_alpha = 1.0
 
     # -- derived views ------------------------------------------------------
 
     def _features(self, x) -> np.ndarray:
-        return self.kernel.matrix(np.asarray(x, dtype=float)[None, :], self.centers)[0]
+        return self.kernel.matrix(x[None, :], self.centers)[0]
 
     def _sample_rows(self, x):
         """grad1(x, c_s) contracted with every basis function (and known part)."""
@@ -99,16 +100,9 @@ class StreamState:
 
     def matrices(self):
         """Current (A, b) of the active window as fresh arrays."""
-        S = self.centers.shape[0]
         if self.n_samples == 0:
-            return self.A_acc.copy(), np.zeros(S)
-        cur = self._features(self.prev_sample)
-        if self.window > 0:
-            left = self._panels[0][2] if self._panels else self.prev_sample
-            b = cur - self._features(left) - self.win_known
-            return self.win_A.copy(), b
-        b = cur - self._features(self.first_sample) - self.known_acc
-        return self.A_acc.copy(), b
+            return self.A_acc.copy(), np.zeros(self.centers.shape[0])
+        return self.A_acc.copy(), self._psi_last - self._psi_left - self.known_acc
 
 
 def new_stream(centers, basis: BasisSet, kernel, step: float, window: float = 0.0,
@@ -140,10 +134,11 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
                     f"grid discontinuity: got time {times[q]!r}, expected {t_expect!r}"
                 )
         rows, known_rows = state._sample_rows(x)
+        psi = state._features(x)
         if state.n_samples == 0:
             state.t0 = 0.0 if times is None else float(times[q])
             state.time = state.t0
-            state.first_sample = x.copy()
+            state._psi_left = psi
         else:
             state.time += h
             prev_rows, prev_known = state._prev_rows
@@ -152,15 +147,13 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
             state.A_acc += panel_A
             state.known_acc += panel_known
             if state.window > 0:
-                state._panels.append((panel_A, panel_known, state.prev_sample.copy(), state.time))
-                state.win_A += panel_A
-                state.win_known += panel_known
+                state._panels.append((panel_A, panel_known, psi, state.time))
                 cutoff = state.time - state.window + GRID_RTOL * h
                 while state._panels and state._panels[0][3] <= cutoff:
-                    old_A, old_known, _, _ = state._panels.popleft()
-                    state.win_A -= old_A
-                    state.win_known -= old_known
-        state.prev_sample = x.copy()
+                    old_A, old_known, state._psi_left, _ = state._panels.popleft()
+                    state.A_acc -= old_A
+                    state.known_acc -= old_known
+        state._psi_last = psi
         state._prev_rows = (rows, known_rows)
         state.n_samples += 1
     A, _ = state.matrices()

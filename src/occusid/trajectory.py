@@ -196,29 +196,28 @@ def save_csv(traj: Trajectory, path) -> None:
             fh.write(f"{t:.17g},{row}\n")
 
 
-def load_csv(path) -> Trajectory:
-    """Read a trajectory CSV written by save_csv (or produced externally).
-
-    The header must be exactly `t,x1,...,xn`; no time may be `off_grid` on
-    the uniform grid of the step inferred from the first two rows. Errors
-    report the offending 1-based line number.
-    """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TrajectoryParseError("empty file", line=1)
-    header = [c.strip() for c in lines[0].split(",")]
+def _parse_header(line: str) -> int:
+    """State dimension n of a `t,x1,...,xn` header line; line 1 on error."""
+    header = [c.strip() for c in line.split(",")]
     if len(header) < 2 or header[0] != "t":
-        raise TrajectoryParseError(f"expected header 't,x1,...', got {lines[0]!r}", line=1)
+        raise TrajectoryParseError(f"expected header 't,x1,...', got {line!r}", line=1)
     n = len(header) - 1
     expected = [f"x{i + 1}" for i in range(n)]
     if header[1:] != expected:
         raise TrajectoryParseError(
             f"state columns must be {','.join(expected)}, got {','.join(header[1:])}", line=1
         )
+    return n
+
+
+def _parse_rows(lines, n: int, first_lineno: int):
+    """(times, states) of the `t,x1,...,xn` rows in lines; blank lines are skipped.
+
+    first_lineno is the 1-based file line of lines[0], for error reports.
+    """
     times = []
     rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=first_lineno):
         if not raw.strip():
             continue
         cells = raw.split(",")
@@ -232,6 +231,21 @@ def load_csv(path) -> Trajectory:
             raise TrajectoryParseError(str(exc), line=lineno) from None
         times.append(vals[0])
         rows.append(vals[1:])
+    return times, rows
+
+
+def load_csv(path) -> Trajectory:
+    """Read a trajectory CSV written by save_csv (or produced externally).
+
+    The header must be exactly `t,x1,...,xn`; no time may be `off_grid` on
+    the uniform grid of the step inferred from the first two rows. Errors
+    report the offending 1-based line number.
+    """
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise TrajectoryParseError("empty file", line=1)
+    times, rows = _parse_rows(lines[1:], _parse_header(lines[0]), 2)
     if len(rows) < 3:
         raise TrajectoryParseError(
             f"need at least 3 data rows, got {len(rows)}", line=len(lines)

@@ -231,6 +231,41 @@ class TestSweep:
     def test_requires_param_and_values(self, tmp_path):
         assert run(["sweep", "--system", "system1", "--out", str(tmp_path)]) == 2
 
+    def test_jobs_do_not_change_output(self, tmp_path):
+        args = ["sweep", "--system", "system1", "--n-trajectories", "5", "--h", "1e-2",
+                "--param", "noise_sigma", "--values", "0,0.01,0.02"]
+        for jobs in ("1", "2"):
+            assert run(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        one = (tmp_path / "1" / "sweep.csv").read_bytes()
+        assert one == (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
+_MC = ["montecarlo", "--system", "system1", "--trials", "1", "--mu", "10",
+       "--basis-degree", "2", "--n-trajectories", "5", "--h", "1e-2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _MC + ["--noise-sigma", "-0.01"],
+        _MC + ["--segments", "0"],
+        _MC + ["--segments", "-3"],
+        _MC + ["--filter-window", "0"],
+        _MC + ["--jobs", "0"],
+        ["simulate", "--system", "system1", "--n-trajectories", "2", "--h", "1e-2",
+         "--noise-sigma", "-1"],
+        ["sweep", "--system", "system1", "--n-trajectories", "5", "--h", "1e-2",
+         "--param", "noise_sigma", "--values", "0,0.01", "--jobs", "0"],
+    ],
+    ids=["mc-sigma", "mc-segments-0", "mc-segments-neg", "mc-filter", "mc-jobs",
+         "simulate-sigma", "sweep-jobs"],
+)
+def test_bad_pipeline_setting_rejected_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "error: config:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
 
 class TestMonteCarlo:
     ARGS = ["montecarlo", "--system", "system1", "--trials", "2", "--segments", "2",
@@ -253,6 +288,15 @@ class TestMonteCarlo:
     def test_trials_validated(self, tmp_path):
         assert run(self.ARGS[:-2] + ["--trials", "0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("n_traj", ["5", "1"])
+    def test_jobs_do_not_change_output(self, tmp_path, n_traj):
+        # one trajectory and several take different per-trial seed rules
+        args = self.ARGS + ["--trials", "3", "--filter-window", "3", "--n-trajectories", n_traj]
+        for jobs in ("1", "2"):
+            assert run(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        one = (tmp_path / "1" / "montecarlo.csv").read_bytes()
+        assert one == (tmp_path / "2" / "montecarlo.csv").read_bytes()
+
 
 class TestConvergence:
     def test_identify_ladder(self, tmp_path):
@@ -265,6 +309,27 @@ class TestConvergence:
         assert lines[-1].startswith("# order: ")
         order = float(lines[-1].split(": ")[1])
         assert order > 3.0  # default rule is simpson
+
+    def test_occupation_ladder_matches_direct_computation(self, tmp_path):
+        hs = [0.04, 0.02, 0.01]
+        rc = run(["convergence", "--system", "system1", "--target", "occupation",
+                  "--h-values", ",".join(map(str, hs)), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "convergence.csv").read_text().strip().splitlines()[1:-1]
+        errors = [float(r.split(",")[1]) for r in rows]
+        # one system1 trajectory from the first lattice start, on a grid 64x
+        # finer than the smallest h, against a Simpson reference on that grid
+        field, _, _ = oc.builtin_system("system1")
+        x0 = oc.lattice_centers([(-0.5, 0.5), (-2.5, -1.5)], 0.25)[0]
+        h_fine = min(hs) / 64
+        fine = oc.integrate_rk4(field, x0, 1.0, h_fine)
+        kernel = oc.gaussian_rbf(10.0)
+        ref = oc.occupation_estimate(fine, kernel, "simpson")
+        for h, err in zip(hs, errors):
+            coarse = oc.subsample(fine, round(h / h_fine))
+            est = oc.occupation_estimate(coarse, kernel, "simpson")
+            assert err == pytest.approx(max(oc.norm_distance_squared(est, ref), 0.0),
+                                        rel=1e-12, abs=1e-300)
 
     def test_insufficient_points(self, tmp_path, capsys):
         rc = run(["convergence", "--system", "system1", "--h-values", "0.05,0.02",

@@ -94,6 +94,29 @@ class TestPrefixIdentity:
         assert np.allclose(Ag, Aw, atol=1e-13)
         assert np.allclose(bg, bw, atol=1e-13)
 
+    @pytest.mark.parametrize("block", [False, True])
+    def test_sliding_window_matches_batch_on_window(self, setup, block):
+        # A window of m steps keeps the last m panels, i.e. samples k-m..k;
+        # once earlier panels have expired, (A, b) is the batch trapezoid
+        # assembly of those samples alone.
+        basis, tr, centers = setup
+        kern = oc.gaussian_rbf(10.0)
+        m = 10
+        st = fresh_stream(setup, window=m * tr.step)
+        pushed = 0
+        for k in (m + 1, m + 2, 37, 38, 64, tr.n_intervals):
+            if block:
+                oc.stream_push(st, tr.samples[pushed : k + 1])
+            else:
+                for i in range(pushed, k + 1):
+                    oc.stream_push(st, tr.samples[i])
+            pushed = k + 1
+            A, b = oc.stream_matrices(st)
+            inside = Trajectory(tr.samples[k - m : k + 1], tr.step)
+            s = oc.assemble([inside], centers, basis, kern, "trapezoid")
+            assert np.abs(A - s.A).max() < 1e-10
+            assert np.abs(b - s.b).max() < 1e-10
+
 
 class TestGradientChase:
     def test_single_step_with_explicit_alpha(self, setup):
