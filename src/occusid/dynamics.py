@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
-from .trajectory import GRID_RTOL, Trajectory
+from .trajectory import GRID_RTOL, Trajectory, _parse_rows
 
 
 @dataclass(frozen=True)
@@ -289,24 +289,16 @@ def integrate_rk4(
 
 
 def control_from_csv(path) -> Callable[[np.ndarray], np.ndarray]:
-    """Load a `t,tau` CSV and return a linearly interpolating control signal."""
+    """Linearly interpolating control signal from a `t,tau` CSV, rows parsed as in load_csv."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != ["t", "tau"]:
         raise ValueError(f"control CSV must start with header 't,tau', got {lines[:1]}")
-    t_vals, u_vals = [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"control CSV line {lineno}: expected 2 columns")
-        t_vals.append(float(cells[0]))
-        u_vals.append(float(cells[1]))
+    t_vals, u_vals = _parse_rows(lines[1:], 1, 2)
     if len(t_vals) < 2:
         raise ValueError("control CSV needs at least 2 rows")
     tt = np.asarray(t_vals)
-    uu = np.asarray(u_vals)
+    uu = np.ravel(u_vals)
     if not (np.diff(tt) > 0).all():
         raise ValueError("control CSV times must be strictly increasing")
 

@@ -27,10 +27,10 @@ only the n(n + 1)/2 blocks with d <= e are built, a row block of GRAM_ROWS
 samples at a time, each contracted before the next one is built. The cost
 depends on the state dimension n, not on the M(M + 1)/2 basis pairs.
 
-A known part h of the dynamics rides along as field M' - 1 = M: G is
-G_full[:M, :M], r loses G_full[:M, M], and the constant term gains
-G_full[M, M] - 2 <jump, h>, where <jump, h> comes from the same
-assemble_block call that gives r.
+A known part h of the dynamics rides along as field M' - 1 = M (stacked by
+sysid._fields, as on every route): G is G_full[:M, :M], r loses
+G_full[:M, M], and the constant term gains G_full[M, M] - 2 <jump, h>, where
+<jump, h> comes from the same assemble_block call that gives r.
 
 For a separable kernel built from a finite center set (FeatureMapKernel),
 this system is exactly the normal-equations factorization of the direct
@@ -41,13 +41,14 @@ test suite leans on that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .dynamics import BasisSet
 from .quadrature import as_rule, weights
-from .sysid import ConstraintSystem, EstimationResult, _require_finite, _result, _svd_solve
-from .trajectory import as_trajectory_set
+from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _fields,
+                    _require_finite, _result, _svd_solve)
 
 # Rows of each mixed-derivative kernel block built at once: a (GRAM_ROWS, P)
 # block is contracted before the next one is built, which bounds memory.
@@ -98,10 +99,7 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         P, n = X.shape
         w = weights(rule, traj.n_intervals, traj.step)
         M = len(basis)
-        F = basis.values(X)  # (M, P, n)
-        kv = basis.known_values(X)
-        if kv is not None:
-            F = np.concatenate([F, kv[None]])
+        F = _fields(basis, X)  # (M', P, n)
         U = np.ascontiguousarray((F * w[:, None]).transpose(2, 0, 1))  # (n, M', P)
         E = np.eye(n)
 
@@ -132,7 +130,7 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
             - 2.0 * kernel.eval(traj.final, traj.initial)
             + kernel.eval(traj.initial, traj.initial)
         )
-        if kv is None:
+        if len(F) == M:
             r = jump
         else:
             r = jump[:M] - G_full[:M, M]
@@ -142,46 +140,30 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
     return G, r, float(jump_sq)
 
 
+def _gram_parts(trajs, basis: BasisSet, kernel, rule) -> list:
+    """_gram_blocks of each trajectory, in order."""
+    trajs = _checked_trajectories(trajs, basis)
+    rule = as_rule(rule)
+    return [_gram_blocks(traj, basis, kernel, rule) for traj in trajs]
+
+
 def gram_assemble(trajs, basis: BasisSet, kernel, rule) -> GramSystem:
     """Sum the per-trajectory Gram systems (system augmentation)."""
-    trajs = as_trajectory_set(trajs)
-    if trajs.dim != basis.dim:
-        raise ValueError(f"trajectory dimension {trajs.dim} != basis dimension {basis.dim}")
-    rule = as_rule(rule)
-    M = len(basis)
-    G = np.zeros((M, M))
-    r = np.zeros(M)
-    const = 0.0
-    for traj in trajs:
-        Gj, rj, cj = _gram_blocks(traj, basis, kernel, rule)
-        G += Gj
-        r += rj
-        const += cj
-    return GramSystem(G, r, const, n_trajectories=len(trajs), labels=tuple(basis.labels))
+    parts = _gram_parts(trajs, basis, kernel, rule)
+    # summed from the first trajectory's terms in order; G stays bitwise symmetric
+    G, r, const = (reduce(np.add, terms) for terms in zip(*parts))
+    return GramSystem(G, r, float(const), n_trajectories=len(parts), labels=tuple(basis.labels))
 
 
 def gram_assemble_stacked(trajs, basis: BasisSet, kernel, rule) -> ConstraintSystem:
     """Per-trajectory Gram blocks stacked vertically for least-squares solves."""
-    trajs = as_trajectory_set(trajs)
-    if trajs.dim != basis.dim:
-        raise ValueError(f"trajectory dimension {trajs.dim} != basis dimension {basis.dim}")
-    rule = as_rule(rule)
-    M = len(basis)
-    A = np.empty((len(trajs) * M, M))
-    b = np.empty(len(trajs) * M)
-    for j, traj in enumerate(trajs):
-        Gj, rj, _ = _gram_blocks(traj, basis, kernel, rule)
-        A[j * M : (j + 1) * M] = Gj
-        b[j * M : (j + 1) * M] = rj
-    return ConstraintSystem(
-        A, b, n_trajectories=len(trajs), n_centers=M, labels=tuple(basis.labels)
-    )
+    Gs, rs, _ = zip(*_gram_parts(trajs, basis, kernel, rule))
+    return ConstraintSystem(np.vstack(Gs), np.concatenate(rs), n_trajectories=len(Gs),
+                            n_centers=len(basis), labels=tuple(basis.labels))
 
 
 def gram_solve(g: GramSystem, rcond: float = 1e-12) -> EstimationResult:
     """Truncated-SVD solve of G theta = r."""
-    if rcond < 0:
-        raise ValueError(f"rcond must be >= 0, got {rcond}")
     theta, cond, rank, degenerate = _svd_solve(g.G, g.r, rcond)
     return _result(g.G, g.r, theta, cond, rank, degenerate=degenerate)
 

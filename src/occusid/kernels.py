@@ -26,13 +26,19 @@ and the two integrands of the Gram-style inner-product systems are
     rhs_integrand(x, (start, end), v) = (grad1(x, end) - grad1(x, start)) . v
 
 Only the profile is written per family; every Kernel operation is written
-once over it. The pointwise operations call the vectorized ones.
+once over it.
+
+Kernel and FeatureMapKernel share one pointwise API (eval, grad2,
+pre_inner_integrand, rhs_integrand, assemble_block): each is one entry of
+the vectorized method it wraps (matrix, grad1, pre_inner_pairwise,
+grad1_contract, assemble_block_multi). Each kernel type writes only grad1,
+grad1grad2 and the vectorized methods.
 
 FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
 factor exactly through the center-constraint matrix.
 
-Vectorized helpers (matrix, grad1_contract, assemble_block, ...) accumulate
+Vectorized helpers (matrix, grad1_contract, assemble_block_multi, ...) accumulate
 long time axes in fixed-size chunks, in time order, so results are
 reproducible run to run. Overflow yields non-finite entries without a
 warning; the assembly layers check for them.
@@ -94,8 +100,53 @@ def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
     return Ua @ Wa.T
 
 
+class _PointwiseKernel:
+    """The pointwise API shared by Kernel and FeatureMapKernel (see the module docstring)."""
+
+    def _integrand_guard(self, name: str) -> None:
+        """Raise when this kernel has no Gram integrands; Kernel overrides it for linear."""
+
+    def eval(self, x, y) -> float:
+        return float(self.matrix(_as_point(x)[None], _as_point(y)[None])[0, 0])
+
+    def grad2(self, x, y) -> np.ndarray:
+        """Gradient in the second argument; equals grad1(y, x) by symmetry."""
+        return self.grad1(_as_point(y), _as_point(x))
+
+    def pre_inner_integrand(self, x, y, a, b) -> float:
+        """a^T grad1grad2(x, y) b.
+
+        `a` is the field value contracted against the x-derivative index and
+        `b` the one against the y-derivative index; in the occupation inner
+        product a carries Y_m'(x) at x = gamma(t) and b carries Y_m(y) at
+        y = gamma(tau).
+        """
+        self._integrand_guard("pre_inner_integrand")
+        x, y, a, b = (_as_point(p)[None] for p in (x, y, a, b))
+        return float(self.pre_inner_pairwise(x, y, a, b)[0, 0])
+
+    def rhs_integrand(self, x, endpoints, v) -> float:
+        """(grad1(x, end) - grad1(x, start)) . v."""
+        self._integrand_guard("rhs_integrand")
+        x, v = _as_point(x), _as_point(v)
+        ends = np.stack([_as_point(p) for p in endpoints])
+        g = self.grad1_contract(x[None], ends, v[None])[0]
+        return float(g[1] - g[0])
+
+    def assemble_block(self, X, C, Vs, w) -> np.ndarray:
+        """One trajectory's constraint rows: sum_p w[p] grad1(X[p], C[s]) . Vs[i, p].
+
+        X  : (P, n) trajectory samples,
+        C  : (S, n) centers,
+        Vs : (M, P, n) basis values along the trajectory,
+        w  : (P,) quadrature weights.
+        Returns (S, M).
+        """
+        return self.assemble_block_multi(X, C, Vs, [w])[0]
+
+
 @dataclass(frozen=True)
-class Kernel:
+class Kernel(_PointwiseKernel):
     """A positive-definite kernel from one of the supported FAMILIES.
 
     mu is the width/scale parameter (ignored by `linear`); degree applies to
@@ -151,20 +202,13 @@ class Kernel:
                 f"{name} is available for gaussian_rbf, exp_dot and polynomial only"
             )
 
-    # -- pointwise API ------------------------------------------------------
-
-    def eval(self, x, y) -> float:
-        return float(self.matrix(_as_point(x)[None], _as_point(y)[None])[0, 0])
+    # -- pointwise API (the rest is inherited) ------------------------------
 
     def grad1(self, x, y) -> np.ndarray:
         """Gradient in the first argument, shape (n,)."""
         x, y = _as_point(x), _as_point(y)
         base, _, c1, _ = self._profile(self._z(x[None], y[None]))
         return (self._beta * (base * c1).item()) * (y - self._rho * x)
-
-    def grad2(self, x, y) -> np.ndarray:
-        """Gradient in the second argument; equals grad1(y, x) by symmetry."""
-        return self.grad1(_as_point(y), _as_point(x))
 
     def grad1grad2(self, x, y) -> np.ndarray:
         """Mixed second derivatives: entry (i, j) is d^2 K / dx_i dy_j."""
@@ -173,26 +217,6 @@ class Kernel:
         base, _, c1, c2 = self._profile(self._z(x[None], y[None]))
         f1, f2 = (base * c1).item(), (base * c2).item()
         return beta * f1 * np.eye(x.shape[0]) + beta * beta * f2 * np.outer(y - rho * x, x - rho * y)
-
-    def pre_inner_integrand(self, x, y, a, b) -> float:
-        """a^T grad1grad2(x, y) b.
-
-        `a` is the field value contracted against the x-derivative index and
-        `b` the one against the y-derivative index; in the occupation inner
-        product a carries Y_m'(x) at x = gamma(t) and b carries Y_m(y) at
-        y = gamma(tau).
-        """
-        self._integrand_guard("pre_inner_integrand")
-        x, y, a, b = (_as_point(p)[None] for p in (x, y, a, b))
-        return float(self.pre_inner_pairwise(x, y, a, b)[0, 0])
-
-    def rhs_integrand(self, x, endpoints, v) -> float:
-        """(grad1(x, end) - grad1(x, start)) . v."""
-        self._integrand_guard("rhs_integrand")
-        x, v = _as_point(x), _as_point(v)
-        ends = np.stack([_as_point(p) for p in endpoints])
-        g = self.grad1_contract(x[None], ends, v[None])[0]
-        return float(g[1] - g[0])
 
     # -- vectorized helpers -------------------------------------------------
 
@@ -210,17 +234,6 @@ class Kernel:
             base, _, c1, _ = self._profile(self._z(X, C))
             base *= _pair(V, C, -self._rho * _rowdot(V, X), 0.0, self._beta * c1)
             return base
-
-    def assemble_block(self, X, C, Vs, w) -> np.ndarray:
-        """One trajectory's constraint rows: sum_p w[p] grad1(X[p], C[s]) . Vs[i, p].
-
-        X  : (P, n) trajectory samples,
-        C  : (S, n) centers,
-        Vs : (M, P, n) basis values along the trajectory,
-        w  : (P,) quadrature weights.
-        Returns (S, M).
-        """
-        return self.assemble_block_multi(X, C, Vs, [w])[0]
 
     def assemble_block_multi(self, X, C, Vs, ws) -> list[np.ndarray]:
         """assemble_block for several weight vectors sharing one kernel pass.
@@ -271,7 +284,7 @@ class Kernel:
             return out
 
 
-class FeatureMapKernel:
+class FeatureMapKernel(_PointwiseKernel):
     """Separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s) over fixed centers.
 
     The feature map is psi(x) = (k(x, c_1), ..., k(x, c_S)); all derivative
@@ -304,9 +317,6 @@ class FeatureMapKernel:
     def features(self, X) -> np.ndarray:
         return self.base.matrix(X, self.centers)
 
-    def eval(self, x, y) -> float:
-        return float(self.features(_as_point(x)[None])[0] @ self.features(_as_point(y)[None])[0])
-
     def _grad_rows(self, x) -> np.ndarray:
         """Rows grad1_base(x, c_s), shape (S, n)."""
         x = _as_point(x)
@@ -316,19 +326,8 @@ class FeatureMapKernel:
         phi_y = self.features(_as_point(y)[None])[0]
         return phi_y @ self._grad_rows(x)
 
-    def grad2(self, x, y) -> np.ndarray:
-        return self.grad1(y, x)
-
     def grad1grad2(self, x, y) -> np.ndarray:
         return self._grad_rows(x).T @ self._grad_rows(y)
-
-    def pre_inner_integrand(self, x, y, a, b) -> float:
-        a, b = _as_point(a), _as_point(b)
-        return float((self._grad_rows(x) @ a) @ (self._grad_rows(y) @ b))
-
-    def rhs_integrand(self, x, endpoints, v) -> float:
-        start, end = (_as_point(p) for p in endpoints)
-        return float((self.grad1(x, end) - self.grad1(x, start)) @ _as_point(v))
 
     def matrix(self, X, Y) -> np.ndarray:
         return self.features(X) @ self.features(Y).T
@@ -336,9 +335,6 @@ class FeatureMapKernel:
     def grad1_contract(self, X, C, V) -> np.ndarray:
         inner = self.base.grad1_contract(X, self.centers, V)  # (P, S)
         return inner @ self.features(np.atleast_2d(np.asarray(C, dtype=float))).T
-
-    def assemble_block(self, X, C, Vs, w) -> np.ndarray:
-        return self.assemble_block_multi(X, C, Vs, [w])[0]
 
     def assemble_block_multi(self, X, C, Vs, ws) -> list[np.ndarray]:
         blocks = self.base.assemble_block_multi(X, self.centers, Vs, ws)

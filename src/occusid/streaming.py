@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import BasisSet
 from .errors import DivergenceError
-from .sysid import _svd_solve
+from .sysid import _constraint_rows, _rank_cond, _svd_solve
 from .trajectory import GRID_RTOL, off_grid
 
 
@@ -83,21 +83,6 @@ class StreamState:
 
     # -- derived views ------------------------------------------------------
 
-    def _features(self, x) -> np.ndarray:
-        return self.kernel.matrix(x[None, :], self.centers)[0]
-
-    def _sample_rows(self, x):
-        """grad1(x, c_s) contracted with every basis function (and known part)."""
-        pt = np.asarray(x, dtype=float)[None, :]
-        Vs = self.basis.values(pt)  # (M, 1, n)
-        kv = self.basis.known_values(pt)
-        if kv is not None:
-            Vs = np.concatenate([Vs, kv[None]], axis=0)
-        blk = self.kernel.assemble_block(pt, self.centers, Vs, np.ones(1))
-        if kv is not None:
-            return blk[:, :-1], blk[:, -1]
-        return blk, np.zeros(self.centers.shape[0])
-
     def matrices(self):
         """Current (A, b) of the active window as fresh arrays."""
         if self.n_samples == 0:
@@ -131,10 +116,13 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
             t_expect = times[q] if state.t0 is None else state.t0 + (state.n_samples) * h
             if off_grid(times[q], t_expect, h):
                 raise ValueError(
-                    f"grid discontinuity: got time {times[q]!r}, expected {t_expect!r}"
+                    f"grid discontinuity: got time {float(times[q])!r}, "
+                    f"expected {float(t_expect)!r}"
                 )
-        rows, known_rows = state._sample_rows(x)
-        psi = state._features(x)
+        # grad1(x, c_s) against every basis field, and against the known part
+        [(rows, known_rows)] = _constraint_rows(x[None], state.centers, state.basis,
+                                                state.kernel, [np.ones(1)])
+        psi = state.kernel.matrix(x[None], state.centers)[0]
         if state.n_samples == 0:
             state.t0 = 0.0 if times is None else float(times[q])
             state.time = state.t0
@@ -234,16 +222,10 @@ def track_continuity(snapshots, rcond: float = 1e-12) -> ContinuityReport:
     if not snaps:
         raise ValueError("no snapshots given")
     M = snaps[0].A.shape[1]
-    onset = None
-    usable = []
-    for i, snap in enumerate(snaps):
-        s = np.linalg.svd(snap.A, compute_uv=False)
-        full = s.size > 0 and s[0] > 0 and int(np.count_nonzero(s > rcond * s[0])) == M
-        if full and onset is None:
-            onset = i
-        if onset is not None:
-            usable.append(snap)
-    if onset is None or len(usable) < 2:
+    ranks = [_rank_cond(np.linalg.svd(s.A, compute_uv=False), rcond)[0] for s in snaps]
+    onset = ranks.index(M) if M in ranks else len(snaps)
+    usable = snaps[onset:]
+    if len(usable) < 2:
         raise ValueError("need at least 2 snapshots after full-rank onset")
     max_dA = 0.0
     max_dth = 0.0

@@ -10,7 +10,13 @@ constraint on theta:
 
 The time integrals are evaluated with the quadrature rules from the
 quadrature module, so no derivative of the data is ever formed; this is what
-makes the estimates robust to measurement noise. Solvers operate on the
+makes the estimates robust to measurement noise.
+
+A known part h is integrated like a basis function and moved to the right
+side. This module owns that convention for every route (direct, ILS, Gram,
+streaming): _fields stacks h as field M, and _constraint_rows splits one
+kernel pass into the (S, M) rows and h's column. _rank_cond is the one rank
+rule of every solver and report. Solvers operate on the
 stacked system: truncated-SVD least squares, ridge, and a two-stage sparse
 path (coordinate-descent lasso, then thresholded refits). A baseline that
 integrates the dynamics componentwise (n rows per trajectory instead of one
@@ -134,26 +140,39 @@ def _require_finite(kernel, *arrays) -> None:
     )
 
 
+def _fields(basis: BasisSet, X) -> np.ndarray:
+    """basis.values(X), (M, P, n), with the known part h stacked as field M when there is one."""
+    F = basis.values(X)
+    kv = basis.known_values(X)
+    return F if kv is None else np.concatenate([F, kv[None]])
+
+
+def _constraint_rows(X, centers, basis: BasisSet, kernel, ws):
+    """Per weight vector, the (S, M) rows and the known part's (S,) column (0.0 without one).
+
+    All weight vectors share one assemble_block_multi pass over _fields(basis, X).
+    """
+    M = len(basis)
+    blocks = kernel.assemble_block_multi(X, centers, _fields(basis, X), ws)
+    return [(blk[:, :M], blk[:, M] if blk.shape[1] > M else 0.0) for blk in blocks]
+
+
+def _checked_trajectories(trajs, basis: BasisSet):
+    """as_trajectory_set(trajs), which must match the basis dimension."""
+    trajs = as_trajectory_set(trajs)
+    if trajs.dim != basis.dim:
+        raise ValueError(f"trajectory dimension {trajs.dim} != basis dimension {basis.dim}")
+    return trajs
+
+
 def _block_for_trajectory(traj, centers, basis, kernel, rules):
     """Per-rule (A_block, b_block) for one trajectory, sharing kernel passes."""
-    X = traj.samples
-    Vs = basis.values(X)  # (M, P, n)
-    kv = basis.known_values(X)
-    if kv is not None:
-        Vs = np.concatenate([Vs, kv[None]], axis=0)
     ws = [weights(rule, traj.n_intervals, traj.step) for rule in rules]
-    blocks = kernel.assemble_block_multi(X, centers, Vs, ws)
+    rows = _constraint_rows(traj.samples, centers, basis, kernel, ws)
     phi_end = kernel.matrix(traj.final[None], centers)[0]
     phi_start = kernel.matrix(traj.initial[None], centers)[0]
-    _require_finite(kernel, phi_end, phi_start, *blocks)
-    out = []
-    for blk in blocks:
-        if kv is not None:
-            A_blk, known_col = blk[:, :-1], blk[:, -1]
-        else:
-            A_blk, known_col = blk, 0.0
-        out.append((A_blk, phi_end - phi_start - known_col))
-    return out
+    _require_finite(kernel, phi_end, phi_start, *(a for pair in rows for a in pair))
+    return [(A_blk, phi_end - phi_start - known_col) for A_blk, known_col in rows]
 
 
 def assemble(trajs, centers, basis: BasisSet, kernel, rule) -> ConstraintSystem:
@@ -167,10 +186,8 @@ def assemble_multi(trajs, centers, basis: BasisSet, kernel, rules) -> list[Const
     The kernel matrices dominate the assembly cost and depend only on the
     samples, so rule ladders reuse them.
     """
-    trajs = as_trajectory_set(trajs)
+    trajs = _checked_trajectories(trajs, basis)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if trajs.dim != basis.dim:
-        raise ValueError(f"trajectory dimension {trajs.dim} != basis dimension {basis.dim}")
     if centers.shape[1] != trajs.dim:
         raise ValueError(f"centers have dimension {centers.shape[1]}, expected {trajs.dim}")
     rules = [as_rule(r) for r in rules]
@@ -188,17 +205,28 @@ def assemble_multi(trajs, centers, basis: BasisSet, kernel, rules) -> list[Const
     ]
 
 
+def _rank_cond(s: np.ndarray, rcond: float):
+    """(rank, condition) of descending singular values s, cut at rcond times s[0].
+
+    An empty or all-zero spectrum, or a cut above s[0], gives (0, inf).
+    """
+    if rcond < 0:
+        raise ValueError(f"rcond must be >= 0, got {rcond}")
+    if s.size == 0 or s[0] <= 0.0:
+        return 0, np.inf
+    rank = int(np.count_nonzero(s > rcond * s[0]))
+    return rank, (float(s[0] / s[rank - 1]) if rank else np.inf)
+
+
 def _svd_solve(A: np.ndarray, b: np.ndarray, rcond: float):
     """Truncated-SVD least squares: (theta, condition, rank, degenerate)."""
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros(A.shape[1]), np.inf, 0, True
-    rank = int(np.count_nonzero(s > rcond * s[0]))
+    rank, cond = _rank_cond(s, rcond)
     if rank == 0:
         return np.zeros(A.shape[1]), np.inf, 0, True
     coef = (U[:, :rank].T @ b) / s[:rank]
     theta = Vt[:rank].T @ coef
-    return theta, float(s[0] / s[rank - 1]), rank, False
+    return theta, cond, rank, False
 
 
 def _result(A, b, theta, condition, rank, support=None, degenerate=False) -> EstimationResult:
@@ -215,8 +243,6 @@ def _result(A, b, theta, condition, rank, support=None, degenerate=False) -> Est
 
 def solve_pinv(sys: ConstraintSystem, rcond: float = 1e-12) -> EstimationResult:
     """Minimum-norm least squares via SVD truncation at rcond * sigma_max."""
-    if rcond < 0:
-        raise ValueError(f"rcond must be >= 0, got {rcond}")
     theta, cond, rank, degenerate = _svd_solve(sys.A, sys.b, rcond)
     return _result(sys.A, sys.b, theta, cond, rank, degenerate=degenerate)
 
@@ -226,12 +252,11 @@ def solve_ridge(sys: ConstraintSystem, lam: float, rcond: float = 1e-12) -> Esti
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     U, s, Vt = np.linalg.svd(sys.A, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+    rank, cond = _rank_cond(s, rcond)
+    if not s.any():
         return _result(sys.A, sys.b, np.zeros(sys.n_parameters), np.inf, 0, degenerate=True)
     filt = np.divide(s, s * s + lam, out=np.zeros_like(s), where=(s * s + lam) > 0)
     theta = Vt.T @ (filt * (U.T @ sys.b))
-    rank = int(np.count_nonzero(s > rcond * s[0]))
-    cond = float(s[0] / s[rank - 1]) if rank else np.inf
     return _result(sys.A, sys.b, theta, cond, rank)
 
 
@@ -307,33 +332,22 @@ def solve_sparse(
     return _result(sys.A, sys.b, theta_full, cond, rank, support=support)
 
 
-def _basis_time_integrals(Vs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Quadrature of each basis function along the trajectory: (M, n)."""
-    return np.tensordot(Vs, w, axes=(1, 0))
-
-
 def ils_assemble(trajs, basis: BasisSet, rule) -> ConstraintSystem:
     """Componentwise integral constraints: n rows per trajectory.
 
     Row block j states [integral Y_1 dt ... integral Y_M dt] theta =
     gamma_j(T) - gamma_j(0) (minus the known part's integral when present).
     """
-    trajs = as_trajectory_set(trajs)
-    if trajs.dim != basis.dim:
-        raise ValueError(f"trajectory dimension {trajs.dim} != basis dimension {basis.dim}")
+    trajs = _checked_trajectories(trajs, basis)
     rule = as_rule(rule)
     N, n, M = len(trajs), trajs.dim, len(basis)
     A = np.empty((N * n, M))
     b = np.empty(N * n)
     for j, traj in enumerate(trajs):
         w = weights(rule, traj.n_intervals, traj.step)
-        ints = _basis_time_integrals(basis.values(traj.samples), w)  # (M, n)
-        A[j * n : (j + 1) * n] = ints.T
-        rhs = traj.final - traj.initial
-        kv = basis.known_values(traj.samples)
-        if kv is not None:
-            rhs = rhs - kv.T @ w
-        b[j * n : (j + 1) * n] = rhs
+        ints = np.tensordot(_fields(basis, traj.samples), w, axes=(1, 0))  # (M', n)
+        A[j * n : (j + 1) * n] = ints[:M].T
+        b[j * n : (j + 1) * n] = traj.final - traj.initial - (ints[M] if len(ints) > M else 0.0)
     return ConstraintSystem(A, b, n_trajectories=N, n_centers=n, labels=tuple(basis.labels))
 
 
@@ -345,9 +359,5 @@ def ils_solve(trajs, basis: BasisSet, rule, rcond: float = 1e-12) -> EstimationR
 
 def diagnostics(sys: ConstraintSystem, rcond: float = 1e-12) -> Diagnostics:
     """Condition number, column norms, and numerical rank of A."""
-    s = np.linalg.svd(sys.A, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return Diagnostics(np.inf, np.linalg.norm(sys.A, axis=0), 0)
-    rank = int(np.count_nonzero(s > rcond * s[0]))
-    cond = float(s[0] / s[rank - 1]) if rank else np.inf
+    rank, cond = _rank_cond(np.linalg.svd(sys.A, compute_uv=False), rcond)
     return Diagnostics(cond, np.linalg.norm(sys.A, axis=0), rank)

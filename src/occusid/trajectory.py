@@ -24,9 +24,9 @@ def off_grid(t, t_grid, h):
     The allowed deviation is GRID_RTOL of one step plus four units in the last
     place of t_grid: far from the origin the times carry that much rounding
     themselves, while a step-relative slack alone would reject them and a
-    |t|-relative one would accept whole missed steps.
+    |t|-relative one would accept whole missed steps. A NaN time is off the grid.
     """
-    return np.abs(t - t_grid) > GRID_RTOL * h + 4.0 * np.spacing(np.abs(t_grid))
+    return ~(np.abs(t - t_grid) <= GRID_RTOL * h + 4.0 * np.spacing(np.abs(t_grid)))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -238,8 +238,9 @@ def load_csv(path) -> Trajectory:
     """Read a trajectory CSV written by save_csv (or produced externally).
 
     The header must be exactly `t,x1,...,xn`; no time may be `off_grid` on
-    the uniform grid of the step inferred from the first two rows. Errors
-    report the offending 1-based line number.
+    the uniform grid of the step t[1] - t[0], or, failing that, of the step
+    fitted over all rows, (t[-1] - t[0]) / (N - 1), which is then the step
+    returned. Errors report the offending 1-based line number.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -254,14 +255,16 @@ def load_csv(path) -> Trajectory:
     h = t[1] - t[0]
     if h <= 0:
         raise TrajectoryParseError(f"time step must be positive, got {h}", line=3)
-    grid = t[0] + h * np.arange(len(t))
-    bad = np.nonzero(off_grid(t, grid, h))[0]
-    if bad.size:
-        k = int(bad[0])
-        raise TrajectoryParseError(
-            f"time {t[k]!r} deviates from the uniform grid value {grid[k]!r}", line=k + 2
-        )
-    return Trajectory(np.array(rows), float(h))
+    k = np.arange(len(t))
+    bad = np.nonzero(off_grid(t, t[0] + h * k, h))[0]
+    # Far from the origin t[1] - t[0] carries the rounding of both times, so its
+    # grid drifts; the step fitted over all rows does not.
+    h_fit = (t[-1] - t[0]) / (len(t) - 1)
+    if bad.size and off_grid(t, t[0] + h_fit * k, h_fit).any():
+        j = int(bad[0])
+        raise TrajectoryParseError(f"time {float(t[j])!r} deviates from the uniform grid "
+                                   f"value {float(t[0] + h * j)!r}", line=j + 2)
+    return Trajectory(np.array(rows), float(h_fit if bad.size else h))
 
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:

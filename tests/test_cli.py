@@ -137,6 +137,14 @@ class TestIdentify:
                   "--centers=-1:1:1,-1:1:1", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_bad_control_csv_names_its_line(self, tmp_path, capsys):
+        ctl = tmp_path / "u.csv"
+        ctl.write_text("t,tau\n0,1\n1,abc\n")
+        rc = run(["identify", "--system", "emps_form", "--control-csv", str(ctl),
+                  "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_kernel_overflow_is_numerical_error(self, tmp_path, capsys):
         # exp(mu x.c) overflows on Lorenz-sized states
         with warnings.catch_warnings(record=True) as caught:

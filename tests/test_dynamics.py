@@ -215,6 +215,21 @@ class TestControlCsv:
         with pytest.raises(ValueError):
             oc.control_from_csv(path)
 
+    def test_non_numeric_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("t,tau\n0,1\n1,abc\n2,3\n")
+        with pytest.raises(oc.TrajectoryParseError) as exc:
+            oc.control_from_csv(path)
+        assert exc.value.line == 3
+        assert "line 3" in str(exc.value)
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("t,tau\n0,1\n\n1,3,4\n")
+        with pytest.raises(oc.TrajectoryParseError) as exc:
+            oc.control_from_csv(path)
+        assert exc.value.line == 4
+
 
 class TestBasisSet:
     def test_select_subsets(self, system1):

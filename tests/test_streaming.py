@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,31 @@ class TestPrefixIdentity:
             s = oc.assemble([inside], centers, basis, kern, "trapezoid")
             assert np.abs(A - s.A).max() < 1e-10
             assert np.abs(b - s.b).max() < 1e-10
+
+
+class TestKnownPart:
+    # emps_form carries a known part h: the stream subtracts its integral
+    # from b exactly as the batch assembly does, in the growing and in the
+    # sliding window.
+    @pytest.mark.parametrize("window", [0.0, 0.3])
+    def test_matches_batch_with_known_part(self, window):
+        field, _, basis = oc.builtin_system("emps_form", control=lambda t: np.sin(3 * t))
+        tr = oc.integrate_rk4(field, np.array([0.1, 0.0, 0.0]), 1.0, 1e-2)
+        centers = oc.lattice_centers([(-1, 1), (-1, 1), (0, 1)], [1.0, 1.0, 0.5])
+        kern = oc.gaussian_rbf(10.0)
+        st = oc.new_stream(centers, basis, kern, tr.step, window=window)
+        m = round(window / tr.step)
+        pushed = 0
+        for k in (12, 31, 32, 57, tr.n_intervals):
+            oc.stream_push(st, tr.samples[pushed : k + 1])
+            pushed = k + 1
+            A, b = oc.stream_matrices(st)
+            inside = Trajectory(tr.samples[max(0, k - m) if m else 0 : k + 1], tr.step)
+            s = oc.assemble([inside], centers, basis, kern, "trapezoid")
+            assert np.abs(A - s.A).max() < 1e-10
+            assert np.abs(b - s.b).max() < 1e-10
+        unknown = oc.assemble([inside], centers, replace(basis, known_part=None), kern, "trapezoid")
+        assert np.abs(unknown.b - s.b).max() > 1e-3  # the known part is not negligible here
 
 
 class TestGradientChase:

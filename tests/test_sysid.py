@@ -191,6 +191,40 @@ class TestSolveRidge:
         assert oc.solve_ridge(s, 0.0, rcond=1e-12).effective_rank == 2
 
 
+class TestRankRule:
+    # One rank rule (cut at rcond * sigma_max) behind the pinv, ridge and
+    # Gram solvers and the diagnostics report.
+    @staticmethod
+    def _reports(A, rcond):
+        sys = oc.ConstraintSystem(A, np.ones(3), n_trajectories=1, n_centers=3)
+        g = oc.GramSystem(A, np.ones(3), 0.0, n_trajectories=1)
+        out = [(r.effective_rank, r.condition_number) for r in (
+            oc.solve_pinv(sys, rcond=rcond),
+            oc.solve_ridge(sys, 0.0, rcond=rcond),
+            oc.gram_solve(g, rcond=rcond),
+        )]
+        d = oc.diagnostics(sys, rcond=rcond)
+        return out + [(d.rank, d.condition_number)]
+
+    @pytest.mark.parametrize("rcond, rank, cond", [(1e-12, 2, 1e6), (1e-5, 1, 1.0)])
+    def test_all_agree(self, rcond, rank, cond):
+        for got_rank, got_cond in self._reports(np.diag([1.0, 1e-6, 1e-13]), rcond):
+            assert got_rank == rank
+            assert got_cond == pytest.approx(cond, rel=1e-12)
+
+    def test_zero_matrix(self):
+        assert self._reports(np.zeros((3, 3)), 1e-12) == [(0, np.inf)] * 4
+
+    def test_negative_rcond_rejected_everywhere(self):
+        sys = oc.ConstraintSystem(np.eye(3), np.ones(3), n_trajectories=1, n_centers=3)
+        for call in (lambda: oc.solve_pinv(sys, rcond=-1.0),
+                     lambda: oc.solve_ridge(sys, 0.1, rcond=-1.0),
+                     lambda: oc.diagnostics(sys, rcond=-1.0),
+                     lambda: oc.solve_sparse(sys, 1e-3, 0.0, rcond=-1.0)):
+            with pytest.raises(ValueError, match="rcond"):
+                call()
+
+
 class TestSolveSparse:
     def test_orthonormal_soft_threshold(self):
         # With A = I the lasso stage is exact soft-thresholding of b; entries

@@ -218,6 +218,49 @@ class TestCsv:
         assert tr.n_samples == 5
 
 
+class TestLargeOrigin:
+    # Far from the origin t[1] - t[0] carries the rounding of both times, and
+    # a grid built from it drifted off rows that lie on the true grid.
+    @staticmethod
+    def _write(path, times):
+        path.write_text("t,x1\n" + "".join(f"{t:.17g},{i}\n" for i, t in enumerate(times)))
+
+    @pytest.mark.parametrize("t0, h, n", [(1e6, 0.1, 1001), (12345.678, 1e-3, 100_001)])
+    def test_on_grid_file_loads_with_fitted_step(self, tmp_path, t0, h, n):
+        times = t0 + np.arange(n) * h
+        path = tmp_path / "far.csv"
+        self._write(path, times)
+        tr = oc.load_csv(path)
+        assert tr.n_samples == n
+        assert abs(tr.step - h) <= GRID_RTOL * h
+        assert tr.step == (times[-1] - times[0]) / (n - 1)
+
+    def test_missed_step_still_rejected_with_plain_numbers(self, tmp_path):
+        times = 1e6 + np.arange(1001) * 0.1
+        times[500:] += 0.1  # one missing row
+        path = tmp_path / "gap.csv"
+        self._write(path, times)
+        with pytest.raises(TrajectoryParseError) as exc:
+            oc.load_csv(path)
+        assert "np.float64" not in str(exc.value)
+
+    def test_nan_time_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,x1\n0,1\n0.1,2\nnan,3\n0.3,4\n")
+        with pytest.raises(TrajectoryParseError) as exc:
+            oc.load_csv(path)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("h, n", [(7e-4, 201), (1e-3, 100_001)])
+    def test_save_load_keeps_step_bitwise(self, tmp_path, h, n):
+        tr = Trajectory(np.linspace(0.0, 1.0, n)[:, None], h)
+        path = tmp_path / "rt.csv"
+        oc.save_csv(tr, path)
+        back = oc.load_csv(path)
+        assert back.step == h
+        assert np.array_equal(back.samples, tr.samples)
+
+
 class TestGridRule:
     # load_csv and stream_push share one on-grid rule (off_grid); far from
     # the origin a step-relative slack alone rejected rounded times, and a
