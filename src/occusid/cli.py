@@ -9,9 +9,10 @@ convergence (error ladder across step sizes plus a fitted order), and stream
 
 Configuration comes from an optional JSON file plus flags; flags win. Every
 command is deterministic for a fixed config and seed, apart from the
-runtime_seconds token in the identify summary. Exit codes: 0 success, 2
-configuration or input errors, 3 numerical failures; error lines go to
-standard error as `error: <category>: <message>`.
+runtime_seconds token in the identify summary. Each command computes its
+results before it creates --out, so a failed command writes nothing. Exit
+codes: 0 success, 2 configuration or input errors, 3 numerical failures;
+error lines go to standard error as `error: <category>: <message>`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -35,7 +35,6 @@ from .dynamics import (
     integrate_rk4,
     lattice_centers,
     monomial_basis,
-    monomial_exponents,
     monomial_index,
 )
 from .errors import ConfigError, DivergenceError, IterationLimitError, TrajectoryParseError
@@ -98,33 +97,17 @@ class ExperimentConfig:
     out: str = "."
 
 
-_SYSTEM_SIM = {
-    "system1": dict(T=1.0, h=1e-3),
-    "lorenz": dict(T=100.0, h=1e-3),
-    "emps_form": dict(T=1.0, h=1e-3),
+# The CLI defaults of each built-in system: simulated span T and step h, the
+# (count, n) start states in simulation order, the default --centers spec, and
+# mu per kernel family (1.0 for a family not listed).
+_SYSTEMS = {
+    "system1": dict(T=1.0, h=1e-3, starts=lattice_centers([(-0.5, 0.5), (-2.5, -1.5)], 0.25),
+                    centers="-3:3:1,-3:5:1", mu={"gaussian_rbf": 10.0, "exp_dot": 1.0 / 25.0}),
+    "lorenz": dict(T=100.0, h=1e-3, starts=np.array([[-8.0, 7.0, 27.0]]),
+                   centers="-20:20:10,-50:50:10,-20:50:10", mu={"gaussian_rbf": 10.0}),
+    "emps_form": dict(T=1.0, h=1e-3, starts=np.zeros((1, 3)), centers=None, mu={}),
 }
-
-_SYSTEM_CENTERS = {
-    "system1": ("-3:3:1,-3:5:1"),
-    "lorenz": ("-20:20:10,-50:50:10,-20:50:10"),
-}
-
-_SYSTEM_X0 = {
-    "lorenz": np.array([-8.0, 7.0, 27.0]),
-    "emps_form": np.zeros(3),
-}
-
-
-def _default_mu(kernel: str, system: str | None) -> float:
-    if kernel in ("gaussian", "gaussian_rbf"):
-        if system in ("system1", "lorenz"):
-            return 10.0
-        return 1.0
-    if kernel in ("expdot", "exp_dot"):
-        if system == "system1":
-            return 1.0 / 25.0
-        return 1.0
-    return 1.0
+_NO_SYSTEM = dict(centers=None, mu={})  # data read from files or stdin, no --system
 
 
 def parse_centers(spec: str) -> np.ndarray:
@@ -148,7 +131,9 @@ def parse_centers(spec: str) -> np.ndarray:
 
 
 def _kernel_for(cfg: ExperimentConfig):
-    mu = cfg.mu if cfg.mu is not None else _default_mu(cfg.kernel, cfg.system)
+    mu = cfg.mu
+    if mu is None:
+        mu = _SYSTEMS.get(cfg.system, _NO_SYSTEM)["mu"].get(from_name(cfg.kernel).family, 1.0)
     if mu <= 0:
         raise ConfigError(f"mu must be positive, got {mu}")
     return from_name(cfg.kernel, mu=mu, degree=cfg.degree)
@@ -165,23 +150,23 @@ def _builtin(cfg: ExperimentConfig):
         raise ConfigError(str(exc)) from None
 
 
+def _truth(cfg: ExperimentConfig):
+    """(theta_true, basis) of the named built-in system, or (None, None) without one."""
+    return (None, None) if cfg.system is None else _builtin(cfg)[1:]
+
+
 def _simulate_system(cfg: ExperimentConfig):
     """Built-in system trajectories plus (theta_true, basis) for reporting."""
-    name = cfg.system
-    if name not in _SYSTEM_SIM:
-        raise ConfigError(f"unknown system {name!r}")
-    sim = _SYSTEM_SIM[name]
-    T = cfg.T if cfg.T is not None else sim["T"]
-    h = cfg.h if cfg.h is not None else sim["h"]
     field, theta_true, sys_basis = _builtin(cfg)
-    if name == "system1":
-        x0s = lattice_centers([(-0.5, 0.5), (-2.5, -1.5)], 0.25)
-    else:
-        x0s = _SYSTEM_X0[name][None, :]
+    row = _SYSTEMS[cfg.system]
+    T = cfg.T if cfg.T is not None else row["T"]
+    h = cfg.h if cfg.h is not None else row["h"]
+    x0s = row["starts"]
     if cfg.n_trajectories is not None:
         if not 1 <= cfg.n_trajectories <= x0s.shape[0]:
             raise ConfigError(
-                f"n_trajectories must be in 1..{x0s.shape[0]} for {name}, got {cfg.n_trajectories}"
+                f"n_trajectories must be in 1..{x0s.shape[0]} for {cfg.system}, "
+                f"got {cfg.n_trajectories}"
             )
         x0s = x0s[: cfg.n_trajectories]
     trajs = [integrate_rk4(field, x0, T, h) for x0 in x0s]
@@ -196,17 +181,14 @@ def _source_data(cfg: ExperimentConfig):
             if not os.path.exists(path):
                 raise ConfigError(f"trajectory file {path!r} does not exist")
             trajs.append(load_csv(path))
-        if cfg.system is None:
-            return trajs, None, None
-        _, theta_true, sys_basis = _builtin(cfg)
-        return trajs, theta_true, sys_basis
+        return (trajs, *_truth(cfg))
     if cfg.system is not None:
         return _simulate_system(cfg)
     raise ConfigError("either --system or --trajectories is required")
 
 
-def _pipeline_settings(cfg: ExperimentConfig) -> tuple[float, int, int]:
-    """(noise sigma, filter window, segments) with their defaults, range-checked."""
+def _pipeline_settings(cfg: ExperimentConfig) -> tuple[float, int, int, int]:
+    """(noise sigma, filter window, segments, jobs) with their defaults, range-checked."""
     sigma = cfg.noise_sigma if cfg.noise_sigma is not None else 0.0
     if sigma < 0:
         raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
@@ -216,12 +198,14 @@ def _pipeline_settings(cfg: ExperimentConfig) -> tuple[float, int, int]:
     parts = cfg.segments if cfg.segments is not None else 1
     if parts < 1:
         raise ConfigError(f"segments must be >= 1, got {parts}")
-    return sigma, window, parts
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+    return sigma, window, parts, cfg.jobs
 
 
 def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
     """Noise (trajectory j drawn with seeds[j]) -> moving average -> segments."""
-    sigma, window, parts = _pipeline_settings(cfg)
+    sigma, window, parts, _ = _pipeline_settings(cfg)
     if sigma > 0:
         trajs = [add_measurement_noise(t, sigma, sd) for t, sd in zip(trajs, seeds)]
     if window > 1:
@@ -238,37 +222,21 @@ def _prepare_data(cfg: ExperimentConfig):
     return trajs, theta_true, sys_basis
 
 
-def _embed_targets(theta_small: np.ndarray, dim: int, big_degree: int) -> np.ndarray | None:
-    """Re-express a degree-2 monomial theta in a degree >= 2 monomial basis."""
-    if big_degree < 2:
-        return None
-    small = monomial_exponents(dim, 2)
-    big_spec = MonomialSpec(dim, big_degree)
-    count = dim * math.comb(dim + big_degree, big_degree)
-    theta = np.zeros(count)
-    per = small.shape[0]
-    for i, value in enumerate(theta_small):
-        if value == 0.0:
-            continue
-        k, idx = divmod(i, per)
-        theta[monomial_index(big_spec, small[idx], k)] = value
-    return theta
-
-
 def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
-    """The basis to identify over, plus matching targets (or None)."""
+    """The basis to identify over, plus theta_true on it.
+
+    The system's nonzero true terms are placed by (label, target dim); the
+    targets are None when one of them is not in the basis.
+    """
     if cfg.system == "emps_form":
         return sys_basis, theta_true
     degree = cfg.basis_degree if cfg.basis_degree is not None else 2
     if degree < 0:
         raise ConfigError(f"basis degree must be >= 0, got {degree}")
-    basis = monomial_basis(MonomialSpec(dim, degree))
-    targets = None
-    if theta_true is not None:
-        targets = _embed_targets(theta_true, dim, degree)
+    spec = MonomialSpec(dim, degree)
+    basis = monomial_basis(spec)
     if cfg.basis_terms is not None:
         idx = []
-        spec = MonomialSpec(dim, degree)
         for term in cfg.basis_terms:
             try:
                 exps, k = term
@@ -281,15 +249,20 @@ def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         basis = basis.select(idx)
-        if targets is not None:
-            targets = targets[idx]
-    return basis, targets
+    if theta_true is None:
+        return basis, None
+    true = {term: value for term, value in zip(zip(sys_basis.labels, sys_basis.target_dims),
+                                               theta_true) if value != 0.0}
+    terms = list(zip(basis.labels, basis.target_dims))
+    if not true.keys() <= set(terms):
+        return basis, None
+    return basis, np.array([true.get(term, 0.0) for term in terms])
 
 
 def _centers_for(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     spec = cfg.centers
     if spec is None:
-        spec = _SYSTEM_CENTERS.get(cfg.system)
+        spec = _SYSTEMS.get(cfg.system, _NO_SYSTEM)["centers"]
     if spec is None:
         raise ConfigError("no default centers for this input; pass --centers lo:hi:width,...")
     centers = parse_centers(spec)
@@ -312,10 +285,14 @@ class IdentifyOutcome:
     max_error: float | None
 
 
-def run_identify(cfg: ExperimentConfig) -> IdentifyOutcome:
-    """The full estimation pipeline for one configuration."""
+def run_identify(cfg: ExperimentConfig, data=None) -> IdentifyOutcome:
+    """The full estimation pipeline for one configuration.
+
+    data, when given, is the (trajectories, theta_true, system basis) triple
+    that `_prepare_data` would return, already noised, filtered and segmented.
+    """
     start = time.perf_counter()
-    trajs, theta_true, sys_basis = _prepare_data(cfg)
+    trajs, theta_true, sys_basis = _prepare_data(cfg) if data is None else data
     dim = trajs[0].dim
     basis, targets = _build_basis(cfg, dim, theta_true, sys_basis)
     kernel = _kernel_for(cfg)
@@ -363,6 +340,13 @@ def run_identify(cfg: ExperimentConfig) -> IdentifyOutcome:
     )
 
 
+def _known_error(outcome: IdentifyOutcome) -> float:
+    """The outcome's l2 error, which sweep, montecarlo and convergence report."""
+    if outcome.l2_error is None:
+        raise ConfigError("errors need a built-in system whose true terms are all in the basis")
+    return outcome.l2_error
+
+
 def _fmt(v) -> str:
     return "" if v is None else FMT % v
 
@@ -389,9 +373,22 @@ def write_result_csv(path, outcome: IdentifyOutcome) -> None:
         )
 
 
-def _ensure_out(cfg: ExperimentConfig) -> str:
+def _out_path(cfg: ExperimentConfig, name: str) -> str:
+    """Path of file `name` in --out, creating the directory; call once results exist."""
     os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
+    return os.path.join(cfg.out, name)
+
+
+def _write_table(cfg: ExperimentConfig, name: str, header: str, rows, notes=()) -> str:
+    """Write `name` in --out: the header, FMT-formatted rows, then `# ` note lines."""
+    path = _out_path(cfg, name)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(FMT % v for v in row) + "\n")
+        for note in notes:
+            fh.write(f"# {note}\n")
+    return path
 
 
 # -- subcommands -------------------------------------------------------------
@@ -404,20 +401,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     # Only the noise stage applies: the files hold whole, unfiltered paths.
     noise_only = replace(cfg, filter_window=None, segments=None)
     trajs = _noise_filter_segment(noise_only, trajs, [cfg.seed + j for j in range(len(trajs))])
-    out = _ensure_out(cfg)
-    paths = []
     for j, traj in enumerate(trajs):
-        path = os.path.join(out, f"traj_{j:03d}.csv")
-        save_csv(traj, path)
-        paths.append(path)
-    print(f"wrote {len(paths)} trajectory files to {out}")
+        save_csv(traj, _out_path(cfg, f"traj_{j:03d}.csv"))
+    print(f"wrote {len(trajs)} trajectory files to {cfg.out}")
     return 0
 
 
 def cmd_identify(cfg: ExperimentConfig) -> int:
-    out = _ensure_out(cfg)
     outcome = run_identify(cfg)
-    path = os.path.join(out, "result.csv")
+    path = _out_path(cfg, "result.csv")
     write_result_csv(path, outcome)
     print(
         f"wrote {path} "
@@ -439,13 +431,10 @@ _SWEEP_PARAMS = {
 
 
 def _sweep_point(args):
+    """The l2 error of identify with one setting replaced: (cfg dict, name, value)."""
     cfg_dict, param, value = args
-    cfg = ExperimentConfig(**cfg_dict)
-    cfg = replace(cfg, **{param: value})
-    outcome = run_identify(cfg)
-    if outcome.l2_error is None:
-        raise ConfigError("sweep needs a system with known parameters to report errors")
-    return outcome.l2_error
+    cfg = replace(ExperimentConfig(**cfg_dict), **{param: value})
+    return _known_error(run_identify(cfg))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -462,21 +451,15 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"could not parse --values {cfg.values!r}") from None
     if not values:
         raise ConfigError("sweep needs at least one value")
-    out = _ensure_out(cfg)
-    errors = _run_tasks(_sweep_point, [(asdict(cfg), cfg.param, v) for v in values], cfg.jobs)
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("value,error\n")
-        for v, e in zip(values, errors):
-            fh.write(f"{FMT % v},{FMT % e}\n")
+    errors = _run_tasks(_sweep_point, [(asdict(cfg), cfg.param, v) for v in values], cfg)
+    path = _write_table(cfg, "sweep.csv", "value,error", zip(values, errors))
     print(f"wrote {path}")
     return 0
 
 
-def _run_tasks(fn, tasks, jobs: int) -> list:
-    """[fn(t) for t in tasks], spread over at most `jobs` worker processes."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+def _run_tasks(fn, tasks, cfg: ExperimentConfig) -> list:
+    """[fn(t) for t in tasks], spread over at most --jobs worker processes."""
+    *_, jobs = _pipeline_settings(cfg)
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -486,27 +469,21 @@ def _run_tasks(fn, tasks, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
+_MC_DEFAULTS = dict(segments=20, noise_sigma=0.01, basis_degree=3, mu=400.0 / 3.0, trials=50)
+
+
 def _mc_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     """Fill unset fields with the standard noise-trial comparison setup."""
-    updates = {}
+    updates = {k: v for k, v in _MC_DEFAULTS.items() if getattr(cfg, k) is None}
     if cfg.system is None and not cfg.trajectories:
         updates["system"] = "lorenz"
-    if cfg.segments is None:
-        updates["segments"] = 20
-    if cfg.noise_sigma is None:
-        updates["noise_sigma"] = 0.01
-    if cfg.basis_degree is None:
-        updates["basis_degree"] = 3
-    if cfg.mu is None:
-        updates["mu"] = 400.0 / 3.0
-    if cfg.centers is None and (cfg.system is None or cfg.system == "lorenz"):
+    if cfg.centers is None and cfg.system in (None, "lorenz"):
         updates["centers"] = "-20:20:10,-50:50:20,-20:50:14"
-    if cfg.trials is None:
-        updates["trials"] = 50
     return replace(cfg, **updates)
 
 
 def _mc_trial(args):
+    """(ok_error, ils_error, ok_cond, ils_cond) of one noise trial on the clean base data."""
     cfg_dict, trial, base = args
     cfg = ExperimentConfig(**cfg_dict)
     if len(base) == 1:
@@ -514,23 +491,11 @@ def _mc_trial(args):
     else:
         seeds = [(cfg.seed + trial) * 100_003 + j for j in range(len(base))]
     trajs = _noise_filter_segment(cfg, [Trajectory(s, h) for s, h in base], seeds)
-
-    dim = trajs[0].dim
-    _, theta_true, sys_basis = _builtin(cfg)
-    basis, targets = _build_basis(cfg, dim, theta_true, sys_basis)
-    if targets is None:
-        raise ConfigError("montecarlo needs a system with known parameters")
-    kernel = _kernel_for(cfg)
-    centers = _centers_for(cfg, dim)
-
-    ok = solve_pinv(assemble(trajs, centers, basis, kernel, cfg.rule), rcond=cfg.rcond)
-    ils = ils_solve(trajs, basis, cfg.rule, rcond=cfg.rcond)
-    return (
-        float(np.linalg.norm(ok.theta_hat - targets)),
-        float(np.linalg.norm(ils.theta_hat - targets)),
-        ok.condition_number,
-        ils.condition_number,
-    )
+    data = (trajs, *_truth(cfg))
+    ok = run_identify(replace(cfg, solver="pinv"), data)
+    ok_error = _known_error(ok)
+    ils = run_identify(replace(cfg, solver="ils"), data)
+    return ok_error, _known_error(ils), ok.condition_number, ils.condition_number
 
 
 def cmd_montecarlo(cfg: ExperimentConfig) -> int:
@@ -544,15 +509,11 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     trajs, _, _ = _source_data(cfg)
     base = [(t.samples, t.step) for t in trajs]
     tasks = [(asdict(cfg), trial, base) for trial in range(cfg.trials)]
-    rows = _run_tasks(_mc_trial, tasks, cfg.jobs)
-    out = _ensure_out(cfg)
-    path = os.path.join(out, "montecarlo.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("trial,ok_error,ils_error,ok_cond,ils_cond\n")
-        for trial, row in enumerate(rows):
-            fh.write(f"{trial}," + ",".join(FMT % v for v in row) + "\n")
-        if cfg.noise_sigma == 0:
-            fh.write("# note: sigma=0; both errors sit at the numerical floor\n")
+    rows = _run_tasks(_mc_trial, tasks, cfg)
+    floor = cfg.noise_sigma == 0
+    notes = ["note: sigma=0; both errors sit at the numerical floor"] if floor else []
+    path = _write_table(cfg, "montecarlo.csv", "trial,ok_error,ils_error,ok_cond,ils_cond",
+                        [(trial, *row) for trial, row in enumerate(rows)], notes)
     ok_med = float(np.median([r[0] for r in rows]))
     ils_med = float(np.median([r[1] for r in rows]))
     print(f"wrote {path} (median ok_error={FMT % ok_med}, median ils_error={FMT % ils_med})")
@@ -570,27 +531,21 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
         raise ConfigError(f"insufficient points: need at least 3 h values, got {len(hs)}")
     if any(h <= 0 for h in hs):
         raise ConfigError("all h values must be positive")
-    out = _ensure_out(cfg)
 
     if cfg.target == "identify":
-        errors = []
-        for h in hs:
-            outcome = run_identify(replace(cfg, h=h))
-            if outcome.l2_error is None:
-                raise ConfigError("convergence needs a system with known parameters")
-            errors.append(outcome.l2_error)
+        errors = _run_tasks(_sweep_point, [(asdict(cfg), "h", h) for h in hs], cfg)
     elif cfg.target == "occupation":
         errors = _occupation_ladder(cfg, hs)
     else:
         raise ConfigError(f"unknown convergence target {cfg.target!r}")
 
     order = empirical_order(list(zip(hs, errors)))
-    path = os.path.join(out, "convergence.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("h,error\n")
-        for h, e in zip(hs, errors):
-            fh.write(f"{FMT % h},{FMT % e}\n")
-        fh.write(f"# order: {FMT % order}\n")
+    notes = [f"order: {FMT % order}"]
+    ladder = [e for _, e in sorted(zip(hs, errors), reverse=True)]
+    if not all(finer < coarser for coarser, finer in zip(ladder, ladder[1:])):
+        notes.append("note: errors do not decrease as h decreases, so the order is not "
+                     "meaningful: they sit at the roundoff floor or outside the asymptotic range")
+    path = _write_table(cfg, "convergence.csv", "h,error", zip(hs, errors), notes)
     print(f"wrote {path} (order={FMT % order})")
     return 0
 
@@ -625,8 +580,7 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
         return 0  # empty input: nothing to do
     dim = _parse_header(header.rstrip("\r\n"))
 
-    degree = cfg.basis_degree if cfg.basis_degree is not None else 2
-    basis = monomial_basis(MonomialSpec(dim, degree))
+    basis, _ = _build_basis(cfg, dim, *_truth(cfg))
     kernel = _kernel_for(cfg)
     centers = _centers_for(cfg, dim)
 
@@ -648,8 +602,10 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
         for t, x in pending:
             try:
                 stream_push(state, x, times=[t])
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
+            except ValueError as exc:  # a grid error: far from the origin t1 - t0 drifts
+                hint = "" if cfg.h is not None else (
+                    f"; the step {FMT % h} came from the first two rows, pass --h to set it")
+                raise ConfigError(f"line {lineno}: {exc}{hint}") from None
             gradient_chase_step(state)
             count += 1
             if cfg.print_every > 0 and count % cfg.print_every == 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import occusid as oc
+from occusid import cli
 from occusid.cli import main
 
 RUNTIME = re.compile(r"runtime_seconds=[^,\n]*")
@@ -145,6 +146,22 @@ class TestIdentify:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_targets_placed_by_label_and_dim(self, tmp_path):
+        # the four true system1 terms, out of library order, plus a zero term
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"basis_terms": [[[0, 1], 1], [[1, 1], 0], [[0, 0], 0],
+                                                   [[2, 0], 1], [[1, 0], 0]]}))
+        assert run(self.ARGS + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "result.csv").read_text().splitlines()[1:-1]
+        assert [(r.split(",")[1], r.split(",")[3]) for r in rows] == [
+            ("x2", "-1"), ("x1*x2", "-1"), ("1", "0"), ("x1^2", "2"), ("x1", "2")]
+
+    def test_library_missing_a_true_term_has_no_targets(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"basis_terms": [[[1, 0], 0], [[2, 0], 1], [[0, 1], 1]]}))
+        assert run(self.ARGS + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert summary_floats(tmp_path / "result.csv")["l2_error"] is None
+
     def test_kernel_overflow_is_numerical_error(self, tmp_path, capsys):
         # exp(mu x.c) overflows on Lorenz-sized states
         with warnings.catch_warnings(record=True) as caught:
@@ -264,15 +281,39 @@ _MC = ["montecarlo", "--system", "system1", "--trials", "1", "--mu", "10",
          "--noise-sigma", "-1"],
         ["sweep", "--system", "system1", "--n-trajectories", "5", "--h", "1e-2",
          "--param", "noise_sigma", "--values", "0,0.01", "--jobs", "0"],
+        ["identify", "--system", "system1", "--n-trajectories", "2", "--h", "1e-2",
+         "--mu", "-1"],
+        ["sweep", "--system", "system1", "--n-trajectories", "2", "--h", "1e-2",
+         "--param", "mu", "--values", "-1"],
+        ["convergence", "--system", "system1", "--n-trajectories", "2",
+         "--h-values", "0.04,0.02,0.01", "--mu", "-1"],
     ],
     ids=["mc-sigma", "mc-segments-0", "mc-segments-neg", "mc-filter", "mc-jobs",
-         "simulate-sigma", "sweep-jobs"],
+         "simulate-sigma", "sweep-jobs", "identify-mu", "sweep-mu", "convergence-mu"],
 )
 def test_bad_pipeline_setting_rejected_without_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert "error: config:" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--trials", "1", "--jobs", "0"],
+        ["sweep", "--system", "system1", "--param", "mu", "--values", "1,10", "--jobs", "0"],
+        ["convergence", "--system", "system1", "--h-values", "0.04,0.02,0.01", "--jobs", "0"],
+    ],
+    ids=["montecarlo", "sweep", "convergence"],
+)
+def test_bad_jobs_rejected_before_simulation(tmp_path, capsys, monkeypatch, argv):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before --jobs was checked")
+
+    monkeypatch.setattr("occusid.cli.integrate_rk4", no_simulation)
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestMonteCarlo:
@@ -339,6 +380,35 @@ class TestConvergence:
             assert err == pytest.approx(max(oc.norm_distance_squared(est, ref), 0.0),
                                         rel=1e-12, abs=1e-300)
 
+    def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
+        pooled = []
+        real = cli._run_tasks
+
+        def spy(fn, tasks, cfg):
+            pooled.append(cfg.jobs)
+            return real(fn, tasks, cfg)
+
+        monkeypatch.setattr("occusid.cli._run_tasks", spy)
+        args = ["convergence", "--system", "system1", "--n-trajectories", "3",
+                "--h-values", "0.05,0.02,0.01"]
+        for jobs in ("1", "2"):
+            assert run(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert pooled == [1, 2]  # the ladder runs through the worker pool
+        one = (tmp_path / "1" / "convergence.csv").read_bytes()
+        assert one == (tmp_path / "2" / "convergence.csv").read_bytes()
+
+    def test_errors_not_decreasing_add_floor_note(self, tmp_path, monkeypatch):
+        # an emps_form occupation ladder at the roundoff floor read these
+        monkeypatch.setattr("occusid.cli._occupation_ladder",
+                            lambda cfg, hs: [7.2e-12, 9.4e-12, 1.1e-12])
+        rc = run(["convergence", "--system", "system1", "--target", "occupation",
+                  "--h-values", "0.04,0.02,0.01", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
+        assert lines[-2].startswith("# order: ")
+        assert lines[-1].startswith("# note: ")
+        assert "not meaningful" in lines[-1] and "roundoff floor" in lines[-1]
+
     def test_insufficient_points(self, tmp_path, capsys):
         rc = run(["convergence", "--system", "system1", "--h-values", "0.05,0.02",
                   "--out", str(tmp_path)])
@@ -392,6 +462,47 @@ class TestStream:
         rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], text)
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_far_origin_step_error_names_h(self, monkeypatch, capsys):
+        # t[1] - t[0] carries the rounding of both times, so its grid drifts
+        text = "t,x1\n" + "".join(
+            f"{1e6 + k * 0.1!r},{float(np.exp(-0.05 * k))!r}\n" for k in range(60)
+        )
+        rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], text)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "first two rows" in err and "--h" in err
+        rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1", "--h", "0.1"], text)
+        assert rc == 0
+
+    def test_basis_terms_select_the_library(self, tmp_path, monkeypatch, capsys):
+        assert run(["simulate", "--system", "system1", "--n-trajectories", "1",
+                    "--h", "1e-2", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"basis_terms": [[[1, 0], 0], [[1, 1], 0],
+                                                   [[2, 0], 1], [[0, 1], 1]]}))
+        text = (tmp_path / "traj_000.csv").read_text()
+        capsys.readouterr()  # drop simulate's report
+        rc = run_stream(monkeypatch, ["stream", "--system", "system1", "--config", str(cfg),
+                                      "--print-every", "0", "--settle-steps", "5"], text)
+        assert rc == 0
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert len(line.split(",")) == 6  # time, four coefficients, residual
+
+    def test_emps_form_streams_its_own_library(self, tmp_path, monkeypatch, capsys):
+        ctl = tmp_path / "u.csv"
+        ctl.write_text("t,tau\n" + "".join(
+            f"{float(t)!r},{float(np.sin(3 * t))!r}\n" for t in np.linspace(0, 2, 201)))
+        assert run(["simulate", "--system", "emps_form", "--control-csv", str(ctl),
+                    "--h", "1e-2", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "traj_000.csv").read_text()
+        capsys.readouterr()  # drop simulate's report
+        rc = run_stream(monkeypatch, ["stream", "--system", "emps_form", "--control-csv",
+                                      str(ctl), "--centers=-1:1:1,-1:1:1,0:1:0.5",
+                                      "--print-every", "0", "--settle-steps", "5"], text)
+        assert rc == 0
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert len(line.split(",")) == 6  # time, tau/viscous/Coulomb/offset, residual
 
 
 class TestEntryPoint:
