@@ -7,12 +7,17 @@ comparison of the occupation-kernel and componentwise-integral solvers),
 convergence (error ladder across step sizes plus a fitted order), and stream
 (consume trajectory rows from standard input and track parameters online).
 
-Configuration comes from an optional JSON file plus flags; flags win. Every
-command is deterministic for a fixed config and seed, apart from the
-runtime_seconds token in the identify summary. Each command computes its
-results before it creates --out, so a failed command writes nothing. Exit
-codes: 0 success, 2 configuration or input errors, 3 numerical failures;
-error lines go to standard error as `error: <category>: <message>`.
+Every setting is one field of ExperimentConfig, set by the flag of the same
+name (`--noise-sigma` for noise_sigma, `--lambda` for lam) or by the same key
+in an optional JSON file given with --config; flags win, and basis_terms is
+set in the file only. Flags and config keys accept the same values: building
+the config converts each one to its field's type and checks its range or
+name, before any data is read. Every command is deterministic for a fixed
+config and seed, apart from the runtime_seconds token in the identify
+summary. Each command computes its results before it creates --out, so a
+failed command writes nothing. Exit codes: 0 success, 2 configuration or
+input errors (unreadable paths included), 3 numerical failures; error lines
+go to standard error as `error: <category>: <message>`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,10 +43,10 @@ from .dynamics import (
     monomial_basis,
     monomial_index,
 )
-from .errors import ConfigError, DivergenceError, IterationLimitError, TrajectoryParseError
+from .errors import ConfigError, DivergenceError, IterationLimitError
 from .gramsysid import gram_assemble, gram_solve
 from .kernels import from_name
-from .quadrature import empirical_order, norm_distance_squared, occupation_estimate
+from .quadrature import as_rule, empirical_order, norm_distance_squared, occupation_estimate
 from .streaming import gradient_chase_step, new_stream, stream_matrices, stream_push
 from .sysid import assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
 from .trajectory import (
@@ -60,7 +66,12 @@ FMT = "%.17g"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Merged settings for one command; None means "use the command's default"."""
+    """Merged settings for one command; None means "use the command's default".
+
+    Construction converts each field to its annotated type and checks its
+    range or name, so a flag, a config key and a sweep value are accepted or
+    rejected alike.
+    """
 
     system: str | None = None
     trajectories: tuple[str, ...] = ()
@@ -95,6 +106,69 @@ class ExperimentConfig:
     values: str | None = None
     jobs: int = 1
     out: str = "."
+
+    def __post_init__(self):
+        for name, kind in _FIELD_TYPES.items():
+            object.__setattr__(self, name, _convert(name, getattr(self, name), *kind))
+        if self.mu is not None and not self.mu > 0:
+            raise ConfigError(f"mu must be positive, got {self.mu}")
+        for name, (least, label) in _AT_LEAST.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{label} must be >= {least}, got {value}")
+        from_name(self.kernel, degree=self.degree)
+        as_rule(self.rule)
+        if self.solver not in _SOLVERS:
+            raise ConfigError(f"unknown solver {self.solver!r}; one of {sorted(_SOLVERS)}")
+        if self.target not in _TARGETS:
+            raise ConfigError(
+                f"unknown convergence target {self.target!r}; one of {sorted(_TARGETS)}")
+
+
+def _field_type(hint) -> tuple:
+    """(base type, item type or None, whether None is allowed) of a resolved annotation."""
+    optional = type(None) in typing.get_args(hint)
+    if optional:  # X | None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    args = typing.get_args(hint)
+    return typing.get_origin(hint) or hint, args[0] if args else None, optional
+
+
+_FIELD_TYPES = {name: _field_type(hint)
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+_WORDS = {str: "a string", int: "an integer", float: "a number", tuple: "a list"}
+# field -> (least allowed value, its name in the error message); None passes
+_AT_LEAST = {"noise_sigma": (0, "noise sigma"), "filter_window": (1, "filter window"),
+             "segments": (1, "segments"), "jobs": (1, "jobs"),
+             "basis_degree": (0, "basis degree"), "trials": (1, "trials")}
+
+
+def _convert(name: str, value, base: type, item, optional: bool):
+    """value as the field's type: ints widen to floats, lists and comma text to tuples."""
+    if value is None and optional:
+        return value
+    if base is tuple and isinstance(value, (str, list)):
+        value = tuple(p for p in value.split(",") if p) if isinstance(value, str) else tuple(value)
+    elif base is float and type(value) is int:
+        value = float(value)
+    if (not isinstance(value, base) or isinstance(value, bool)
+            or item is not None and not all(isinstance(v, item) for v in value)):
+        what = _WORDS[base] if item is None else f"{_WORDS[base]} of {item.__name__}"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _parse_text(name: str, text: str):
+    """Field `name` from flag or sweep text, numbers parsed exactly.
+
+    Text that is not a number of the field's type is kept as is, for
+    ExperimentConfig to reject with the field's name.
+    """
+    base = _FIELD_TYPES[name][0]
+    try:
+        return base(text) if base in (int, float) else text
+    except ValueError:
+        return text
 
 
 # The CLI defaults of each built-in system: simulated span T and step h, the
@@ -134,8 +208,6 @@ def _kernel_for(cfg: ExperimentConfig):
     mu = cfg.mu
     if mu is None:
         mu = _SYSTEMS.get(cfg.system, _NO_SYSTEM)["mu"].get(from_name(cfg.kernel).family, 1.0)
-    if mu <= 0:
-        raise ConfigError(f"mu must be positive, got {mu}")
     return from_name(cfg.kernel, mu=mu, degree=cfg.degree)
 
 
@@ -176,42 +248,23 @@ def _simulate_system(cfg: ExperimentConfig):
 def _source_data(cfg: ExperimentConfig):
     """Trajectories as loaded or simulated, plus (theta_true, basis) when known."""
     if cfg.trajectories:
-        trajs = []
-        for path in cfg.trajectories:
-            if not os.path.exists(path):
-                raise ConfigError(f"trajectory file {path!r} does not exist")
-            trajs.append(load_csv(path))
-        return (trajs, *_truth(cfg))
+        return ([load_csv(path) for path in cfg.trajectories], *_truth(cfg))
     if cfg.system is not None:
         return _simulate_system(cfg)
     raise ConfigError("either --system or --trajectories is required")
 
 
-def _pipeline_settings(cfg: ExperimentConfig) -> tuple[float, int, int, int]:
-    """(noise sigma, filter window, segments, jobs) with their defaults, range-checked."""
-    sigma = cfg.noise_sigma if cfg.noise_sigma is not None else 0.0
-    if sigma < 0:
-        raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
-    window = cfg.filter_window if cfg.filter_window is not None else 1
-    if window < 1:
-        raise ConfigError(f"filter window must be >= 1, got {window}")
-    parts = cfg.segments if cfg.segments is not None else 1
-    if parts < 1:
-        raise ConfigError(f"segments must be >= 1, got {parts}")
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    return sigma, window, parts, cfg.jobs
-
-
 def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
-    """Noise (trajectory j drawn with seeds[j]) -> moving average -> segments."""
-    sigma, window, parts, _ = _pipeline_settings(cfg)
-    if sigma > 0:
-        trajs = [add_measurement_noise(t, sigma, sd) for t, sd in zip(trajs, seeds)]
-    if window > 1:
-        trajs = [moving_average(t, window) for t in trajs]
-    if parts > 1:
-        trajs = [piece for t in trajs for piece in segment(t, parts)]
+    """Noise (trajectory j drawn with seeds[j]) -> moving average -> segments.
+
+    An unset stage (None) is skipped, as are sigma 0, window 1 and 1 segment.
+    """
+    if (cfg.noise_sigma or 0.0) > 0:
+        trajs = [add_measurement_noise(t, cfg.noise_sigma, sd) for t, sd in zip(trajs, seeds)]
+    if (cfg.filter_window or 1) > 1:
+        trajs = [moving_average(t, cfg.filter_window) for t in trajs]
+    if (cfg.segments or 1) > 1:
+        trajs = [piece for t in trajs for piece in segment(t, cfg.segments)]
     return trajs
 
 
@@ -228,12 +281,12 @@ def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
     The system's nonzero true terms are placed by (label, target dim); the
     targets are None when one of them is not in the basis.
     """
+    if sys_basis is not None and sys_basis.dim != dim:
+        raise ConfigError(f"the data have dimension {dim}, "
+                          f"system {cfg.system} has dimension {sys_basis.dim}")
     if cfg.system == "emps_form":
         return sys_basis, theta_true
-    degree = cfg.basis_degree if cfg.basis_degree is not None else 2
-    if degree < 0:
-        raise ConfigError(f"basis degree must be >= 0, got {degree}")
-    spec = MonomialSpec(dim, degree)
+    spec = MonomialSpec(dim, cfg.basis_degree if cfg.basis_degree is not None else 2)
     basis = monomial_basis(spec)
     if cfg.basis_terms is not None:
         idx = []
@@ -293,33 +346,8 @@ def run_identify(cfg: ExperimentConfig, data=None) -> IdentifyOutcome:
     """
     start = time.perf_counter()
     trajs, theta_true, sys_basis = _prepare_data(cfg) if data is None else data
-    dim = trajs[0].dim
-    basis, targets = _build_basis(cfg, dim, theta_true, sys_basis)
-    kernel = _kernel_for(cfg)
-
-    solver = cfg.solver
-    if solver == "ils":
-        result = ils_solve(trajs, basis, cfg.rule, rcond=cfg.rcond)
-    elif solver == "gram":
-        result = gram_solve(gram_assemble(trajs, basis, kernel, cfg.rule), rcond=cfg.rcond)
-    else:
-        centers = _centers_for(cfg, dim)
-        system = assemble(trajs, centers, basis, kernel, cfg.rule)
-        if solver == "pinv":
-            result = solve_pinv(system, rcond=cfg.rcond)
-        elif solver == "ridge":
-            result = solve_ridge(system, cfg.lam if cfg.lam is not None else 0.0, rcond=cfg.rcond)
-        elif solver == "sparse":
-            if cfg.lam is None:
-                raise ConfigError("solver sparse requires --lambda")
-            if cfg.threshold is None:
-                raise ConfigError("solver sparse requires --threshold")
-            result = solve_sparse(
-                system, cfg.lam, cfg.threshold, max_refits=cfg.max_refits, rcond=cfg.rcond
-            )
-        else:
-            raise ConfigError(f"unknown solver {solver!r}")
-
+    basis, targets = _build_basis(cfg, trajs[0].dim, theta_true, sys_basis)
+    result = _SOLVERS[cfg.solver](trajs, basis, _kernel_for(cfg), cfg)
     l2 = max_err = None
     if targets is not None:
         diff = result.theta_hat - targets
@@ -338,6 +366,31 @@ def run_identify(cfg: ExperimentConfig, data=None) -> IdentifyOutcome:
         l2_error=l2,
         max_error=max_err,
     )
+
+
+def _assembled(trajs, basis, kernel, cfg: ExperimentConfig):
+    """The center-assembled linear system that pinv, ridge and sparse solve."""
+    return assemble(trajs, _centers_for(cfg, trajs[0].dim), basis, kernel, cfg.rule)
+
+
+def _solve_sparse(trajs, basis, kernel, cfg: ExperimentConfig):
+    if cfg.lam is None:
+        raise ConfigError("solver sparse requires --lambda")
+    if cfg.threshold is None:
+        raise ConfigError("solver sparse requires --threshold")
+    return solve_sparse(_assembled(trajs, basis, kernel, cfg), cfg.lam, cfg.threshold,
+                        max_refits=cfg.max_refits, rcond=cfg.rcond)
+
+
+# --solver name -> solve(trajectories, basis, kernel, cfg)
+_SOLVERS = {
+    "pinv": lambda t, b, k, cfg: solve_pinv(_assembled(t, b, k, cfg), rcond=cfg.rcond),
+    "ridge": lambda t, b, k, cfg: solve_ridge(_assembled(t, b, k, cfg), cfg.lam or 0.0,
+                                              rcond=cfg.rcond),
+    "sparse": _solve_sparse,
+    "ils": lambda t, b, k, cfg: ils_solve(t, b, cfg.rule, rcond=cfg.rcond),
+    "gram": lambda t, b, k, cfg: gram_solve(gram_assemble(t, b, k, cfg.rule), rcond=cfg.rcond),
+}
 
 
 def _known_error(outcome: IdentifyOutcome) -> float:
@@ -419,21 +472,12 @@ def cmd_identify(cfg: ExperimentConfig) -> int:
     return 0
 
 
-_SWEEP_PARAMS = {
-    "mu": float,
-    "noise_sigma": float,
-    "segments": int,
-    "n_trajectories": int,
-    "filter_window": int,
-    "basis_degree": int,
-    "seed": int,
-}
+_SWEEP_PARAMS = ("mu", "noise_sigma", "segments", "n_trajectories", "filter_window",
+                 "basis_degree", "seed")
 
 
-def _sweep_point(args):
-    """The l2 error of identify with one setting replaced: (cfg dict, name, value)."""
-    cfg_dict, param, value = args
-    cfg = replace(ExperimentConfig(**cfg_dict), **{param: value})
+def _identify_error(cfg: ExperimentConfig) -> float:
+    """The l2 error of identify: one sweep point or convergence rung."""
     return _known_error(run_identify(cfg))
 
 
@@ -444,14 +488,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         raise ConfigError(
             f"unknown sweep parameter {cfg.param!r}; one of {sorted(_SWEEP_PARAMS)}"
         )
-    cast = _SWEEP_PARAMS[cfg.param]
-    try:
-        values = [cast(float(v)) if cast is int else cast(v) for v in cfg.values.split(",")]
-    except ValueError:
-        raise ConfigError(f"could not parse --values {cfg.values!r}") from None
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    errors = _run_tasks(_sweep_point, [(asdict(cfg), cfg.param, v) for v in values], cfg)
+    values = [_parse_text(cfg.param, v) for v in cfg.values.split(",")]
+    points = [replace(cfg, **{cfg.param: v}) for v in values]  # checks all before any run
+    errors = _run_tasks(_identify_error, points, cfg)
     path = _write_table(cfg, "sweep.csv", "value,error", zip(values, errors))
     print(f"wrote {path}")
     return 0
@@ -459,8 +498,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
 def _run_tasks(fn, tasks, cfg: ExperimentConfig) -> list:
     """[fn(t) for t in tasks], spread over at most --jobs worker processes."""
-    *_, jobs = _pipeline_settings(cfg)
-    workers = min(jobs, len(tasks))
+    workers = min(cfg.jobs, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     # spawn, not fork: the parent already runs BLAS threads.
@@ -484,8 +522,7 @@ def _mc_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
 
 def _mc_trial(args):
     """(ok_error, ils_error, ok_cond, ils_cond) of one noise trial on the clean base data."""
-    cfg_dict, trial, base = args
-    cfg = ExperimentConfig(**cfg_dict)
+    cfg, trial, base = args
     if len(base) == 1:
         seeds = [cfg.seed + trial]
     else:
@@ -502,13 +539,10 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     cfg = _mc_defaults(cfg)
     if cfg.system is None:
         raise ConfigError("montecarlo requires --system (or the default lorenz setup)")
-    if cfg.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-    _pipeline_settings(cfg)  # reject bad settings before the base data is simulated
     # Base data is simulated once, clean; noise/filter/segments are per trial.
     trajs, _, _ = _source_data(cfg)
     base = [(t.samples, t.step) for t in trajs]
-    tasks = [(asdict(cfg), trial, base) for trial in range(cfg.trials)]
+    tasks = [(cfg, trial, base) for trial in range(cfg.trials)]
     rows = _run_tasks(_mc_trial, tasks, cfg)
     floor = cfg.noise_sigma == 0
     notes = ["note: sigma=0; both errors sit at the numerical floor"] if floor else []
@@ -532,13 +566,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
     if any(h <= 0 for h in hs):
         raise ConfigError("all h values must be positive")
 
-    if cfg.target == "identify":
-        errors = _run_tasks(_sweep_point, [(asdict(cfg), "h", h) for h in hs], cfg)
-    elif cfg.target == "occupation":
-        errors = _occupation_ladder(cfg, hs)
-    else:
-        raise ConfigError(f"unknown convergence target {cfg.target!r}")
-
+    errors = _TARGETS[cfg.target](cfg, hs)
     order = empirical_order(list(zip(hs, errors)))
     notes = [f"order: {FMT % order}"]
     ladder = [e for _, e in sorted(zip(hs, errors), reverse=True)]
@@ -571,6 +599,13 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
         est = occupation_estimate(coarse, kernel, cfg.rule)
         errors.append(max(norm_distance_squared(est, ref), 0.0))
     return errors
+
+
+# --target name -> the error ladder over the h values
+_TARGETS = {
+    "identify": lambda cfg, hs: _run_tasks(_identify_error, [replace(cfg, h=h) for h in hs], cfg),
+    "occupation": lambda cfg, hs: _occupation_ladder(cfg, hs),
+}
 
 
 def cmd_stream(cfg: ExperimentConfig) -> int:
@@ -633,40 +668,11 @@ def _print_stream_line(state) -> None:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     g = shared.add_argument_group("experiment settings")
-    S = dict(default=argparse.SUPPRESS)
-    g.add_argument("--config", metavar="PATH", **S)
-    g.add_argument("--system", metavar="NAME", **S)
-    g.add_argument("--trajectories", metavar="CSV[,CSV...]", **S)
-    g.add_argument("--control-csv", dest="control_csv", metavar="PATH", **S)
-    g.add_argument("--kernel", choices=["gaussian", "expdot", "poly", "linear"], **S)
-    g.add_argument("--mu", type=float, **S)
-    g.add_argument("--degree", type=int, **S)
-    g.add_argument("--rule", choices=["rh", "trap", "simpson"], **S)
-    g.add_argument("--basis-degree", dest="basis_degree", type=int, **S)
-    g.add_argument("--centers", metavar="lo:hi:width,...", **S)
-    g.add_argument("--solver", choices=["pinv", "ridge", "sparse", "ils", "gram"], **S)
-    g.add_argument("--lambda", dest="lam", type=float, **S)
-    g.add_argument("--threshold", type=float, **S)
-    g.add_argument("--max-refits", dest="max_refits", type=int, **S)
-    g.add_argument("--rcond", type=float, **S)
-    g.add_argument("--noise-sigma", dest="noise_sigma", type=float, **S)
-    g.add_argument("--filter-window", dest="filter_window", type=int, **S)
-    g.add_argument("--segments", type=int, **S)
-    g.add_argument("--seed", type=int, **S)
-    g.add_argument("--trials", type=int, **S)
-    g.add_argument("--n-trajectories", dest="n_trajectories", type=int, **S)
-    g.add_argument("--T", dest="T", type=float, **S)
-    g.add_argument("--h", dest="h", type=float, **S)
-    g.add_argument("--window", type=float, **S)
-    g.add_argument("--alpha", type=float, **S)
-    g.add_argument("--print-every", dest="print_every", type=int, **S)
-    g.add_argument("--settle-steps", dest="settle_steps", type=int, **S)
-    g.add_argument("--h-values", dest="h_values", metavar="H1,H2,...", **S)
-    g.add_argument("--target", choices=["identify", "occupation"], **S)
-    g.add_argument("--param", **S)
-    g.add_argument("--values", metavar="V1,V2,...", **S)
-    g.add_argument("--jobs", type=int, **S)
-    g.add_argument("--out", metavar="DIR", **S)
+    g.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
+    for f in fields(ExperimentConfig):
+        if f.name != "basis_terms":  # [exponents, target dim] pairs: config files only
+            flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+            g.add_argument(flag, dest=f.name, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="occusid",
@@ -687,17 +693,11 @@ _COMMANDS = {
     "stream": cmd_stream,
 }
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-
 
 def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
-    cli = {k: v for k, v in vars(ns).items() if k != "command"}
-    config_path = cli.pop("config", None)
-    if config_path is not None:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file {config_path!r} does not exist")
-        with open(config_path, "r") as fh:
+    if "config" in ns:
+        with open(ns.config) as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -706,16 +706,11 @@ def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("config file must hold a JSON object")
         for key, value in loaded.items():
             key = "lam" if key == "lambda" else key
-            if key not in _FIELD_NAMES:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             data[key] = value
-    data.update(cli)
-    if "trajectories" in data and isinstance(data["trajectories"], str):
-        data["trajectories"] = tuple(p for p in data["trajectories"].split(",") if p)
-    if "trajectories" in data:
-        data["trajectories"] = tuple(data["trajectories"])
-    if "basis_terms" in data and data["basis_terms"] is not None:
-        data["basis_terms"] = tuple(tuple(t) for t in data["basis_terms"])
+    data.update((k, _parse_text(k, v)) for k, v in vars(ns).items()
+                if k not in ("command", "config"))
     return ExperimentConfig(**data)
 
 
@@ -724,15 +719,11 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     command = _COMMANDS[ns.command]
     try:
-        cfg = _merge_config(ns)
-        return command(cfg)
-    except (ConfigError, TrajectoryParseError, FileNotFoundError) as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
+        return command(_merge_config(ns))
     except (DivergenceError, IterationLimitError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and TrajectoryParseError included
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
 

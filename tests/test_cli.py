@@ -1,16 +1,19 @@
+import argparse
 import io
 import json
 import re
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import occusid as oc
 from occusid import cli
-from occusid.cli import main
+from occusid.cli import ExperimentConfig, main
 
 RUNTIME = re.compile(r"runtime_seconds=[^,\n]*")
 
@@ -35,6 +38,14 @@ def summary_floats(result_csv):
         key, val = cell.split("=")
         out[key] = float(val) if val else None
     return out
+
+
+def setting_flags():
+    """{field name: flag} of every option the subcommands share, --config included."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.option_strings[0] for a in sub.choices["identify"]._actions
+            if a.dest != "help"}
 
 
 def stream_rows(n, h=0.01, decay=0.5):
@@ -162,6 +173,23 @@ class TestIdentify:
         assert run(self.ARGS + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert summary_floats(tmp_path / "result.csv")["l2_error"] is None
 
+    @pytest.mark.parametrize("command", ["identify", "stream"])
+    def test_data_dimension_must_match_the_system(self, tmp_path, monkeypatch, capsys, command):
+        field, _, _ = oc.builtin_system("lorenz")
+        csv = tmp_path / "lorenz.csv"
+        oc.save_csv(oc.integrate_rk4(field, np.array([-8.0, 7.0, 27.0]), 1.0, 1e-2), csv)
+        argv = ["--system", "system1", "--centers=-20:20:10,-50:50:10,-20:50:10",
+                "--out", str(tmp_path / "out")]
+        if command == "identify":
+            rc = run(["identify", "--trajectories", str(csv)] + argv)
+        else:
+            rc = run_stream(monkeypatch, ["stream"] + argv, csv.read_text())
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "dimension 3" in err and "system1 has dimension 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_kernel_overflow_is_numerical_error(self, tmp_path, capsys):
         # exp(mu x.c) overflows on Lorenz-sized states
         with warnings.catch_warnings(record=True) as caught:
@@ -223,6 +251,89 @@ class TestConfigFile:
         rc = run(["simulate", "--config", str(tmp_path / "none.json"),
                   "--out", str(tmp_path)])
         assert rc == 2
+
+
+# Flag text for one value of each setting; numbers read the same in JSON.
+_FLAG_TEXT = {
+    "system": "lorenz", "trajectories": "a.csv,b.csv", "control_csv": "u.csv",
+    "kernel": "gaussian_rbf", "mu": "10", "degree": "3", "rule": "trapezoid",
+    "basis_degree": "3", "centers": "-1:1:0.5", "solver": "gram", "lam": "1e-8",
+    "threshold": "0.01", "max_refits": "4", "rcond": "1e-10", "noise_sigma": "0.01",
+    "filter_window": "5", "segments": "4", "seed": "4294967297", "trials": "7",
+    "n_trajectories": "2", "T": "2", "h": "0.005", "window": "0.5", "alpha": "0.1",
+    "print_every": "10", "settle_steps": "20", "h_values": "0.04,0.02,0.01",
+    "target": "occupation", "param": "mu", "values": "1,10", "jobs": "2", "out": "run",
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)
+                                  if f.name != "basis_terms"])  # config files only
+def test_flag_and_config_key_give_equal_configs(tmp_path, name):
+    text = _FLAG_TEXT[name]
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = text.split(",") if name == "trajectories" else text
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    parser = cli.build_parser()
+    flag = f"{setting_flags()[name]}={text}"
+    from_flag = cli._merge_config(parser.parse_args(["identify", flag]))
+    from_file = cli._merge_config(parser.parse_args(["identify", "--config", str(path)]))
+    assert from_flag == from_file != ExperimentConfig()
+
+
+def test_every_flag_is_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [flag for flag in setting_flags().values()
+               if not re.search(rf"`{re.escape(flag)}(?![\w-])", readme)]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"mu": "ten"}, ["identify"], "mu must be a number, got 'ten'"),
+        ({"jobs": "2"}, ["sweep", "--param", "mu", "--values", "1,10"],
+         "jobs must be an integer, got '2'"),
+        ({"segments": 2.5}, ["identify"], "segments must be an integer, got 2.5"),
+        ({"trajectories": 5}, ["identify"], "trajectories must be a list of str, got 5"),
+        ({}, ["sweep", "--param", "segments", "--values", "2.5,2"],
+         "segments must be an integer, got '2.5'"),
+        ({}, ["identify", "--seed", "1.5"], "seed must be an integer, got '1.5'"),
+        ({}, ["identify", "--solver", "lstsq"], "unknown solver 'lstsq'"),
+        ({"kernel": "rbf"}, ["identify"], "unknown kernel name 'rbf'"),
+        ({}, ["identify", "--rule", "midpoint"], "unknown quadrature rule 'midpoint'"),
+        ({}, ["convergence", "--target", "order"], "unknown convergence target 'order'"),
+    ],
+    ids=["config-mu", "config-jobs", "config-segments", "config-trajectories",
+         "sweep-segments", "flag-seed", "solver", "kernel", "rule", "target"],
+)
+def test_bad_value_names_its_key(tmp_path, capsys, config, argv, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = argv + ["--system", "system1", "--n-trajectories", "2", "--h", "1e-2"]
+    assert run(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trajectories", "{dir}", "--centers=-1:1:1,-1:1:1", "--out", "{dir}/out"],
+        ["--config", "{dir}", "--out", "{dir}/out"],
+        ["--system", "system1", "--n-trajectories", "1", "--h", "1e-2", "--out", "{file}/sub"],
+    ],
+    ids=["trajectories-dir", "config-dir", "out-under-file"],
+)
+def test_unusable_path_is_config_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("x")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    assert run(["identify"] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
