@@ -36,6 +36,7 @@ import numpy as np
 
 from .dynamics import (
     MonomialSpec,
+    _on_library,
     builtin_system,
     control_from_csv,
     integrate_rk4,
@@ -110,12 +111,17 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, kind in _FIELD_TYPES.items():
             object.__setattr__(self, name, _convert(name, getattr(self, name), *kind))
-        if self.mu is not None and not self.mu > 0:
-            raise ConfigError(f"mu must be positive, got {self.mu}")
+        for name in ("mu", "T", "h"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         for name, (least, label) in _AT_LEAST.items():
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ConfigError(f"{label} must be >= {least}, got {value}")
+        if self.trajectories and self.n_trajectories is not None:
+            raise ConfigError("n_trajectories counts simulated start states; "
+                              "it does not apply to --trajectories files")
         from_name(self.kernel, degree=self.degree)
         as_rule(self.rule)
         if self.solver not in _SOLVERS:
@@ -140,7 +146,9 @@ _WORDS = {str: "a string", int: "an integer", float: "a number", tuple: "a list"
 # field -> (least allowed value, its name in the error message); None passes
 _AT_LEAST = {"noise_sigma": (0, "noise sigma"), "filter_window": (1, "filter window"),
              "segments": (1, "segments"), "jobs": (1, "jobs"),
-             "basis_degree": (0, "basis degree"), "trials": (1, "trials")}
+             "basis_degree": (0, "basis degree"), "trials": (1, "trials"),
+             "n_trajectories": (1, "n_trajectories"), "print_every": (0, "print every"),
+             "settle_steps": (0, "settle steps")}
 
 
 def _convert(name: str, value, base: type, item, optional: bool):
@@ -234,13 +242,10 @@ def _simulate_system(cfg: ExperimentConfig):
     T = cfg.T if cfg.T is not None else row["T"]
     h = cfg.h if cfg.h is not None else row["h"]
     x0s = row["starts"]
-    if cfg.n_trajectories is not None:
-        if not 1 <= cfg.n_trajectories <= x0s.shape[0]:
-            raise ConfigError(
-                f"n_trajectories must be in 1..{x0s.shape[0]} for {cfg.system}, "
-                f"got {cfg.n_trajectories}"
-            )
-        x0s = x0s[: cfg.n_trajectories]
+    if (cfg.n_trajectories or 0) > x0s.shape[0]:
+        raise ConfigError(f"n_trajectories must be in 1..{x0s.shape[0]} for {cfg.system}, "
+                          f"got {cfg.n_trajectories}")
+    x0s = x0s[: cfg.n_trajectories]
     trajs = [integrate_rk4(field, x0, T, h) for x0 in x0s]
     return trajs, theta_true, sys_basis
 
@@ -306,10 +311,7 @@ def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
         return basis, None
     true = {term: value for term, value in zip(zip(sys_basis.labels, sys_basis.target_dims),
                                                theta_true) if value != 0.0}
-    terms = list(zip(basis.labels, basis.target_dims))
-    if not true.keys() <= set(terms):
-        return basis, None
-    return basis, np.array([true.get(term, 0.0) for term in terms])
+    return basis, _on_library(basis, true)
 
 
 def _centers_for(cfg: ExperimentConfig, dim: int) -> np.ndarray:
@@ -587,7 +589,7 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
     if cfg.system is None:
         raise ConfigError("occupation convergence requires --system")
     h_fine = min(hs) / 64.0
-    (fine,), _, _ = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1))
+    (fine,), _, _ = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1, trajectories=()))
     kernel = _kernel_for(cfg)
     ref = occupation_estimate(fine, kernel, "simpson")
     errors = []

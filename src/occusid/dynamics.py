@@ -45,7 +45,8 @@ class BasisSet:
     functions   : callables mapping (P, n) points to (P, n) values.
     labels      : printable name per function (monomial string for monomials).
     target_dims : 0-based output coordinate when the function acts on a single
-                  coordinate, else None. Used only for reporting.
+                  coordinate, else None. With the label it names a term: the
+                  report's dim column and the key that places true terms.
     known_part  : optional known dynamics h, same call convention, not weighted
                   by any parameter.
     """
@@ -145,16 +146,33 @@ def monomial_label(exponents: np.ndarray) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _monomial_function(exponents: np.ndarray, k: int, dim: int):
-    e = exponents.copy()
+def _library(dim: int, terms, known_part=None) -> BasisSet:
+    """BasisSet of single-coordinate terms g(X) e_k, one (label, k, g) row each.
 
-    def f(X, _e=e, _k=k, _dim=dim):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros((X.shape[0], _dim))
-        out[:, _k] = np.prod(X ** _e[None, :], axis=1)
-        return out
+    g maps (P, dim) points to the (P,) values of coordinate k (a scalar
+    broadcasts); every other coordinate is 0.
+    """
 
-    return f
+    def term(k, g):
+        def f(X):
+            X = np.atleast_2d(np.asarray(X, dtype=float))
+            out = np.zeros((X.shape[0], dim))
+            out[:, k] = g(X)
+            return out
+
+        return f
+
+    labels, dims, gs = zip(*terms)
+    return BasisSet(dim=dim, functions=tuple(term(k, g) for k, g in zip(dims, gs)),
+                    labels=labels, target_dims=dims, known_part=known_part)
+
+
+def _on_library(basis: BasisSet, terms: dict):
+    """theta on basis: terms[(label, k)] at each matching term, else 0; None if one is missing."""
+    keys = list(zip(basis.labels, basis.target_dims))
+    if not terms.keys() <= set(keys):
+        return None
+    return np.array([terms.get(key, 0.0) for key in keys])
 
 
 def monomial_basis(spec: MonomialSpec) -> BasisSet:
@@ -163,18 +181,9 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
     Size is dim * C(dim + degree, degree).
     """
     exps = monomial_exponents(spec.dim, spec.degree)
-    funcs, labels, dims = [], [], []
-    for k in range(spec.dim):
-        for e in exps:
-            funcs.append(_monomial_function(e, k, spec.dim))
-            labels.append(monomial_label(e))
-            dims.append(k)
-    return BasisSet(
-        dim=spec.dim,
-        functions=tuple(funcs),
-        labels=tuple(labels),
-        target_dims=tuple(dims),
-    )
+    return _library(spec.dim, [
+        (monomial_label(e), k, lambda X, e=e: np.prod(X ** e[None, :], axis=1))
+        for k in range(spec.dim) for e in exps])
 
 
 def monomial_index(spec: MonomialSpec, exponents, k: int) -> int:
@@ -308,56 +317,12 @@ def control_from_csv(path) -> Callable[[np.ndarray], np.ndarray]:
     return tau
 
 
-def _system1_field() -> VectorField:
-    def f(x):
-        return np.array([2.0 * x[0] - x[0] * x[1], 2.0 * x[0] ** 2 - x[1]])
-
-    return VectorField(dim=2, func=f)
-
-
-def _lorenz_field(sigma=10.0, rho=28.0, beta=8.0 / 3.0) -> VectorField:
-    def f(x):
-        return np.array(
-            [
-                sigma * (x[1] - x[0]),
-                x[0] * (rho - x[2]) - x[1],
-                x[0] * x[1] - beta * x[2],
-            ]
-        )
-
-    return VectorField(dim=3, func=f)
-
-
 # Plant parameters used when no explicit values are supplied for the
 # controlled benchmark form; chosen so test trajectories stay well scaled.
 EMPS_DEFAULT_THETA = np.array([1.2, 0.8, 0.4, 0.15])
 
 
 def _emps_basis(control) -> BasisSet:
-    def y_tau(X):
-        X = np.atleast_2d(X)
-        out = np.zeros_like(X)
-        out[:, 1] = control(X[:, 2])
-        return out
-
-    def y_visc(X):
-        X = np.atleast_2d(X)
-        out = np.zeros_like(X)
-        out[:, 1] = -X[:, 1]
-        return out
-
-    def y_coul(X):
-        X = np.atleast_2d(X)
-        out = np.zeros_like(X)
-        out[:, 1] = -np.sign(X[:, 1])
-        return out
-
-    def y_const(X):
-        X = np.atleast_2d(X)
-        out = np.zeros_like(X)
-        out[:, 1] = -1.0
-        return out
-
     def known(X):
         X = np.atleast_2d(X)
         out = np.zeros_like(X)
@@ -365,13 +330,24 @@ def _emps_basis(control) -> BasisSet:
         out[:, 2] = 1.0
         return out
 
-    return BasisSet(
-        dim=3,
-        functions=(y_tau, y_visc, y_coul, y_const),
-        labels=("tau", "-x2", "-sign(x2)", "-1"),
-        target_dims=(1, 1, 1, 1),
-        known_part=known,
-    )
+    return _library(3, [
+        ("tau", 1, lambda X: control(X[:, 2])),
+        ("-x2", 1, lambda X: -X[:, 1]),
+        ("-sign(x2)", 1, lambda X: -np.sign(X[:, 1])),
+        ("-1", 1, lambda X: -1.0),
+    ], known_part=known)
+
+
+# Dimension, right-hand side and true terms, keyed by (monomial label, output
+# coordinate), of the systems identified over a degree-2 monomial library.
+_POLYNOMIAL_SYSTEMS = {
+    "system1": (2, lambda x: np.array([2.0 * x[0] - x[0] * x[1], 2.0 * x[0] ** 2 - x[1]]),
+                {("x1", 0): 2.0, ("x1*x2", 0): -1.0, ("x1^2", 1): 2.0, ("x2", 1): -1.0}),
+    "lorenz": (3, lambda x: np.array([10.0 * (x[1] - x[0]), x[0] * (28.0 - x[2]) - x[1],
+                                      x[0] * x[1] - 8.0 / 3.0 * x[2]]),
+               {("x1", 0): -10.0, ("x2", 0): 10.0, ("x1", 1): 28.0, ("x2", 1): -1.0,
+                ("x1*x3", 1): -1.0, ("x1*x2", 2): 1.0, ("x3", 2): -8.0 / 3.0}),
+}
 
 
 def builtin_system(name: str, control=None, theta=None):
@@ -386,27 +362,10 @@ def builtin_system(name: str, control=None, theta=None):
                 control_from_csv); theta defaults to EMPS_DEFAULT_THETA. The
                 known part h(x) = (x2, 0, 1) is carried on the basis.
     """
-    if name == "system1":
-        spec = MonomialSpec(dim=2, degree=2)
-        basis = monomial_basis(spec)
-        theta_true = np.zeros(len(basis))
-        theta_true[monomial_index(spec, (1, 0), 0)] = 2.0
-        theta_true[monomial_index(spec, (1, 1), 0)] = -1.0
-        theta_true[monomial_index(spec, (2, 0), 1)] = 2.0
-        theta_true[monomial_index(spec, (0, 1), 1)] = -1.0
-        return _system1_field(), theta_true, basis
-    if name == "lorenz":
-        spec = MonomialSpec(dim=3, degree=2)
-        basis = monomial_basis(spec)
-        theta_true = np.zeros(len(basis))
-        theta_true[monomial_index(spec, (1, 0, 0), 0)] = -10.0
-        theta_true[monomial_index(spec, (0, 1, 0), 0)] = 10.0
-        theta_true[monomial_index(spec, (1, 0, 0), 1)] = 28.0
-        theta_true[monomial_index(spec, (0, 1, 0), 1)] = -1.0
-        theta_true[monomial_index(spec, (1, 0, 1), 1)] = -1.0
-        theta_true[monomial_index(spec, (1, 1, 0), 2)] = 1.0
-        theta_true[monomial_index(spec, (0, 0, 1), 2)] = -8.0 / 3.0
-        return _lorenz_field(), theta_true, basis
+    if name in _POLYNOMIAL_SYSTEMS:
+        dim, f, terms = _POLYNOMIAL_SYSTEMS[name]
+        basis = monomial_basis(MonomialSpec(dim=dim, degree=2))
+        return VectorField(dim=dim, func=f), _on_library(basis, terms), basis
     if name == "emps_form":
         if control is None:
             raise ValueError(

@@ -4,9 +4,10 @@ Samples arrive one or more at a time on the same uniform grid the batch
 pipeline uses. Each new sample closes a panel [t_k, t_k+1] whose trapezoid
 contribution is added to the running constraint matrix, so at any moment the
 growing-window state equals the batch assembly (trapezoid rule) on the data
-seen so far. The right side needs no integral at all: it is rebuilt from the
-current endpoints as Psi(gamma(t)) - Psi(gamma(0)) minus the known-part
-accumulator.
+seen so far. One accumulator sums the rows of the basis fields and of the
+known part (sysid._fields); matrices() splits off the known column and
+rebuilds the right side from the current endpoints as Psi(gamma(t)) -
+Psi(gamma(0)) minus it, with no other integral.
 
 A positive window length keeps a ring of recent panel contributions and
 subtracts those that expire, yielding the sliding-window system
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dynamics import BasisSet
 from .errors import DivergenceError
-from .sysid import _constraint_rows, _rank_cond, _svd_solve
+from .sysid import _fields, _known_split, _rank_cond, _svd_solve
 from .trajectory import GRID_RTOL, off_grid
 
 
@@ -69,15 +70,15 @@ class StreamState:
         self.time = 0.0
         self.t0 = None
         self.n_samples = 0
-        self._prev_rows = None  # (S, M) and (S,) pieces of the last sample
+        self._prev_rows = None  # (S, M') rows of the last sample, known column included
         # psi(x) = [K(x, c_s)]_s at the window's right end and at its left end
         # (the first sample, or the right end of the last expired panel).
         self._psi_last = None
         self._psi_left = None
-        # Panel sums over the active window; with window 0 nothing expires.
-        self.A_acc = np.zeros((S, M))
-        self.known_acc = np.zeros(S)
-        # Ring of (panel_A, panel_known, psi of the right end, end_time).
+        # Panel sums over the active window, (S, M') with the known part as
+        # column M when there is one; with window 0 nothing expires.
+        self._acc = np.zeros((S, M + (basis.known_part is not None)))
+        # Ring of (panel, psi of the right end, end_time).
         self._panels = deque()
         self._auto_alpha = 1.0
 
@@ -85,9 +86,9 @@ class StreamState:
 
     def matrices(self):
         """Current (A, b) of the active window as fresh arrays."""
-        if self.n_samples == 0:
-            return self.A_acc.copy(), np.zeros(self.centers.shape[0])
-        return self.A_acc.copy(), self._psi_last - self._psi_left - self.known_acc
+        A, known = _known_split(self._acc, len(self.basis))
+        b = np.zeros(len(A)) if self.n_samples == 0 else self._psi_last - self._psi_left - known
+        return A.copy(), b
 
 
 def new_stream(centers, basis: BasisSet, kernel, step: float, window: float = 0.0,
@@ -120,8 +121,8 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
                     f"expected {float(t_expect)!r}"
                 )
         # grad1(x, c_s) against every basis field, and against the known part
-        [(rows, known_rows)] = _constraint_rows(x[None], state.centers, state.basis,
-                                                state.kernel, [np.ones(1)])
+        [rows] = state.kernel.assemble_block_multi(x[None], state.centers,
+                                                   _fields(state.basis, x[None]), [np.ones(1)])
         psi = state.kernel.matrix(x[None], state.centers)[0]
         if state.n_samples == 0:
             state.t0 = 0.0 if times is None else float(times[q])
@@ -129,20 +130,16 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
             state._psi_left = psi
         else:
             state.time += h
-            prev_rows, prev_known = state._prev_rows
-            panel_A = (h / 2.0) * (prev_rows + rows)
-            panel_known = (h / 2.0) * (prev_known + known_rows)
-            state.A_acc += panel_A
-            state.known_acc += panel_known
+            panel = (h / 2.0) * (state._prev_rows + rows)
+            state._acc += panel
             if state.window > 0:
-                state._panels.append((panel_A, panel_known, psi, state.time))
+                state._panels.append((panel, psi, state.time))
                 cutoff = state.time - state.window + GRID_RTOL * h
-                while state._panels and state._panels[0][3] <= cutoff:
-                    old_A, old_known, state._psi_left, _ = state._panels.popleft()
-                    state.A_acc -= old_A
-                    state.known_acc -= old_known
+                while state._panels and state._panels[0][2] <= cutoff:
+                    old, state._psi_left, _ = state._panels.popleft()
+                    state._acc -= old
         state._psi_last = psi
-        state._prev_rows = (rows, known_rows)
+        state._prev_rows = rows
         state.n_samples += 1
     A, _ = state.matrices()
     state._auto_alpha = _default_alpha(A)

@@ -14,9 +14,10 @@ makes the estimates robust to measurement noise.
 
 A known part h is integrated like a basis function and moved to the right
 side. This module owns that convention for every route (direct, ILS, Gram,
-streaming): _fields stacks h as field M, and _constraint_rows splits one
-kernel pass into the (S, M) rows and h's column. _rank_cond is the one rank
-rule of every solver and report. Solvers operate on the
+streaming): _fields stacks h as field M, and _known_split splits the direct
+rows, the ILS rows and the stream's accumulator into the M parameter columns
+and h's column. _rank_cond is the one rank rule of every solver and report.
+Solvers operate on the
 stacked system: truncated-SVD least squares, ridge, and a two-stage sparse
 path (coordinate-descent lasso, then thresholded refits). A baseline that
 integrates the dynamics componentwise (n rows per trajectory instead of one
@@ -147,14 +148,9 @@ def _fields(basis: BasisSet, X) -> np.ndarray:
     return F if kv is None else np.concatenate([F, kv[None]])
 
 
-def _constraint_rows(X, centers, basis: BasisSet, kernel, ws):
-    """Per weight vector, the (S, M) rows and the known part's (S,) column (0.0 without one).
-
-    All weight vectors share one assemble_block_multi pass over _fields(basis, X).
-    """
-    M = len(basis)
-    blocks = kernel.assemble_block_multi(X, centers, _fields(basis, X), ws)
-    return [(blk[:, :M], blk[:, M] if blk.shape[1] > M else 0.0) for blk in blocks]
+def _known_split(a: np.ndarray, M: int):
+    """(a[..., :M], a[..., M]) of entries over _fields; the known column is 0.0 without h."""
+    return a[..., :M], (a[..., M] if a.shape[-1] > M else 0.0)
 
 
 def _checked_trajectories(trajs, basis: BasisSet):
@@ -168,10 +164,11 @@ def _checked_trajectories(trajs, basis: BasisSet):
 def _block_for_trajectory(traj, centers, basis, kernel, rules):
     """Per-rule (A_block, b_block) for one trajectory, sharing kernel passes."""
     ws = [weights(rule, traj.n_intervals, traj.step) for rule in rules]
-    rows = _constraint_rows(traj.samples, centers, basis, kernel, ws)
+    blocks = kernel.assemble_block_multi(traj.samples, centers, _fields(basis, traj.samples), ws)
     phi_end = kernel.matrix(traj.final[None], centers)[0]
     phi_start = kernel.matrix(traj.initial[None], centers)[0]
-    _require_finite(kernel, phi_end, phi_start, *(a for pair in rows for a in pair))
+    _require_finite(kernel, phi_end, phi_start, *blocks)
+    rows = [_known_split(blk, len(basis)) for blk in blocks]
     return [(A_blk, phi_end - phi_start - known_col) for A_blk, known_col in rows]
 
 
@@ -346,8 +343,8 @@ def ils_assemble(trajs, basis: BasisSet, rule) -> ConstraintSystem:
     for j, traj in enumerate(trajs):
         w = weights(rule, traj.n_intervals, traj.step)
         ints = np.tensordot(_fields(basis, traj.samples), w, axes=(1, 0))  # (M', n)
-        A[j * n : (j + 1) * n] = ints[:M].T
-        b[j * n : (j + 1) * n] = traj.final - traj.initial - (ints[M] if len(ints) > M else 0.0)
+        A[j * n : (j + 1) * n], known = _known_split(ints.T, M)
+        b[j * n : (j + 1) * n] = traj.final - traj.initial - known
     return ConstraintSystem(A, b, n_trajectories=N, n_centers=n, labels=tuple(basis.labels))
 
 

@@ -427,6 +427,47 @@ def test_bad_jobs_rejected_before_simulation(tmp_path, capsys, monkeypatch, argv
     assert "jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stream", "--h", "-0.01"], "h must be positive, got -0.01"),
+        (["simulate", "--system", "system1", "--T", "-1"], "T must be positive, got -1.0"),
+        (["stream", "--settle-steps", "-5"], "settle steps must be >= 0, got -5"),
+        (["stream", "--print-every", "-1"], "print every must be >= 0, got -1"),
+        (["identify", "--system", "system1", "--n-trajectories", "0"],
+         "n_trajectories must be >= 1, got 0"),
+    ],
+    ids=["stream-h", "simulate-T", "settle-steps", "print-every", "n-trajectories"],
+)
+def test_out_of_range_setting_names_itself(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream_rows(20)))
+    out = tmp_path / "out"
+    assert run(argv + ["--centers=-1:3:1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("count, message", [(1, "it does not apply to --trajectories files"),
+                                            (0, "n_trajectories must be >= 1, got 0")])
+def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, via, count,
+                                                              message):
+    assert run(["simulate", "--system", "system1", "--n-trajectories", "1", "--h", "1e-2",
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = str(tmp_path / "traj_000.csv")
+    if via == "flag":
+        argv = ["--trajectories", path, "--n-trajectories", str(count)]
+    else:
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"trajectories": [path], "n_trajectories": count}))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert run(["identify", "--system", "system1", "--out", str(out)] + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestMonteCarlo:
     ARGS = ["montecarlo", "--system", "system1", "--trials", "2", "--segments", "2",
             "--mu", "10", "--basis-degree", "2", "--n-trajectories", "5", "--h", "1e-2"]
@@ -547,6 +588,13 @@ class TestStream:
             assert len(cells) == 5  # time, three degree-2 coefficients, residual
             assert all(np.isfinite(float(c)) for c in cells)
         assert float(lines[-1].split(",")[0]) == pytest.approx(79 * 0.01)
+
+    def test_zero_print_every_and_settle_steps_mean_none(self, monkeypatch, capsys):
+        rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1", "--print-every", "0",
+                                      "--settle-steps", "0"], stream_rows(30))
+        assert rc == 0
+        (line,) = capsys.readouterr().out.strip().splitlines()  # the final line only
+        assert float(line.split(",")[0]) == pytest.approx(29 * 0.01)
 
     def test_bad_header(self, monkeypatch, capsys):
         rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], "time,x\n0,1\n")

@@ -195,6 +195,39 @@ class TestBuiltinSystems:
         with pytest.raises(ValueError):
             oc.builtin_system("mystery")
 
+    @pytest.mark.parametrize("name, dim, terms", [
+        ("system1", 2, {((1, 0), 0): 2.0, ((1, 1), 0): -1.0, ((2, 0), 1): 2.0,
+                        ((0, 1), 1): -1.0}),
+        ("lorenz", 3, {((1, 0, 0), 0): -10.0, ((0, 1, 0), 0): 10.0, ((1, 0, 0), 1): 28.0,
+                       ((0, 1, 0), 1): -1.0, ((1, 0, 1), 1): -1.0, ((1, 1, 0), 2): 1.0,
+                       ((0, 0, 1), 2): -8.0 / 3.0}),
+    ])
+    def test_true_theta_matches_monomial_index_placement(self, name, dim, terms):
+        spec = MonomialSpec(dim, 2)
+        expect = np.zeros(len(oc.monomial_basis(spec)))
+        for (exps, k), value in terms.items():
+            expect[monomial_index(spec, exps, k)] = value
+        _, theta_true, _ = oc.builtin_system(name)
+        assert np.array_equal(theta_true, expect)
+
+
+def _library_of(name):
+    if name == "emps_form":
+        return oc.builtin_system(name, control=lambda t: np.sin(3.0 * t) + 2.0)[2]
+    if name == "monomial_3d_deg3":
+        return oc.monomial_basis(MonomialSpec(3, 3))
+    return oc.builtin_system(name)[2]
+
+
+@pytest.mark.parametrize("name", ["system1", "lorenz", "emps_form", "monomial_3d_deg3"])
+def test_terms_are_zero_off_their_target_coordinate(name):
+    basis = _library_of(name)
+    X = np.random.default_rng(7).normal(size=(6, basis.dim))
+    V = basis.values(X)
+    for i, k in enumerate(basis.target_dims):
+        off = np.delete(V[i], k, axis=1)
+        assert np.array_equal(off, np.zeros_like(off)), basis.labels[i]
+
 
 class TestControlCsv:
     def test_interpolation(self, tmp_path):

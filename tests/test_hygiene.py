@@ -1,4 +1,4 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import and private helper is used."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,46 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: dict) -> list[str]:
+    """Module-level private names (`_x`, dunders excluded) that no module reads.
+
+    sources maps a module name to its text. A name counts as read when any
+    module loads it, reads it as an attribute, or imports it by name.
+    """
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{module}: {name}" for module, name in defined if name not in used)
+
+
+def test_checker_finds_an_unreferenced_private_name():
+    sources = {
+        "a": "_LIMIT = 3\n_unused_table = {}\ndef _helper():\n    return _LIMIT\n"
+             "def _dead():\n    pass\nclass _Gone:\n    pass\n__all__ = []\n",
+        "b": "from a import _helper\nimport a\nprint(_helper(), a._Gone)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a: _dead", "a: _unused_table"]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
