@@ -117,7 +117,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for name, (least, label) in _AT_LEAST.items():
             value = getattr(self, name)
-            if value is not None and value < least:
+            if value is not None and not value >= least:
                 raise ConfigError(f"{label} must be >= {least}, got {value}")
         if self.trajectories and self.n_trajectories is not None:
             raise ConfigError("n_trajectories counts simulated start states; "
@@ -148,7 +148,8 @@ _AT_LEAST = {"noise_sigma": (0, "noise sigma"), "filter_window": (1, "filter win
              "segments": (1, "segments"), "jobs": (1, "jobs"),
              "basis_degree": (0, "basis degree"), "trials": (1, "trials"),
              "n_trajectories": (1, "n_trajectories"), "print_every": (0, "print every"),
-             "settle_steps": (0, "settle steps")}
+             "settle_steps": (0, "settle steps"), "rcond": (0, "rcond"), "lam": (0, "lambda"),
+             "threshold": (0, "threshold"), "window": (0, "window"), "alpha": (0, "alpha")}
 
 
 def _convert(name: str, value, base: type, item, optional: bool):
@@ -163,6 +164,8 @@ def _convert(name: str, value, base: type, item, optional: bool):
             or item is not None and not all(isinstance(v, item) for v in value)):
         what = _WORDS[base] if item is None else f"{_WORDS[base]} of {item.__name__}"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if base is float and not np.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
     return value
 
 
@@ -263,11 +266,18 @@ def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
     """Noise (trajectory j drawn with seeds[j]) -> moving average -> segments.
 
     An unset stage (None) is skipped, as are sigma 0, window 1 and 1 segment.
+    The filter keeps full windows only: the trailing average lags less while
+    its window fills, so its first window - 1 rows would bias the estimate.
     """
     if (cfg.noise_sigma or 0.0) > 0:
         trajs = [add_measurement_noise(t, cfg.noise_sigma, sd) for t, sd in zip(trajs, seeds)]
-    if (cfg.filter_window or 1) > 1:
-        trajs = [moving_average(t, cfg.filter_window) for t in trajs]
+    w = cfg.filter_window or 1
+    if w > 1:
+        shortest = min(t.n_samples for t in trajs)
+        if shortest - w + 1 < 3:
+            raise ConfigError(f"filter window {w} keeps fewer than 3 of a trajectory's "
+                              f"{shortest} samples")
+        trajs = [Trajectory(moving_average(t, w).samples[w - 1:], t.step) for t in trajs]
     if (cfg.segments or 1) > 1:
         trajs = [piece for t in trajs for piece in segment(t, cfg.segments)]
     return trajs
@@ -639,8 +649,9 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
         for t, x in pending:
             try:
                 stream_push(state, x, times=[t])
-            except ValueError as exc:  # a grid error: far from the origin t1 - t0 drifts
-                hint = "" if cfg.h is not None else (
+            except ValueError as exc:
+                # far from the origin t1 - t0 drifts, so a grid error names --h
+                hint = "" if cfg.h is not None or not str(exc).startswith("grid") else (
                     f"; the step {FMT % h} came from the first two rows, pass --h to set it")
                 raise ConfigError(f"line {lineno}: {exc}{hint}") from None
             gradient_chase_step(state)

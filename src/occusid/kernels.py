@@ -38,10 +38,12 @@ FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
 factor exactly through the center-constraint matrix.
 
-Vectorized helpers (matrix, grad1_contract, assemble_block_multi, ...) accumulate
-long time axes in fixed-size chunks, in time order, so results are
-reproducible run to run. Overflow yields non-finite entries without a
-warning; the assembly layers check for them.
+assemble_block_multi accumulates long time axes in CHUNK-sample pieces, in
+time order, so results are reproducible run to run. matrix, grad1_contract
+and pre_inner_pairwise build their whole result at once; the double
+quadratures that call them (quadrature.occupation_inner,
+gramsysid._gram_blocks) chunk their own rows. Overflow yields non-finite
+entries without a warning; the assembly layers check for them.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import BasisSet
 from .errors import DivergenceError
-from .sysid import _fields, _known_split, _rank_cond, _svd_solve
+from .sysid import _fields, _known_split, _rank_cond, _require_finite, _svd_solve
 from .trajectory import GRID_RTOL, off_grid
 
 
@@ -51,11 +51,11 @@ class StreamState:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.shape[1] != basis.dim:
             raise ValueError(f"centers have dimension {centers.shape[1]}, expected {basis.dim}")
-        if step <= 0:
+        if not step > 0:
             raise ValueError(f"step must be positive, got {step}")
-        if window < 0:
+        if not window >= 0:
             raise ValueError(f"window must be >= 0 (0 means growing), got {window}")
-        if alpha is not None and alpha < 0:
+        if alpha is not None and not alpha >= 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.centers = centers
         self.basis = basis
@@ -101,11 +101,16 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
 
     times, when given, are the absolute sample times and are checked against
     the grid (the first sample ever seen sets the origin); a time that is
-    `off_grid` is a grid discontinuity error.
+    `off_grid` is a grid discontinuity error. Non-finite samples are a
+    ValueError and a kernel row that overflows a DivergenceError, each raised
+    before the sample changes the state; a system whose A^T A overflows is a
+    DivergenceError once the samples are in.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != state.basis.dim:
         raise ValueError(f"samples have dimension {samples.shape[1]}, expected {state.basis.dim}")
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
     if times is not None:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.shape != (samples.shape[0],):
@@ -124,6 +129,7 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
         [rows] = state.kernel.assemble_block_multi(x[None], state.centers,
                                                    _fields(state.basis, x[None]), [np.ones(1)])
         psi = state.kernel.matrix(x[None], state.centers)[0]
+        _require_finite(state.kernel, rows, psi)
         if state.n_samples == 0:
             state.t0 = 0.0 if times is None else float(times[q])
             state.time = state.t0
@@ -142,7 +148,7 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
         state._prev_rows = rows
         state.n_samples += 1
     A, _ = state.matrices()
-    state._auto_alpha = _default_alpha(A)
+    state._auto_alpha = _default_alpha(A, state.kernel)
     return state
 
 
@@ -151,10 +157,16 @@ def stream_matrices(state: StreamState):
     return state.matrices()
 
 
-def _default_alpha(A: np.ndarray) -> float:
-    """1 / lambda_max(A^T A) by 10 power iterations from a fixed start."""
+def _default_alpha(A: np.ndarray, kernel) -> float:
+    """1 / lambda_max(A^T A) by 10 power iterations from a fixed start.
+
+    Finite entries of A can still square past the float range (kernel values
+    near 1e154 and above); that is the kernel's overflow, reported as such.
+    """
     M = A.shape[1]
-    B = A.T @ A
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = A.T @ A
+    _require_finite(kernel, B)
     v = np.full(M, 1.0 / np.sqrt(M))
     lam = 0.0
     for _ in range(10):

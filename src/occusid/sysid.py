@@ -207,7 +207,7 @@ def _rank_cond(s: np.ndarray, rcond: float):
 
     An empty or all-zero spectrum, or a cut above s[0], gives (0, inf).
     """
-    if rcond < 0:
+    if not rcond >= 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
     if s.size == 0 or s[0] <= 0.0:
         return 0, np.inf
@@ -246,7 +246,7 @@ def solve_pinv(sys: ConstraintSystem, rcond: float = 1e-12) -> EstimationResult:
 
 def solve_ridge(sys: ConstraintSystem, lam: float, rcond: float = 1e-12) -> EstimationResult:
     """Minimizer of ||A theta - b||^2 + lam ||theta||^2 through the SVD."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     U, s, Vt = np.linalg.svd(sys.A, full_matrices=False)
     rank, cond = _rank_cond(s, rcond)
@@ -299,9 +299,9 @@ def solve_sparse(
     threshold, refits unpenalized least squares on the surviving support, and
     repeats until the support is stable (or max_refits is hit).
     """
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     if max_refits < 1:
         raise ValueError(f"max_refits must be >= 1, got {max_refits}")

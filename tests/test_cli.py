@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +122,14 @@ class TestIdentify:
         rc = run(self.ARGS + ["--noise-sigma", "0.01", "--filter-window", "5",
                               "--segments", "2", "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_filter_lowers_noisy_error(self):
+        # the fill-in rows of the trailing average lag less than its full
+        # windows; kept, they made the filtered estimate worse than the raw one
+        noisy = ExperimentConfig(system="system1", noise_sigma=0.01, seed=3000)
+        raw = cli.run_identify(noisy).l2_error
+        filtered = cli.run_identify(replace(noisy, filter_window=20)).l2_error
+        assert filtered < raw / 2
 
     def test_solvers_agree_on_clean_data(self, tmp_path):
         errs = {}
@@ -283,6 +291,17 @@ def test_flag_and_config_key_give_equal_configs(tmp_path, name):
     assert from_flag == from_file != ExperimentConfig()
 
 
+def test_readme_experiment_commands_build_configs():
+    # each command of the Experiments table parses and validates without running
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Experiments\n")[1].split("\n## ")[0]
+    commands = re.findall(r"`occusid ([^`]*)`", table)
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for command in commands:
+        cli._merge_config(parser.parse_args(command.split()))
+
+
 def test_every_flag_is_in_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     missing = [flag for flag in setting_flags().values()
@@ -301,13 +320,14 @@ def test_every_flag_is_in_readme():
         ({}, ["sweep", "--param", "segments", "--values", "2.5,2"],
          "segments must be an integer, got '2.5'"),
         ({}, ["identify", "--seed", "1.5"], "seed must be an integer, got '1.5'"),
+        ({"noise_sigma": float("nan")}, ["identify"], "noise_sigma must be finite, got nan"),
         ({}, ["identify", "--solver", "lstsq"], "unknown solver 'lstsq'"),
         ({"kernel": "rbf"}, ["identify"], "unknown kernel name 'rbf'"),
         ({}, ["identify", "--rule", "midpoint"], "unknown quadrature rule 'midpoint'"),
         ({}, ["convergence", "--target", "order"], "unknown convergence target 'order'"),
     ],
     ids=["config-mu", "config-jobs", "config-segments", "config-trajectories",
-         "sweep-segments", "flag-seed", "solver", "kernel", "rule", "target"],
+         "sweep-segments", "flag-seed", "config-nan", "solver", "kernel", "rule", "target"],
 )
 def test_bad_value_names_its_key(tmp_path, capsys, config, argv, message):
     path = tmp_path / "cfg.json"
@@ -436,8 +456,11 @@ def test_bad_jobs_rejected_before_simulation(tmp_path, capsys, monkeypatch, argv
         (["stream", "--print-every", "-1"], "print every must be >= 0, got -1"),
         (["identify", "--system", "system1", "--n-trajectories", "0"],
          "n_trajectories must be >= 1, got 0"),
+        (["identify", "--system", "system1", "--h", "1e-2", "--filter-window", "100"],
+         "filter window 100 keeps fewer than 3 of a trajectory's 101 samples"),
     ],
-    ids=["stream-h", "simulate-T", "settle-steps", "print-every", "n-trajectories"],
+    ids=["stream-h", "simulate-T", "settle-steps", "print-every", "n-trajectories",
+         "filter-window"],
 )
 def test_out_of_range_setting_names_itself(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stream_rows(20)))
@@ -445,6 +468,20 @@ def test_out_of_range_setting_names_itself(tmp_path, capsys, monkeypatch, argv, 
     assert run(argv + ["--centers=-1:3:1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: config: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, message", [
+    *[(name, "nan", f"{name} must be finite, got nan")
+      for name, kind in cli._FIELD_TYPES.items() if kind[0] is float],
+    ("mu", "inf", "mu must be finite, got inf"),
+    *[(name, "-1", f"{label} must be >= 0, got -1.0") for name, label in
+      [("rcond", "rcond"), ("lam", "lambda"), ("threshold", "threshold"), ("window", "window"),
+       ("alpha", "alpha")]],
+])
+def test_number_setting_must_be_finite_and_in_range(name, text, message):
+    ns = cli.build_parser().parse_args(["identify", f"{setting_flags()[name]}={text}"])
+    with pytest.raises(cli.ConfigError, match=f"^{message}$"):
+        cli._merge_config(ns)
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -606,6 +643,18 @@ class TestStream:
         rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], text)
         assert rc == 2
         assert "grid discontinuity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, argv, code, message", [
+        ("nan", [], 2, "config: line 4: samples must be finite\n"),  # no --h hint
+        # the kernel rows stay finite (about 1e237) but A^T A overflows
+        ("-2.48", ["--kernel", "expdot", "--mu", "60"], 3, "numerical: kernel exp_dot with mu=60"),
+    ], ids=["nan-sample", "kernel-overflow"])
+    def test_bad_sample_or_kernel_fails_as_in_batch(self, monkeypatch, capsys, recwarn,
+                                                    cell, argv, code, message):
+        text = f"t,x1,x2\n0.0,-0.5,-2.5\n0.01,-0.5,-2.49\n0.02,-0.5,{cell}\n"
+        assert run_stream(monkeypatch, ["stream", "--system", "system1"] + argv, text) == code
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert [str(w.message) for w in recwarn] == []
 
     def test_divergent_alpha_is_numerical_error(self, monkeypatch, capsys):
         rc = run_stream(

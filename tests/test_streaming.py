@@ -30,13 +30,15 @@ class TestValidation:
 
     def test_step_positive(self, setup):
         basis, _, centers = setup
-        with pytest.raises(ValueError):
-            oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), 0.0)
+        for step in (0.0, np.nan):
+            with pytest.raises(ValueError, match="step"):
+                oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), step)
 
     def test_window_nonnegative(self, setup):
         basis, _, centers = setup
-        with pytest.raises(ValueError):
-            oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), 0.01, window=-1.0)
+        for kw in ({"window": -1.0}, {"window": np.nan}, {"alpha": np.nan}):
+            with pytest.raises(ValueError, match=next(iter(kw))):
+                oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), 0.01, **kw)
 
     def test_theta0_shape(self, setup):
         basis, _, centers = setup
@@ -47,6 +49,20 @@ class TestValidation:
         st = fresh_stream(setup)
         with pytest.raises(ValueError):
             oc.stream_push(st, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("sample, error, match", [
+        ([[0.5, -2.0], [0.5, np.nan]], ValueError, "finite"),  # the first sample is valid
+        ([400.0, 400.0], DivergenceError, "exp_dot with mu=1"),  # exp(x . c) overflows
+    ])
+    def test_bad_sample_rejected_before_any_change(self, setup, sample, error, match):
+        basis, tr, centers = setup
+        st = oc.new_stream(centers, basis, oc.exp_dot(1.0), tr.step)
+        oc.stream_push(st, tr.samples[:3])
+        A, b = oc.stream_matrices(st)
+        with pytest.raises(error, match=match):
+            oc.stream_push(st, sample)
+        assert st.n_samples == 3
+        assert all(np.array_equal(u, v) for u, v in zip((A, b), oc.stream_matrices(st)))
 
     def test_empty_state_matrices(self, setup):
         st = fresh_stream(setup)

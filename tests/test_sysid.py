@@ -180,8 +180,9 @@ class TestSolveRidge:
 
     def test_negative_lambda_rejected(self):
         s = oc.ConstraintSystem(np.eye(2), np.ones(2), 1, 2)
-        with pytest.raises(ValueError):
-            oc.solve_ridge(s, -0.5)
+        for lam in (-0.5, np.nan):  # NaN fails every comparison, so it is named too
+            with pytest.raises(ValueError, match="lambda"):
+                oc.solve_ridge(s, lam)
 
     def test_rank_uses_rcond(self):
         s = oc.ConstraintSystem(np.diag([1.0, 1e-8]), np.ones(2), 1, 2)
@@ -217,15 +218,23 @@ class TestRankRule:
 
     def test_negative_rcond_rejected_everywhere(self):
         sys = oc.ConstraintSystem(np.eye(3), np.ones(3), n_trajectories=1, n_centers=3)
-        for call in (lambda: oc.solve_pinv(sys, rcond=-1.0),
-                     lambda: oc.solve_ridge(sys, 0.1, rcond=-1.0),
-                     lambda: oc.diagnostics(sys, rcond=-1.0),
-                     lambda: oc.solve_sparse(sys, 1e-3, 0.0, rcond=-1.0)):
-            with pytest.raises(ValueError, match="rcond"):
-                call()
+        for rcond in (-1.0, np.nan):
+            for call in (lambda: oc.solve_pinv(sys, rcond=rcond),
+                         lambda: oc.solve_ridge(sys, 0.1, rcond=rcond),
+                         lambda: oc.diagnostics(sys, rcond=rcond),
+                         lambda: oc.solve_sparse(sys, 1e-3, 0.0, rcond=rcond)):
+                with pytest.raises(ValueError, match="rcond"):
+                    call()
 
 
 class TestSolveSparse:
+    @pytest.mark.parametrize("lam, threshold, name", [
+        (-1.0, 0.1, "lambda"), (np.nan, 0.1, "lambda"),
+        (0.1, -1.0, "threshold"), (0.1, np.nan, "threshold")])
+    def test_negative_or_nan_setting_rejected(self, lam, threshold, name):
+        with pytest.raises(ValueError, match=name):
+            oc.solve_sparse(oc.ConstraintSystem(np.eye(2), np.ones(2), 1, 2), lam, threshold)
+
     def test_orthonormal_soft_threshold(self):
         # With A = I the lasso stage is exact soft-thresholding of b; entries
         # surviving |.| >= threshold are then refit without penalty.
