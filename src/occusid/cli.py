@@ -283,11 +283,20 @@ def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
     return trajs
 
 
-def _prepare_data(cfg: ExperimentConfig):
-    """Trajectories after the load/simulate -> noise -> filter -> segment pipeline."""
-    trajs, theta_true, sys_basis = _source_data(cfg)
-    trajs = _noise_filter_segment(cfg, trajs, [cfg.seed + j for j in range(len(trajs))])
-    return trajs, theta_true, sys_basis
+def _clean_base(cfg: ExperimentConfig) -> list:
+    """The loaded or simulated trajectories as (samples, step) pairs, which pickle plainly."""
+    trajs, _, _ = _source_data(cfg)
+    return [(t.samples, t.step) for t in trajs]
+
+
+def _staged(cfg: ExperimentConfig, base, seeds=None):
+    """(trajectories, theta_true, system basis): the clean base through noise, filter, segments.
+
+    Trajectory j's noise is drawn with seeds[j], by default cfg.seed + j.
+    """
+    seeds = [cfg.seed + j for j in range(len(base))] if seeds is None else seeds
+    trajs = _noise_filter_segment(cfg, [Trajectory(s, h) for s, h in base], seeds)
+    return (trajs, *_truth(cfg))
 
 
 def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
@@ -354,10 +363,10 @@ def run_identify(cfg: ExperimentConfig, data=None) -> IdentifyOutcome:
     """The full estimation pipeline for one configuration.
 
     data, when given, is the (trajectories, theta_true, system basis) triple
-    that `_prepare_data` would return, already noised, filtered and segmented.
+    of `_staged`, already noised, filtered and segmented.
     """
     start = time.perf_counter()
-    trajs, theta_true, sys_basis = _prepare_data(cfg) if data is None else data
+    trajs, theta_true, sys_basis = _staged(cfg, _clean_base(cfg)) if data is None else data
     basis, targets = _build_basis(cfg, trajs[0].dim, theta_true, sys_basis)
     result = _SOLVERS[cfg.solver](trajs, basis, _kernel_for(cfg), cfg)
     l2 = max_err = None
@@ -488,9 +497,13 @@ _SWEEP_PARAMS = ("mu", "noise_sigma", "segments", "n_trajectories", "filter_wind
                  "basis_degree", "seed")
 
 
-def _identify_error(cfg: ExperimentConfig) -> float:
-    """The l2 error of identify: one sweep point or convergence rung."""
-    return _known_error(run_identify(cfg))
+def _identify_error(task) -> float:
+    """The l2 error of identify at one (cfg, base) sweep point or convergence rung.
+
+    base, when not None, is the clean data of `_clean_base`, shared by the points.
+    """
+    cfg, base = task
+    return _known_error(run_identify(cfg, None if base is None else _staged(cfg, base)))
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
@@ -502,7 +515,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         )
     values = [_parse_text(cfg.param, v) for v in cfg.values.split(",")]
     points = [replace(cfg, **{cfg.param: v}) for v in values]  # checks all before any run
-    errors = _run_tasks(_identify_error, points, cfg)
+    # Only n_trajectories changes the clean data; other points share one load or simulation.
+    base = None if cfg.param == "n_trajectories" else _clean_base(cfg)
+    errors = _run_tasks(_identify_error, [(point, base) for point in points], cfg)
     path = _write_table(cfg, "sweep.csv", "value,error", zip(values, errors))
     print(f"wrote {path}")
     return 0
@@ -539,8 +554,7 @@ def _mc_trial(args):
         seeds = [cfg.seed + trial]
     else:
         seeds = [(cfg.seed + trial) * 100_003 + j for j in range(len(base))]
-    trajs = _noise_filter_segment(cfg, [Trajectory(s, h) for s, h in base], seeds)
-    data = (trajs, *_truth(cfg))
+    data = _staged(cfg, base, seeds)
     ok = run_identify(replace(cfg, solver="pinv"), data)
     ok_error = _known_error(ok)
     ils = run_identify(replace(cfg, solver="ils"), data)
@@ -552,8 +566,7 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     if cfg.system is None:
         raise ConfigError("montecarlo requires --system (or the default lorenz setup)")
     # Base data is simulated once, clean; noise/filter/segments are per trial.
-    trajs, _, _ = _source_data(cfg)
-    base = [(t.samples, t.step) for t in trajs]
+    base = _clean_base(cfg)
     tasks = [(cfg, trial, base) for trial in range(cfg.trials)]
     rows = _run_tasks(_mc_trial, tasks, cfg)
     floor = cfg.noise_sigma == 0
@@ -615,7 +628,8 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
 
 # --target name -> the error ladder over the h values
 _TARGETS = {
-    "identify": lambda cfg, hs: _run_tasks(_identify_error, [replace(cfg, h=h) for h in hs], cfg),
+    "identify": lambda cfg, hs: _run_tasks(_identify_error,
+                                           [(replace(cfg, h=h), None) for h in hs], cfg),
     "occupation": lambda cfg, hs: _occupation_ladder(cfg, hs),
 }
 

@@ -12,7 +12,7 @@ functions evaluate vectorized: given points X of shape (P, n) they return
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable
 
@@ -49,6 +49,12 @@ class BasisSet:
                   report's dim column and the key that places true terms.
     known_part  : optional known dynamics h, same call convention, not weighted
                   by any parameter.
+
+    A library from monomial_basis (or a select of one) also keeps each
+    function's exponent row and target coordinate. `values` evaluates such a
+    library from one table of integer powers instead of calling `functions`,
+    with the same bits. The table is never passed to the constructor, so it
+    cannot disagree with `functions`; a BasisSet built by hand calls them.
     """
 
     dim: int
@@ -56,6 +62,9 @@ class BasisSet:
     labels: tuple[str, ...]
     target_dims: tuple[int | None, ...] = None
     known_part: Callable[[np.ndarray], np.ndarray] | None = None
+    # (exponent rows of the distinct monomials, each function's row in them,
+    # each function's coordinate); None unless set by _tabled.
+    _monomials: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.functions) == 0:
@@ -71,11 +80,30 @@ class BasisSet:
         return len(self.functions)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate every basis function: returns (M, P, n)."""
+        """Evaluate every basis function: returns (M, P, n).
+
+        A monomial library takes the powers X ** k, k = 0..degree, once: 1 and
+        X, which pow returns exactly, then pow with an integer exponent array
+        as the closures' X ** e does (a scalar exponent 2 would take numpy's
+        square path, 1 ulp off). Each distinct monomial multiplies one power
+        column per coordinate in coordinate order, as the closures' np.prod
+        does, and lands in its coordinate.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty((len(self), X.shape[0], self.dim))
-        for i, f in enumerate(self.functions):
-            out[i] = f(X)
+        if self._monomials is None:
+            out = np.empty((len(self), X.shape[0], self.dim))
+            for i, f in enumerate(self.functions):
+                out[i] = f(X)
+            return out
+        exps, rows, dims = self._monomials
+        top = exps.max(axis=0)  # no power above what some closure takes
+        powers = np.stack([np.ones_like(X), X]
+                          + [X ** np.minimum(k, top) for k in range(2, top.max() + 1)])
+        mono = powers[exps[:, 0], :, 0]
+        for j in range(1, self.dim):
+            mono = mono * powers[exps[:, j], :, j]
+        out = np.zeros((len(self), X.shape[0], self.dim))
+        out[np.arange(len(self)), :, dims] = mono[rows]
         return out
 
     def known_values(self, X: np.ndarray) -> np.ndarray | None:
@@ -99,13 +127,23 @@ class BasisSet:
     def select(self, indices) -> "BasisSet":
         """Sub-library keeping the listed function indices (known part kept)."""
         idx = list(indices)
-        return BasisSet(
+        sub = BasisSet(
             dim=self.dim,
             functions=tuple(self.functions[i] for i in idx),
             labels=tuple(self.labels[i] for i in idx),
             target_dims=tuple(self.target_dims[i] for i in idx),
             known_part=self.known_part,
         )
+        if self._monomials is None:
+            return sub
+        exps, rows, dims = self._monomials
+        return sub._tabled(exps, rows[idx], dims[idx])
+
+    def _tabled(self, exps: np.ndarray, rows, dims) -> "BasisSet":
+        """self, with function i known to be x^exps[rows[i]] e_dims[i]; unused rows dropped."""
+        used, rows = np.unique(rows, return_inverse=True)
+        object.__setattr__(self, "_monomials", (exps[used], rows, dims))
+        return self
 
 
 @dataclass(frozen=True)
@@ -181,9 +219,11 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
     Size is dim * C(dim + degree, degree).
     """
     exps = monomial_exponents(spec.dim, spec.degree)
-    return _library(spec.dim, [
+    basis = _library(spec.dim, [
         (monomial_label(e), k, lambda X, e=e: np.prod(X ** e[None, :], axis=1))
         for k in range(spec.dim) for e in exps])
+    T = exps.shape[0]
+    return basis._tabled(exps, np.tile(np.arange(T), spec.dim), np.repeat(np.arange(spec.dim), T))
 
 
 def monomial_index(spec: MonomialSpec, exponents, k: int) -> int:

@@ -102,9 +102,11 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
     times, when given, are the absolute sample times and are checked against
     the grid (the first sample ever seen sets the origin); a time that is
     `off_grid` is a grid discontinuity error. Non-finite samples are a
-    ValueError and a kernel row that overflows a DivergenceError, each raised
-    before the sample changes the state; a system whose A^T A overflows is a
-    DivergenceError once the samples are in.
+    ValueError and a kernel row that overflows a DivergenceError. Every
+    sample's time and kernel rows are checked before the first sample
+    changes the state, so a rejected push leaves it as it was. One check
+    runs after the samples are in: a system whose A^T A overflows is a
+    DivergenceError, with the samples pushed.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != state.basis.dim:
@@ -116,10 +118,10 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
         if times.shape != (samples.shape[0],):
             raise ValueError("one time per sample required")
     h = state.step
-    for q in range(samples.shape[0]):
-        x = samples[q]
+    checked = []  # (rows, psi) per sample
+    for q, x in enumerate(samples):
         if times is not None:
-            t_expect = times[q] if state.t0 is None else state.t0 + (state.n_samples) * h
+            t_expect = (times[0] if state.t0 is None else state.t0) + (state.n_samples + q) * h
             if off_grid(times[q], t_expect, h):
                 raise ValueError(
                     f"grid discontinuity: got time {float(times[q])!r}, "
@@ -130,6 +132,8 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
                                                    _fields(state.basis, x[None]), [np.ones(1)])
         psi = state.kernel.matrix(x[None], state.centers)[0]
         _require_finite(state.kernel, rows, psi)
+        checked.append((rows, psi))
+    for q, (rows, psi) in enumerate(checked):
         if state.n_samples == 0:
             state.t0 = 0.0 if times is None else float(times[q])
             state.time = state.t0

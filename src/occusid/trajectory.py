@@ -234,6 +234,37 @@ def _parse_rows(lines, n: int, first_lineno: int):
     return times, rows
 
 
+# Characters the two parsers treat differently: line breaks of str.splitlines
+# that np.loadtxt does not split at (text mode has already turned "\r" and
+# "\r\n" into "\n"), and \x1c-\x1f, which loadtxt strips from a cell as
+# whitespace and float() does not.
+_PARSERS_DIFFER = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+def _c_parsed(fh, text: str):
+    """The (N, n + 1) rows of a trajectory CSV read by numpy's C parser, or None.
+
+    fh is open at the start of the file whose contents are text. None, for
+    _parse_rows to decide with its own messages, unless the text has none of
+    _PARSERS_DIFFER, a valid header and a body of at least 3 rows of n + 1
+    numbers. Both parsers read a cell with PyOS_string_to_double, so every
+    cell the C parser takes, float() takes to the same double; it rejects
+    some that float() takes (`1_0`, non-ASCII digits, whitespace-only
+    lines), and those files go to _parse_rows.
+    """
+    header, _, body = text.partition("\n")
+    # an empty body would make loadtxt warn "input contained no data"
+    if any(c in text for c in _PARSERS_DIFFER) or not body.strip("\n"):
+        return None
+    try:
+        n = _parse_header(header)
+        fh.readline()
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # TrajectoryParseError included
+        return None
+    return table if table.shape[0] >= 3 and table.shape[1] == n + 1 else None
+
+
 def load_csv(path) -> Trajectory:
     """Read a trajectory CSV written by save_csv (or produced externally).
 
@@ -241,17 +272,27 @@ def load_csv(path) -> Trajectory:
     the uniform grid of the step t[1] - t[0], or, failing that, of the step
     fitted over all rows, (t[-1] - t[0]) / (N - 1), which is then the step
     returned. Errors report the offending 1-based line number.
+
+    The body is read by numpy's C parser (np.loadtxt); a file it does not
+    read as at least 3 rows of n + 1 numbers is parsed row by row with
+    float() instead, which accepts the same files and names the line at fault.
     """
     with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TrajectoryParseError("empty file", line=1)
-    times, rows = _parse_rows(lines[1:], _parse_header(lines[0]), 2)
-    if len(rows) < 3:
-        raise TrajectoryParseError(
-            f"need at least 3 data rows, got {len(rows)}", line=len(lines)
-        )
-    t = np.array(times)
+        text = fh.read()
+        fh.seek(0)
+        table = _c_parsed(fh, text)
+    if table is not None:
+        t, states = table[:, 0], table[:, 1:]
+    else:
+        lines = text.splitlines()
+        if not lines:
+            raise TrajectoryParseError("empty file", line=1)
+        times, states = _parse_rows(lines[1:], _parse_header(lines[0]), 2)
+        if len(states) < 3:
+            raise TrajectoryParseError(
+                f"need at least 3 data rows, got {len(states)}", line=len(lines)
+            )
+        t = np.array(times)
     h = t[1] - t[0]
     if h <= 0:
         raise TrajectoryParseError(f"time step must be positive, got {h}", line=3)
@@ -264,7 +305,7 @@ def load_csv(path) -> Trajectory:
         j = int(bad[0])
         raise TrajectoryParseError(f"time {float(t[j])!r} deviates from the uniform grid "
                                    f"value {float(t[0] + h * j)!r}", line=j + 2)
-    return Trajectory(np.array(rows), float(h_fit if bad.size else h))
+    return Trajectory(states, float(h_fit if bad.size else h))
 
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:

@@ -387,6 +387,22 @@ class TestSweep:
     def test_requires_param_and_values(self, tmp_path):
         assert run(["sweep", "--system", "system1", "--out", str(tmp_path)]) == 2
 
+    def test_seed_sweep_simulates_once_and_matches_identify(self, tmp_path, monkeypatch):
+        base = ["--system", "system1", "--n-trajectories", "3", "--h", "1e-2",
+                "--noise-sigma", "1e-3", "--filter-window", "3", "--segments", "2"]
+        calls = []
+        simulate = cli._simulate_system
+        monkeypatch.setattr(cli, "_simulate_system", lambda cfg: calls.append(cfg) or simulate(cfg))
+        assert run(["sweep"] + base + ["--param", "seed", "--values", "4,5,6",
+                                       "--out", str(tmp_path / "s")]) == 0
+        assert len(calls) == 1
+        rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+        for seed, row in zip(("4", "5", "6"), rows):
+            out = tmp_path / seed
+            assert run(["identify"] + base + ["--seed", seed, "--out", str(out)]) == 0
+            l2 = re.search(r"l2_error=([^,]*)", (out / "result.csv").read_text()).group(1)
+            assert row == f"{seed},{l2}"
+
     def test_jobs_do_not_change_output(self, tmp_path):
         args = ["sweep", "--system", "system1", "--n-trajectories", "5", "--h", "1e-2",
                 "--param", "noise_sigma", "--values", "0,0.01,0.02"]

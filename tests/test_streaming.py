@@ -64,6 +64,33 @@ class TestValidation:
         assert st.n_samples == 3
         assert all(np.array_equal(u, v) for u, v in zip((A, b), oc.stream_matrices(st)))
 
+    @pytest.mark.parametrize("pushed", [0, 3])
+    @pytest.mark.parametrize("bad, late, error, match", [
+        ([400.0, 400.0], 0.0, DivergenceError, "exp_dot with mu=1"),  # kernel row overflows
+        (None, 0.5, ValueError, "grid discontinuity"),  # half a step off the grid
+    ], ids=["overflow", "off-grid"])
+    def test_push_rejected_at_a_later_sample_changes_nothing(self, setup, pushed, bad, late,
+                                                             error, match):
+        basis, tr, centers = setup
+        st = oc.new_stream(centers, basis, oc.exp_dot(1.0), tr.step)
+        times = tr.times()
+        if pushed:
+            oc.stream_push(st, tr.samples[:pushed], times=times[:pushed])
+        before = (st.n_samples, st.time, st.t0, st._acc.copy(), *oc.stream_matrices(st))
+        second = tr.samples[pushed + 1] if bad is None else bad
+        with pytest.raises(error, match=match):
+            oc.stream_push(st, [tr.samples[pushed], second],
+                           times=[times[pushed], times[pushed + 1] + late * tr.step])
+        after = (st.n_samples, st.time, st.t0, st._acc, *oc.stream_matrices(st))
+        assert before[:3] == after[:3]
+        assert all(np.array_equal(u, v) for u, v in zip(before[3:], after[3:]))
+        # the state still continues the grid from where it was
+        oc.stream_push(st, tr.samples[pushed:pushed + 2], times=times[pushed:pushed + 2])
+        clean = oc.new_stream(centers, basis, oc.exp_dot(1.0), tr.step)
+        oc.stream_push(clean, tr.samples[:pushed + 2], times=times[:pushed + 2])
+        assert all(np.array_equal(u, v)
+                   for u, v in zip(oc.stream_matrices(st), oc.stream_matrices(clean)))
+
     def test_empty_state_matrices(self, setup):
         st = fresh_stream(setup)
         A, b = oc.stream_matrices(st)
