@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -238,9 +239,9 @@ def _truth(cfg: ExperimentConfig):
     return (None, None) if cfg.system is None else _builtin(cfg)[1:]
 
 
-def _simulate_system(cfg: ExperimentConfig):
-    """Built-in system trajectories plus (theta_true, basis) for reporting."""
-    field, theta_true, sys_basis = _builtin(cfg)
+def _simulate_system(cfg: ExperimentConfig) -> list:
+    """The built-in system's trajectories from its first cfg.n_trajectories starts."""
+    field = _builtin(cfg)[0]
     row = _SYSTEMS[cfg.system]
     T = cfg.T if cfg.T is not None else row["T"]
     h = cfg.h if cfg.h is not None else row["h"]
@@ -248,18 +249,7 @@ def _simulate_system(cfg: ExperimentConfig):
     if (cfg.n_trajectories or 0) > x0s.shape[0]:
         raise ConfigError(f"n_trajectories must be in 1..{x0s.shape[0]} for {cfg.system}, "
                           f"got {cfg.n_trajectories}")
-    x0s = x0s[: cfg.n_trajectories]
-    trajs = [integrate_rk4(field, x0, T, h) for x0 in x0s]
-    return trajs, theta_true, sys_basis
-
-
-def _source_data(cfg: ExperimentConfig):
-    """Trajectories as loaded or simulated, plus (theta_true, basis) when known."""
-    if cfg.trajectories:
-        return ([load_csv(path) for path in cfg.trajectories], *_truth(cfg))
-    if cfg.system is not None:
-        return _simulate_system(cfg)
-    raise ConfigError("either --system or --trajectories is required")
+    return [integrate_rk4(field, x0, T, h) for x0 in x0s[: cfg.n_trajectories]]
 
 
 def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
@@ -285,15 +275,23 @@ def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
 
 def _clean_base(cfg: ExperimentConfig) -> list:
     """The loaded or simulated trajectories as (samples, step) pairs, which pickle plainly."""
-    trajs, _, _ = _source_data(cfg)
+    if cfg.trajectories:
+        trajs = [load_csv(path) for path in cfg.trajectories]
+    elif cfg.system is not None:
+        trajs = _simulate_system(cfg)
+    else:
+        raise ConfigError("either --system or --trajectories is required")
     return [(t.samples, t.step) for t in trajs]
 
 
 def _staged(cfg: ExperimentConfig, base, seeds=None):
     """(trajectories, theta_true, system basis): the clean base through noise, filter, segments.
 
+    Only the first cfg.n_trajectories of base are kept (all when it is None), so
+    one base simulated for the largest count serves every smaller one.
     Trajectory j's noise is drawn with seeds[j], by default cfg.seed + j.
     """
+    base = base[: cfg.n_trajectories]
     seeds = [cfg.seed + j for j in range(len(base))] if seeds is None else seeds
     trajs = _noise_filter_segment(cfg, [Trajectory(s, h) for s, h in base], seeds)
     return (trajs, *_truth(cfg))
@@ -471,7 +469,7 @@ def _write_table(cfg: ExperimentConfig, name: str, header: str, rows, notes=()) 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.system is None:
         raise ConfigError("simulate requires --system")
-    trajs, _, _ = _simulate_system(cfg)
+    trajs = _simulate_system(cfg)
     # Only the noise stage applies: the files hold whole, unfiltered paths.
     noise_only = replace(cfg, filter_window=None, segments=None)
     trajs = _noise_filter_segment(noise_only, trajs, [cfg.seed + j for j in range(len(trajs))])
@@ -515,8 +513,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         )
     values = [_parse_text(cfg.param, v) for v in cfg.values.split(",")]
     points = [replace(cfg, **{cfg.param: v}) for v in values]  # checks all before any run
-    # Only n_trajectories changes the clean data; other points share one load or simulation.
-    base = None if cfg.param == "n_trajectories" else _clean_base(cfg)
+    # One load or simulation for every point: each keeps its own n_trajectories prefix.
+    base = _clean_base(max(points, key=lambda p: p.n_trajectories or math.inf))
     errors = _run_tasks(_identify_error, [(point, base) for point in points], cfg)
     path = _write_table(cfg, "sweep.csv", "value,error", zip(values, errors))
     print(f"wrote {path}")
@@ -612,7 +610,7 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
     if cfg.system is None:
         raise ConfigError("occupation convergence requires --system")
     h_fine = min(hs) / 64.0
-    (fine,), _, _ = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1, trajectories=()))
+    (fine,) = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1, trajectories=()))
     kernel = _kernel_for(cfg)
     ref = occupation_estimate(fine, kernel, "simpson")
     errors = []

@@ -50,11 +50,12 @@ class BasisSet:
     known_part  : optional known dynamics h, same call convention, not weighted
                   by any parameter.
 
-    A library from monomial_basis (or a select of one) also keeps each
-    function's exponent row and target coordinate. `values` evaluates such a
-    library from one table of integer powers instead of calling `functions`,
-    with the same bits. The table is never passed to the constructor, so it
-    cannot disagree with `functions`; a BasisSet built by hand calls them.
+    A library built here (monomial_basis, emps_form, a select of either) is a
+    term table: a function from (P, n) points to the (T, P) values of scalar
+    terms g, and each function's row in it: Y_i = g_rows[i] e_target_dims[i].
+    `values` scatters one table evaluation; `functions` are views of the
+    table, so the two cannot disagree. The constructor takes no table: a
+    BasisSet built by hand or by dataclasses.replace calls its functions.
     """
 
     dim: int
@@ -62,9 +63,8 @@ class BasisSet:
     labels: tuple[str, ...]
     target_dims: tuple[int | None, ...] = None
     known_part: Callable[[np.ndarray], np.ndarray] | None = None
-    # (exponent rows of the distinct monomials, each function's row in them,
-    # each function's coordinate); None unless set by _tabled.
-    _monomials: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (term table, each function's row in it); None unless set by _library.
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.functions) == 0:
@@ -80,30 +80,15 @@ class BasisSet:
         return len(self.functions)
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate every basis function: returns (M, P, n).
-
-        A monomial library takes the powers X ** k, k = 0..degree, once: 1 and
-        X, which pow returns exactly, then pow with an integer exponent array
-        as the closures' X ** e does (a scalar exponent 2 would take numpy's
-        square path, 1 ulp off). Each distinct monomial multiplies one power
-        column per coordinate in coordinate order, as the closures' np.prod
-        does, and lands in its coordinate.
-        """
+        """Evaluate every basis function: returns (M, P, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._monomials is None:
-            out = np.empty((len(self), X.shape[0], self.dim))
+        out = np.zeros((len(self), X.shape[0], self.dim))
+        if self._terms is None:
             for i, f in enumerate(self.functions):
                 out[i] = f(X)
-            return out
-        exps, rows, dims = self._monomials
-        top = exps.max(axis=0)  # no power above what some closure takes
-        powers = np.stack([np.ones_like(X), X]
-                          + [X ** np.minimum(k, top) for k in range(2, top.max() + 1)])
-        mono = powers[exps[:, 0], :, 0]
-        for j in range(1, self.dim):
-            mono = mono * powers[exps[:, j], :, j]
-        out = np.zeros((len(self), X.shape[0], self.dim))
-        out[np.arange(len(self)), :, dims] = mono[rows]
+        else:
+            table, rows = self._terms
+            out[np.arange(len(self)), :, self.target_dims] = table(X)[rows]
         return out
 
     def known_values(self, X: np.ndarray) -> np.ndarray | None:
@@ -127,23 +112,13 @@ class BasisSet:
     def select(self, indices) -> "BasisSet":
         """Sub-library keeping the listed function indices (known part kept)."""
         idx = list(indices)
-        sub = BasisSet(
-            dim=self.dim,
-            functions=tuple(self.functions[i] for i in idx),
-            labels=tuple(self.labels[i] for i in idx),
-            target_dims=tuple(self.target_dims[i] for i in idx),
-            known_part=self.known_part,
-        )
-        if self._monomials is None:
-            return sub
-        exps, rows, dims = self._monomials
-        return sub._tabled(exps, rows[idx], dims[idx])
-
-    def _tabled(self, exps: np.ndarray, rows, dims) -> "BasisSet":
-        """self, with function i known to be x^exps[rows[i]] e_dims[i]; unused rows dropped."""
-        used, rows = np.unique(rows, return_inverse=True)
-        object.__setattr__(self, "_monomials", (exps[used], rows, dims))
-        return self
+        labels = tuple(self.labels[i] for i in idx)
+        dims = tuple(self.target_dims[i] for i in idx)
+        if self._terms is not None:
+            table, rows = self._terms
+            return _library(self.dim, labels, dims, table, rows[idx], self.known_part)
+        return BasisSet(dim=self.dim, functions=tuple(self.functions[i] for i in idx),
+                        labels=labels, target_dims=dims, known_part=self.known_part)
 
 
 @dataclass(frozen=True)
@@ -184,25 +159,25 @@ def monomial_label(exponents: np.ndarray) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _library(dim: int, terms, known_part=None) -> BasisSet:
-    """BasisSet of single-coordinate terms g(X) e_k, one (label, k, g) row each.
+def _library(dim: int, labels, dims, table, rows, known_part=None) -> BasisSet:
+    """BasisSet whose function i is table(X)[rows[i]] e_dims[i]; rows is an int array.
 
-    g maps (P, dim) points to the (P,) values of coordinate k (a scalar
-    broadcasts); every other coordinate is 0.
+    table maps (P, dim) float points to the (T, P) values of T scalar terms.
     """
 
-    def term(k, g):
+    def term(row, k):
         def f(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
             out = np.zeros((X.shape[0], dim))
-            out[:, k] = g(X)
+            out[:, k] = table(X)[row]
             return out
 
         return f
 
-    labels, dims, gs = zip(*terms)
-    return BasisSet(dim=dim, functions=tuple(term(k, g) for k, g in zip(dims, gs)),
-                    labels=labels, target_dims=dims, known_part=known_part)
+    basis = BasisSet(dim=dim, functions=tuple(term(r, k) for r, k in zip(rows, dims)),
+                     labels=tuple(labels), target_dims=tuple(dims), known_part=known_part)
+    object.__setattr__(basis, "_terms", (table, rows))
+    return basis
 
 
 def _on_library(basis: BasisSet, terms: dict):
@@ -216,14 +191,25 @@ def _on_library(basis: BasisSet, terms: dict):
 def monomial_basis(spec: MonomialSpec) -> BasisSet:
     """All monomials x^alpha e_k, |alpha| <= degree, ordered by (k, graded-lex alpha).
 
-    Size is dim * C(dim + degree, degree).
+    Size is dim * C(dim + degree, degree). The term table takes the powers
+    1, X, then X ** k by pow with an integer exponent array (a scalar 2 would
+    take numpy's square path, 1 ulp off), and multiplies one power column per
+    coordinate in coordinate order.
     """
     exps = monomial_exponents(spec.dim, spec.degree)
-    basis = _library(spec.dim, [
-        (monomial_label(e), k, lambda X, e=e: np.prod(X ** e[None, :], axis=1))
-        for k in range(spec.dim) for e in exps])
+
+    def table(X):
+        powers = np.stack([np.ones_like(X), X] + [X ** np.full(spec.dim, k)
+                                                   for k in range(2, spec.degree + 1)])
+        mono = powers[exps[:, 0], :, 0]
+        for j in range(1, spec.dim):
+            mono = mono * powers[exps[:, j], :, j]
+        return mono
+
     T = exps.shape[0]
-    return basis._tabled(exps, np.tile(np.arange(T), spec.dim), np.repeat(np.arange(spec.dim), T))
+    return _library(spec.dim, [monomial_label(e) for e in exps] * spec.dim,
+                    [k for k in range(spec.dim) for _ in range(T)], table,
+                    np.tile(np.arange(T), spec.dim))
 
 
 def monomial_index(spec: MonomialSpec, exponents, k: int) -> int:
@@ -370,12 +356,16 @@ def _emps_basis(control) -> BasisSet:
         out[:, 2] = 1.0
         return out
 
-    return _library(3, [
-        ("tau", 1, lambda X: control(X[:, 2])),
-        ("-x2", 1, lambda X: -X[:, 1]),
-        ("-sign(x2)", 1, lambda X: -np.sign(X[:, 1])),
-        ("-1", 1, lambda X: -1.0),
-    ], known_part=known)
+    def table(X):
+        out = np.empty((4, X.shape[0]))
+        out[0] = control(X[:, 2])  # a scalar broadcasts
+        out[1] = -X[:, 1]
+        out[2] = -np.sign(X[:, 1])
+        out[3] = -1.0
+        return out
+
+    return _library(3, ("tau", "-x2", "-sign(x2)", "-1"), (1, 1, 1, 1), table, np.arange(4),
+                    known_part=known)
 
 
 # Dimension, right-hand side and true terms, keyed by (monomial label, output

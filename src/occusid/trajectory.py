@@ -265,13 +265,19 @@ def _c_parsed(fh, text: str):
     return table if table.shape[0] >= 3 and table.shape[1] == n + 1 else None
 
 
+def _data_line(text: str, j: int) -> int:
+    """1-based file line of data row j; both parsers skip blank lines."""
+    return [i for i, raw in enumerate(text.splitlines()[1:], start=2) if raw.strip()][j]
+
+
 def load_csv(path) -> Trajectory:
     """Read a trajectory CSV written by save_csv (or produced externally).
 
     The header must be exactly `t,x1,...,xn`; no time may be `off_grid` on
     the uniform grid of the step t[1] - t[0], or, failing that, of the step
     fitted over all rows, (t[-1] - t[0]) / (N - 1), which is then the step
-    returned. Errors report the offending 1-based line number.
+    returned; every state value must be finite. Errors report the offending
+    1-based line number.
 
     The body is read by numpy's C parser (np.loadtxt); a file it does not
     read as at least 3 rows of n + 1 numbers is parsed row by row with
@@ -292,10 +298,10 @@ def load_csv(path) -> Trajectory:
             raise TrajectoryParseError(
                 f"need at least 3 data rows, got {len(states)}", line=len(lines)
             )
-        t = np.array(times)
+        t, states = np.array(times), np.array(states)
     h = t[1] - t[0]
     if h <= 0:
-        raise TrajectoryParseError(f"time step must be positive, got {h}", line=3)
+        raise TrajectoryParseError(f"time step must be positive, got {h}", line=_data_line(text, 1))
     k = np.arange(len(t))
     bad = np.nonzero(off_grid(t, t[0] + h * k, h))[0]
     # Far from the origin t[1] - t[0] carries the rounding of both times, so its
@@ -304,7 +310,12 @@ def load_csv(path) -> Trajectory:
     if bad.size and off_grid(t, t[0] + h_fit * k, h_fit).any():
         j = int(bad[0])
         raise TrajectoryParseError(f"time {float(t[j])!r} deviates from the uniform grid "
-                                   f"value {float(t[0] + h * j)!r}", line=j + 2)
+                                   f"value {float(t[0] + h * j)!r}", line=_data_line(text, j))
+    rows, cols = np.nonzero(~np.isfinite(states))
+    if rows.size:
+        j, c = int(rows[0]), int(cols[0])
+        raise TrajectoryParseError(f"x{c + 1} must be finite, got {float(states[j, c])!r}",
+                                   line=_data_line(text, j))
     return Trajectory(states, float(h_fit if bad.size else h))
 
 

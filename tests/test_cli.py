@@ -403,6 +403,21 @@ class TestSweep:
             l2 = re.search(r"l2_error=([^,]*)", (out / "result.csv").read_text()).group(1)
             assert row == f"{seed},{l2}"
 
+    def test_n_trajectories_sweep_simulates_the_largest_count_once(self, tmp_path, monkeypatch):
+        calls = []
+        rk4 = cli.integrate_rk4
+        monkeypatch.setattr(cli, "integrate_rk4", lambda *a: calls.append(a) or rk4(*a))
+        assert run(["sweep", "--system", "system1", "--h", "1e-2", "--param", "n_trajectories",
+                    "--values", "5,10,15,20,25", "--out", str(tmp_path / "s")]) == 0
+        assert len(calls) == 25
+        rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+        for count, row in zip(("5", "15", "25"), rows[::2]):
+            out = tmp_path / count
+            assert run(["identify", "--system", "system1", "--h", "1e-2",
+                        "--n-trajectories", count, "--out", str(out)]) == 0
+            l2 = re.search(r"l2_error=([^,]*)", (out / "result.csv").read_text()).group(1)
+            assert row == f"{count},{l2}"
+
     def test_jobs_do_not_change_output(self, tmp_path):
         args = ["sweep", "--system", "system1", "--n-trajectories", "5", "--h", "1e-2",
                 "--param", "noise_sigma", "--values", "0,0.01,0.02"]

@@ -4,6 +4,8 @@ Each fast route must give the generic route's bits on every input it takes,
 and hand every input it does not take to the generic route unchanged.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,37 +16,69 @@ import occusid as oc
 from occusid import trajectory
 from occusid.errors import TrajectoryParseError
 
-# -- monomial table vs closures ---------------------------------------------
+# -- term tables vs the term formulas ---------------------------------------
 
 # Degree <= 4 keeps |x|^4 below the float range.
 COORDS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0),
                    st.floats(-1e75, 1e75), st.sampled_from([-1e75, 1e-80, -5e-324, 1e40]))
 
 
+def monomial_reference(dim, degree, idx, X):
+    """Functions idx of the monomial library at X, each x^e e_k by its own np.prod."""
+    exps = oc.monomial_exponents(dim, degree)
+    out = np.zeros((len(idx), X.shape[0], dim))
+    for j, i in enumerate(idx):
+        k, row = divmod(i, len(exps))
+        out[j, :, k] = np.prod(X ** exps[row][None, :], axis=1)
+    return out
+
+
+def assert_same_bits(got, expect):
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()  # zero signs included
+
+
 @settings(max_examples=200)
 @given(dim=st.integers(1, 4), degree=st.integers(0, 4), data=st.data())
-def test_monomial_table_matches_closures(dim, degree, data):
+def test_monomial_table_matches_term_formulas(dim, degree, data):
     basis = oc.monomial_basis(oc.MonomialSpec(dim, degree))
+    idx = list(range(len(basis)))
     if data.draw(st.booleans(), label="select"):
         idx = data.draw(st.lists(st.integers(0, len(basis) - 1), min_size=1, max_size=12),
                         label="indices")
         basis = basis.select(idx)
     P = data.draw(st.sampled_from([1, 2, 7, 40]), label="P")
     X = data.draw(arrays(np.float64, (P, dim), elements=COORDS), label="X")
-    expect = np.stack([f(X) for f in basis.functions])
-    got = basis.values(X)
-    assert np.array_equal(got, expect)
-    assert got.tobytes() == expect.tobytes()  # zero signs included
+    expect = monomial_reference(dim, degree, idx, X)
+    assert_same_bits(basis.values(X), expect)
+    assert_same_bits(np.stack([f(X) for f in basis.functions]), expect)
+
+
+@pytest.mark.parametrize("control", [lambda t: np.cos(3.0 * t), lambda t: 0.5],
+                         ids=["array-control", "scalar-control"])
+def test_emps_table_matches_term_formulas(control):
+    basis = oc.builtin_system("emps_form", control=control)[2]
+    X = np.random.default_rng(3).normal(size=(9, 3))
+    X[[2, 5], 1] = [0.0, -0.0]  # sign(0) is 0
+    expect = np.zeros((4, 9, 3))
+    for i, g in enumerate([control(X[:, 2]), -X[:, 1], -np.sign(X[:, 1]), -1.0]):
+        expect[i, :, 1] = g
+    assert basis._terms is not None
+    assert_same_bits(basis.values(X), expect)
+    assert_same_bits(np.stack([f(X) for f in basis.functions]), expect)
+    assert_same_bits(dataclasses.replace(basis).values(X), expect)
 
 
 def test_monomial_libraries_take_the_table():
     basis = oc.monomial_basis(oc.MonomialSpec(3, 2))
-    assert basis._monomials is not None and basis.select([4, 0])._monomials is not None
-    by_hand = oc.BasisSet(dim=3, functions=basis.functions, labels=basis.labels,
-                          target_dims=basis.target_dims)
-    assert by_hand._monomials is None  # the closures, with the same values
+    assert basis._terms is not None and basis.select([4, 0])._terms is not None
+    copies = [dataclasses.replace(basis),
+              oc.BasisSet(dim=3, functions=basis.functions, labels=basis.labels,
+                          target_dims=basis.target_dims)]
     X = np.random.default_rng(5).normal(size=(9, 3)) * 20
-    assert np.array_equal(by_hand.values(X), basis.values(X))
+    for copy in copies:
+        assert copy._terms is None  # the functions, with the same values
+        assert_same_bits(copy.values(X), basis.values(X))
 
 
 # -- np.loadtxt route vs _parse_rows route ----------------------------------

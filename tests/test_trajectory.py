@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import occusid as oc
+from occusid import trajectory
 from occusid.errors import TrajectoryParseError
 from occusid.trajectory import GRID_RTOL, Trajectory
 
@@ -194,6 +195,23 @@ class TestCsv:
             oc.load_csv(path)
         assert exc.value.line == 3
         assert "line 3" in str(exc.value)
+
+    @pytest.mark.parametrize("route", ["loadtxt", "rows"])
+    @pytest.mark.parametrize("text, line, message", [
+        ("t,x1,x2\n0,1,2\n0.1,nan,2\n0.2,1,2\n", 3, "x1 must be finite, got nan"),
+        ("t,x1,x2\n0,1,2\n\n0.1,1,2\n\n0.2,1,-inf\n0.3,inf,1\n", 6,
+         "x2 must be finite, got -inf"),
+        ("t,x1\n0,1\n\n0.1,2\n\nnan,3\n0.3,4\n", 6, "time nan deviates"),
+    ], ids=["nan-state", "inf-state-after-blank-lines", "nan-time-after-blank-lines"])
+    def test_non_finite_value_names_its_line(self, tmp_path, monkeypatch, route, text, line,
+                                             message):
+        if route == "rows":
+            monkeypatch.setattr(trajectory, "_c_parsed", lambda fh, text: None)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(TrajectoryParseError, match=message) as exc:
+            oc.load_csv(path)
+        assert exc.value.line == line
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
