@@ -120,6 +120,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value >= least:
                 raise ConfigError(f"{label} must be >= {least}, got {value}")
+        if self.centers is not None:
+            parse_centers(self.centers)
+        if self.h_values is not None:
+            _h_ladder(self.h_values)
         if self.trajectories and self.n_trajectories is not None:
             raise ConfigError("n_trajectories counts simulated start states; "
                               "it does not apply to --trajectories files")
@@ -207,13 +211,25 @@ def parse_centers(spec: str) -> np.ndarray:
             lo, hi, w = (float(p) for p in pieces)
         except ValueError:
             raise ConfigError(f"center spec {part!r} has non-numeric fields") from None
-        if w <= 0:
-            raise ConfigError(f"center lattice width must be positive, got {w}")
-        if hi < lo:
-            raise ConfigError(f"center bounds ({lo}, {hi}) are empty")
         bounds.append((lo, hi))
         widths.append(w)
-    return lattice_centers(bounds, widths)
+    try:
+        return lattice_centers(bounds, widths)
+    except ValueError as exc:
+        raise ConfigError(f"centers: {exc}") from None
+
+
+def _h_ladder(text: str) -> list[float]:
+    """The --h-values steps: at least 3 numbers, each finite and > 0."""
+    try:
+        hs = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"could not parse --h-values {text!r}") from None
+    if len(hs) < 3:
+        raise ConfigError(f"insufficient points: need at least 3 h values, got {len(hs)}")
+    if not all(0 < h < math.inf for h in hs):
+        raise ConfigError(f"all h values must be finite and positive, got {text!r}")
+    return hs
 
 
 def _kernel_for(cfg: ExperimentConfig):
@@ -580,15 +596,7 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     if cfg.h_values is None:
         raise ConfigError("convergence requires --h-values h1,h2,...")
-    try:
-        hs = [float(v) for v in cfg.h_values.split(",")]
-    except ValueError:
-        raise ConfigError(f"could not parse --h-values {cfg.h_values!r}") from None
-    if len(hs) < 3:
-        raise ConfigError(f"insufficient points: need at least 3 h values, got {len(hs)}")
-    if any(h <= 0 for h in hs):
-        raise ConfigError("all h values must be positive")
-
+    hs = _h_ladder(cfg.h_values)
     errors = _TARGETS[cfg.target](cfg, hs)
     order = empirical_order(list(zip(hs, errors)))
     notes = [f"order: {FMT % order}"]

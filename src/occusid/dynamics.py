@@ -50,12 +50,13 @@ class BasisSet:
     known_part  : optional known dynamics h, same call convention, not weighted
                   by any parameter.
 
-    A library built here (monomial_basis, emps_form, a select of either) is a
-    term table: a function from (P, n) points to the (T, P) values of scalar
-    terms g, and each function's row in it: Y_i = g_rows[i] e_target_dims[i].
-    `values` scatters one table evaluation; `functions` are views of the
-    table, so the two cannot disagree. The constructor takes no table: a
-    BasisSet built by hand or by dataclasses.replace calls its functions.
+    Every BasisSet is a term table, set when it is built: a function from
+    (P, n) points to the (T, P) values of scalar terms, and (rows, fields,
+    coords): coordinate coords[j] of function fields[j] is table(X)[rows[j]],
+    and every other entry is 0. `values` is one scatter of one table call.
+    When every function is a view of one library table (monomial_basis,
+    emps_form, a select or a copy of either), the basis shares that table;
+    otherwise the table holds its functions' n coordinates.
     """
 
     dim: int
@@ -63,18 +64,27 @@ class BasisSet:
     labels: tuple[str, ...]
     target_dims: tuple[int | None, ...] = None
     known_part: Callable[[np.ndarray], np.ndarray] | None = None
-    # (term table, each function's row in it); None unless set by _library.
-    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _terms: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.functions) == 0:
+        M = len(self.functions)
+        if M == 0:
             raise ValueError("BasisSet needs at least one function")
-        if len(self.labels) != len(self.functions):
+        if len(self.labels) != M:
             raise ValueError("labels and functions must align")
         if self.target_dims is None:
-            object.__setattr__(self, "target_dims", (None,) * len(self.functions))
-        elif len(self.target_dims) != len(self.functions):
+            object.__setattr__(self, "target_dims", (None,) * M)
+        elif len(self.target_dims) != M:
             raise ValueError("target_dims and functions must align")
+        views = [getattr(f, "_view", (None, 0, 0)) for f in self.functions]
+        tables, rows, coords = zip(*views)
+        if tables[0] is not None and all(t is tables[0] for t in tables):
+            terms = (tables[0], np.array(rows), np.arange(M), np.array(coords))
+        else:  # the functions' coordinates: row i * dim + d is coordinate d of function i
+            funcs, rows = self.functions, np.arange(M * self.dim)
+            terms = (lambda X: np.concatenate([np.transpose(f(X)) for f in funcs]),
+                     rows, *np.divmod(rows, self.dim))
+        object.__setattr__(self, "_terms", terms)
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -82,13 +92,9 @@ class BasisSet:
     def values(self, X: np.ndarray) -> np.ndarray:
         """Evaluate every basis function: returns (M, P, n)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        table, rows, fields, coords = self._terms
         out = np.zeros((len(self), X.shape[0], self.dim))
-        if self._terms is None:
-            for i, f in enumerate(self.functions):
-                out[i] = f(X)
-        else:
-            table, rows = self._terms
-            out[np.arange(len(self)), :, self.target_dims] = table(X)[rows]
+        out[fields, :, coords] = table(X)[rows]
         return out
 
     def known_values(self, X: np.ndarray) -> np.ndarray | None:
@@ -102,23 +108,17 @@ class BasisSet:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (len(self),):
             raise ValueError(f"theta must have length {len(self)}")
-        vals = self.values(X)
-        out = np.tensordot(theta, vals, axes=(0, 0))
+        out = np.tensordot(theta, self.values(X), axes=(0, 0))
         kv = self.known_values(X)
-        if kv is not None:
-            out = out + kv
-        return out
+        return out if kv is None else out + kv
 
     def select(self, indices) -> "BasisSet":
         """Sub-library keeping the listed function indices (known part kept)."""
         idx = list(indices)
-        labels = tuple(self.labels[i] for i in idx)
-        dims = tuple(self.target_dims[i] for i in idx)
-        if self._terms is not None:
-            table, rows = self._terms
-            return _library(self.dim, labels, dims, table, rows[idx], self.known_part)
         return BasisSet(dim=self.dim, functions=tuple(self.functions[i] for i in idx),
-                        labels=labels, target_dims=dims, known_part=self.known_part)
+                        labels=tuple(self.labels[i] for i in idx),
+                        target_dims=tuple(self.target_dims[i] for i in idx),
+                        known_part=self.known_part)
 
 
 @dataclass(frozen=True)
@@ -140,44 +140,34 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
     For dim=2, degree=2: 1, x1, x2, x1^2, x1*x2, x2^2.
     """
-    rows = []
-    for g in range(degree + 1):
-        for combo in combinations_with_replacement(range(dim), g):
-            e = np.zeros(dim, dtype=int)
-            for v in combo:
-                e[v] += 1
-            rows.append(e)
-    return np.array(rows, dtype=int)
+    return np.array([np.bincount(np.array(combo, dtype=int), minlength=dim)
+                     for g in range(degree + 1)
+                     for combo in combinations_with_replacement(range(dim), g)], dtype=int)
 
 
 def monomial_label(exponents: np.ndarray) -> str:
-    parts = []
-    for i, e in enumerate(exponents):
-        if e == 0:
-            continue
-        parts.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
-    return "*".join(parts) if parts else "1"
+    parts = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exponents) if e]
+    return "*".join(parts) or "1"
 
 
 def _library(dim: int, labels, dims, table, rows, known_part=None) -> BasisSet:
-    """BasisSet whose function i is table(X)[rows[i]] e_dims[i]; rows is an int array.
+    """BasisSet whose function i is table(X)[rows[i]] e_dims[i], a view of table.
 
     table maps (P, dim) float points to the (T, P) values of T scalar terms.
     """
 
-    def term(row, k):
+    def view(row, k):
         def f(X):
             X = np.atleast_2d(np.asarray(X, dtype=float))
             out = np.zeros((X.shape[0], dim))
             out[:, k] = table(X)[row]
             return out
 
+        f._view = (table, row, k)
         return f
 
-    basis = BasisSet(dim=dim, functions=tuple(term(r, k) for r, k in zip(rows, dims)),
-                     labels=tuple(labels), target_dims=tuple(dims), known_part=known_part)
-    object.__setattr__(basis, "_terms", (table, rows))
-    return basis
+    return BasisSet(dim=dim, functions=tuple(view(r, k) for r, k in zip(rows, dims)),
+                    labels=tuple(labels), target_dims=tuple(dims), known_part=known_part)
 
 
 def _on_library(basis: BasisSet, terms: dict):
@@ -229,7 +219,8 @@ def lattice_centers(bounds, width) -> np.ndarray:
     width  : lattice spacing; a scalar applies to every dimension, a sequence
              gives one spacing per dimension.
     Points are ordered lexicographically by dimension index (first dimension
-    varies slowest).
+    varies slowest). Raises ValueError unless every lo <= hi and every width
+    > 0, all finite.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     n = len(bounds)
@@ -241,10 +232,9 @@ def lattice_centers(bounds, width) -> np.ndarray:
             raise ValueError("one width per dimension required")
     axes = []
     for (lo, hi), w in zip(bounds, widths):
-        if w <= 0:
-            raise ValueError(f"width must be positive, got {w}")
-        if hi < lo:
-            raise ValueError(f"empty bound ({lo}, {hi})")
+        if not (math.isfinite(hi - lo) and 0 < w < math.inf and lo <= hi):
+            raise ValueError(f"bound ({lo}, {hi}) with width {w}: need finite lo <= hi "
+                             "and a finite width > 0")
         count = int(math.floor((hi - lo) / w + 1e-9)) + 1
         axes.append(lo + w * np.arange(count))
     grids = np.meshgrid(*axes, indexing="ij")
@@ -258,13 +248,15 @@ def integrate_rk4(
     h: float,
     process_noise=None,
 ) -> Trajectory:
-    """Classical fixed-step RK4 integration of x' = f(x) (+ disturbance).
+    """Classical fixed-step RK4 integration of x' = f(x) + eta.
 
     T/h must be a whole number of steps, at least 2, to a relative tolerance
     of GRID_RTOL; otherwise the simulated span would not be T.
-    process_noise is either a callable eta(x) added to the field, or a pair
-    (eps, seed) producing a random disturbance drawn uniformly from
-    [-eps, eps]^n once per step and held constant across the step's stages.
+    The disturbance eta is held constant across each step's four stages:
+    process_noise is None (no disturbance), a callable eta(x) evaluated at
+    the state that starts the step, or a pair (eps, seed) whose etas are
+    drawn uniformly from [-eps, eps]^n up front as one (steps, n) array, the
+    same bits as one draw per step from default_rng(seed).
     Raises DivergenceError with the time reached if the state leaves the
     finite floats.
     """
@@ -278,41 +270,38 @@ def integrate_rk4(
     if abs(ratio - steps) > GRID_RTOL * max(steps, 1) or steps < 2:
         raise ValueError(f"T/h = {ratio} does not give a usable whole number of steps")
 
-    rng = None
-    eta_func = None
-    if process_noise is not None:
-        if callable(process_noise):
-            eta_func = process_noise
-        else:
-            eps, seed = process_noise
-            if eps < 0:
-                raise ValueError(f"noise amplitude must be >= 0, got {eps}")
-            rng = np.random.default_rng(seed)
-            amp = float(eps)
-
     f = field.func
+
+    def plus(eta):  # f with one step's disturbance added
+        return lambda y: f(y) + eta
+
+    if process_noise is None:
+        def step_field(k, x):
+            return f
+    elif callable(process_noise):
+        def step_field(k, x):
+            return plus(np.asarray(process_noise(x), dtype=float))
+    else:
+        eps, seed = process_noise
+        if eps < 0:
+            raise ValueError(f"noise amplitude must be >= 0, got {eps}")
+        noise = np.random.default_rng(seed).uniform(-float(eps), float(eps),
+                                                    size=(steps, field.dim))
+
+        def step_field(k, x):
+            return plus(noise[k])
+
     samples = np.empty((steps + 1, field.dim))
     samples[0] = x0
     x = x0.copy()
     half = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            if eta_func is not None:
-                eta = np.asarray(eta_func(x), dtype=float)
-            elif rng is not None:
-                eta = rng.uniform(-amp, amp, size=field.dim)
-            else:
-                eta = None
-            if eta is None:
-                k1 = f(x)
-                k2 = f(x + half * k1)
-                k3 = f(x + half * k2)
-                k4 = f(x + h * k3)
-            else:
-                k1 = f(x) + eta
-                k2 = f(x + half * k1) + eta
-                k3 = f(x + half * k2) + eta
-                k4 = f(x + h * k3) + eta
+            g = step_field(k, x)  # the right-hand side over step k's four stages
+            k1 = g(x)
+            k2 = g(x + half * k1)
+            k3 = g(x + half * k2)
+            k4 = g(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all():
                 raise DivergenceError(

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -325,9 +326,14 @@ def test_every_flag_is_in_readme():
         ({"kernel": "rbf"}, ["identify"], "unknown kernel name 'rbf'"),
         ({}, ["identify", "--rule", "midpoint"], "unknown quadrature rule 'midpoint'"),
         ({}, ["convergence", "--target", "order"], "unknown convergence target 'order'"),
+        ({"centers": "0:1:inf,0:1:1"}, ["identify"],
+         "centers: bound (0.0, 1.0) with width inf: need finite lo <= hi and a finite width > 0"),
+        ({"h_values": "0.1,nan,0.01"}, ["convergence"],
+         "all h values must be finite and positive, got '0.1,nan,0.01'"),
     ],
     ids=["config-mu", "config-jobs", "config-segments", "config-trajectories",
-         "sweep-segments", "flag-seed", "config-nan", "solver", "kernel", "rule", "target"],
+         "sweep-segments", "flag-seed", "config-nan", "solver", "kernel", "rule", "target",
+         "config-centers", "config-h-values"],
 )
 def test_bad_value_names_its_key(tmp_path, capsys, config, argv, message):
     path = tmp_path / "cfg.json"
@@ -476,6 +482,47 @@ def test_bad_jobs_rejected_before_simulation(tmp_path, capsys, monkeypatch, argv
     monkeypatch.setattr("occusid.cli.integrate_rk4", no_simulation)
     assert run(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+_ID1 = ["identify", "--system", "system1", "--h", "1e-2"]
+_OCC = ["convergence", "--system", "system1", "--target", "occupation", "--h-values"]
+_NEED = ": need finite lo <= hi and a finite width > 0"
+_H_BAD = "all h values must be finite and positive, got "
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_ID1 + ["--centers=0:inf:1,0:1:1"], "centers: bound (0.0, inf) with width 1.0" + _NEED),
+        (_ID1 + ["--centers=0:1:inf,0:1:1"], "centers: bound (0.0, 1.0) with width inf" + _NEED),
+        (_ID1 + ["--centers=0:1:nan,0:1:1"], "centers: bound (0.0, 1.0) with width nan" + _NEED),
+        (_ID1 + ["--centers=-1e308:1e308:1,0:1:1"],
+         "centers: bound (-1e+308, 1e+308) with width 1.0" + _NEED),
+        (_ID1 + ["--centers=0:1:0,0:1:1"], "centers: bound (0.0, 1.0) with width 0.0" + _NEED),
+        (_ID1 + ["--centers=1:0:1,0:1:1"], "centers: bound (1.0, 0.0) with width 1.0" + _NEED),
+        (["identify", "--system", "lorenz", "--centers=abc"],
+         "center spec 'abc' is not lo:hi:width"),
+        (["sweep", "--system", "system1", "--param", "mu", "--values", "1,10",
+          "--centers=0:1:x,0:1:1"], "center spec '0:1:x' has non-numeric fields"),
+        (_OCC + ["0.02,inf,0.01"], _H_BAD + "'0.02,inf,0.01'"),
+        (_OCC + ["0.02,nan,0.01"], _H_BAD + "'0.02,nan,0.01'"),
+        (_OCC + ["0.02,-0.01,0.01"], _H_BAD + "'0.02,-0.01,0.01'"),
+        (_OCC + ["0.02,0.01"], "insufficient points: need at least 3 h values, got 2"),
+    ],
+    ids=["centers-inf-hi", "centers-inf-width", "centers-nan-width", "centers-inf-span",
+         "centers-zero-width", "centers-empty", "centers-syntax", "sweep-centers",
+         "h-values-inf", "h-values-nan", "h-values-negative", "h-values-two"],
+)
+def test_bad_centers_and_h_values_rejected_before_simulation(tmp_path, capsys, monkeypatch,
+                                                            argv, message):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before --centers / --h-values was checked")
+
+    monkeypatch.setattr("occusid.cli.integrate_rk4", no_simulation)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -753,3 +800,52 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "result.csv").exists()
+
+
+# Runs each command (argv lists, JSON in argv[1]) twice in one process and
+# prints the result.csv texts as a JSON list.
+_TWICE_EACH = """
+import contextlib, io, json, pathlib, sys, tempfile
+from occusid import cli
+texts = []
+for argv in json.loads(sys.argv[1]):
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ["--out", out]) == 0
+            texts.append(pathlib.Path(out, "result.csv").read_text())
+print(json.dumps(texts))
+"""
+
+
+def test_blas_threads_move_theta_within_the_rounding_bound():
+    """Equal BLAS thread counts give equal bytes; other counts move theta by rounding only.
+
+    A thread count splits the sums over a trajectory's P samples in another
+    order. Each order is within gamma_P = P u of the exact sum (u the unit
+    roundoff), so the constraint system moves by a relative 2 P u at most, and
+    the solution of a small-residual (noise-free) least-squares problem by
+    cond * 2 P u * |theta| to first order, cond being the reported one.
+    """
+    commands = [(["identify", "--system", "system1"], 1001),  # T = 1, h = 1e-3
+                (["identify", "--system", "lorenz", "--T", "2", "--basis-degree", "3"], 2001)]
+    src = str(Path(oc.__file__).resolve().parents[1])
+    texts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _TWICE_EACH,
+                               json.dumps([argv for argv, _ in commands])],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        texts[threads] = [RUNTIME.sub("", text) for text in json.loads(proc.stdout)]
+    u = np.finfo(float).eps / 2
+    for j, (argv, samples) in enumerate(commands):
+        (a, a_again), (b, b_again) = texts["1"][2 * j: 2 * j + 2], texts["2"][2 * j: 2 * j + 2]
+        assert a == a_again and b == b_again, argv
+        theta_a, theta_b = (np.array([float(line.split(",")[4]) for line in text.splitlines()[1:]
+                                      if not line.startswith("#")]) for text in (a, b))
+        cond = max(float(re.search(r"condition_number=([^,]*)", t).group(1)) for t in (a, b))
+        bound = cond * 2 * samples * u * np.linalg.norm(theta_a)
+        assert np.linalg.norm(theta_a - theta_b) <= bound, argv

@@ -89,6 +89,13 @@ class TestLattice:
         with pytest.raises(ValueError):
             oc.lattice_centers([(0, 1)], 0.0)
 
+    @pytest.mark.parametrize("bounds, width", [([(0, np.inf)], 1.0), ([(0, 1)], np.inf),
+                                               ([(np.nan, 1)], 1.0), ([(0, 1)], np.nan),
+                                               ([(-1e308, 1e308)], 1.0)])
+    def test_non_finite_bounds_or_width(self, bounds, width):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="need finite lo <= hi"):
+            oc.lattice_centers(bounds, width)
+
 
 class TestIntegrateRk4:
     def test_constant_field_exact(self):

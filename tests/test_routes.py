@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import occusid as oc
-from occusid import trajectory
+from occusid import dynamics, trajectory
 from occusid.errors import TrajectoryParseError
 
 # -- term tables vs the term formulas ---------------------------------------
@@ -71,14 +71,126 @@ def test_emps_table_matches_term_formulas(control):
 
 def test_monomial_libraries_take_the_table():
     basis = oc.monomial_basis(oc.MonomialSpec(3, 2))
-    assert basis._terms is not None and basis.select([4, 0])._terms is not None
-    copies = [dataclasses.replace(basis),
+    copies = [basis.select([4, 0]), dataclasses.replace(basis),
               oc.BasisSet(dim=3, functions=basis.functions, labels=basis.labels,
                           target_dims=basis.target_dims)]
     X = np.random.default_rng(5).normal(size=(9, 3)) * 20
     for copy in copies:
-        assert copy._terms is None  # the functions, with the same values
+        assert copy._terms[0] is basis._terms[0]  # the library's table, shared
+    for copy in copies[1:]:
         assert_same_bits(copy.values(X), basis.values(X))
+
+
+def _hand_fields():
+    """Hand-built vector fields (not views of a library table) with a known part."""
+    return oc.BasisSet(dim=2, functions=(lambda X: np.stack([X[:, 1], -X[:, 0]], axis=1),
+                                         lambda X: X ** 3 - X,
+                                         lambda X: np.sin(X[:, ::-1])),
+                       labels=("rot", "cubic", "sin"), known_part=lambda X: 0.5 * X)
+
+
+def _built_bases():
+    """(name, basis) for every way of building a BasisSet."""
+    lib = oc.monomial_basis(oc.MonomialSpec(2, 3))
+    emps = oc.builtin_system("emps_form", control=lambda t: np.cos(3.0 * t))[2]
+    other = oc.monomial_basis(oc.MonomialSpec(2, 1))
+    return [("library", lib), ("select", lib.select([7, 0, 7, 12])),
+            ("replace", dataclasses.replace(lib)),
+            ("hand-copy", oc.BasisSet(dim=2, functions=lib.functions, labels=lib.labels)),
+            ("emps-replace", dataclasses.replace(emps)),
+            ("hand-fields", _hand_fields()), ("hand-fields-select", _hand_fields().select([2, 0])),
+            ("two-tables", oc.BasisSet(dim=2, functions=lib.functions[:2] + other.functions[:1],
+                                       labels=("a", "b", "c"))),
+            ("view-and-field", oc.BasisSet(dim=2, functions=(lib.functions[3],
+                                                             _hand_fields().functions[1]),
+                                           labels=("a", "b")))]
+
+
+@pytest.mark.parametrize("basis", [pytest.param(b, id=name) for name, b in _built_bases()])
+def test_every_basis_gives_its_functions_bits(basis):
+    X = np.random.default_rng(11).normal(size=(13, basis.dim)) * 4
+    X[3] = [0.0, -0.0] + [0.0] * (basis.dim - 2)
+    expect = np.stack([np.asarray(f(X), dtype=float) for f in basis.functions])
+    assert_same_bits(basis.values(X), expect)
+    theta = np.linspace(-1.0, 2.0, len(basis))
+    known = 0.0 if basis.known_part is None else basis.known_part(X)
+    assert_same_bits(basis.combination(theta, X), np.tensordot(theta, expect, axes=(0, 0)) + known)
+
+
+def test_library_copies_evaluate_the_shared_table_once():
+    calls = []
+
+    def table(X):
+        calls.append(X.shape)
+        return np.stack([X[:, 0], X[:, 0] * X[:, 1]])
+
+    lib = dynamics._library(2, ("x1", "x1*x2") * 2, (0, 0, 1, 1), table, np.array([0, 1, 0, 1]))
+    X = np.random.default_rng(2).normal(size=(6, 2))
+    for copy in (lib, lib.select([3, 0]), dataclasses.replace(lib),
+                 oc.BasisSet(dim=2, functions=lib.functions, labels=lib.labels)):
+        calls.clear()
+        copy.values(X)
+        assert calls == [(6, 2)]
+
+
+# -- one RK4 loop vs a disturbance drawn step by step -----------------------
+
+_FIELDS = {1: lambda x: np.array([-0.5 * x[0] + np.sin(x[0])]),
+           2: oc.builtin_system("system1")[0].func,
+           3: oc.builtin_system("lorenz")[0].func}
+_STARTS = {1: [0.7], 2: [0.3, -2.0], 3: [-8.0, 7.0, 27.0]}
+
+
+def rk4_reference(f, x0, steps, h, eta_at):
+    """RK4 with the step's disturbance eta_at(x) held over its four stages, or none."""
+    x = np.array(x0, dtype=float)
+    out = [x]
+    for _ in range(steps):
+        if eta_at is None:
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+        else:
+            eta = eta_at(x)
+            k1 = f(x) + eta
+            k2 = f(x + 0.5 * h * k1) + eta
+            k3 = f(x + 0.5 * h * k2) + eta
+            k4 = f(x + h * k3) + eta
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 901])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rk4_bulk_noise_matches_step_draws(dim, seed):
+    field = oc.VectorField(dim=dim, func=_FIELDS[dim])
+    rng = np.random.default_rng(seed)
+    eps = 1e-2
+    tr = oc.integrate_rk4(field, np.array(_STARTS[dim]), 0.5, 1e-3, process_noise=(eps, seed))
+    expect = rk4_reference(field.func, _STARTS[dim], 500, 1e-3,
+                           lambda x: rng.uniform(-eps, eps, size=dim))
+    assert_same_bits(tr.samples, expect)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rk4_without_and_with_callable_noise_matches_reference(dim):
+    field = oc.VectorField(dim=dim, func=_FIELDS[dim])
+    x0 = np.array(_STARTS[dim])
+    clean = oc.integrate_rk4(field, x0, 0.5, 1e-3)
+    assert_same_bits(clean.samples, rk4_reference(field.func, x0, 500, 1e-3, None))
+    def eta(x):
+        return 0.1 * np.cos(x)
+
+    pushed = oc.integrate_rk4(field, x0, 0.5, 1e-3, process_noise=eta)
+    assert_same_bits(pushed.samples, rk4_reference(field.func, x0, 500, 1e-3, eta))
+
+
+def test_rk4_keeps_negative_zero_states():
+    field = oc.VectorField(dim=2, func=lambda x: np.array([0.0 * x[0], -x[1]]))
+    tr = oc.integrate_rk4(field, np.array([-0.0, -0.0]), 0.1, 0.05)
+    assert_same_bits(tr.samples, rk4_reference(field.func, [-0.0, -0.0], 2, 0.05, None))
 
 
 # -- np.loadtxt route vs _parse_rows route ----------------------------------
