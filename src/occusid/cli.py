@@ -495,6 +495,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# identify notes on stdout a solve whose condition number exceeds this.
+NEAR_SINGULAR_COND = 1e10
+
+
 def cmd_identify(cfg: ExperimentConfig) -> int:
     outcome = run_identify(cfg)
     path = _out_path(cfg, "result.csv")
@@ -504,6 +508,10 @@ def cmd_identify(cfg: ExperimentConfig) -> int:
         f"(l2_error={_fmt(outcome.l2_error)}, max_error={_fmt(outcome.max_error)}, "
         f"condition_number={_fmt(outcome.condition_number)})"
     )
+    if outcome.condition_number > NEAR_SINGULAR_COND:
+        print(f"note: condition_number {outcome.condition_number:.2g} exceeds "
+              f"{NEAR_SINGULAR_COND:g}; the fit is nearly singular, so the estimates "
+              "may be far from the true parameters")
     return 0
 
 

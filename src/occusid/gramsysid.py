@@ -22,10 +22,24 @@ from pre_inner_pairwise with the constant unit fields e_d and e_e, and
 
     G_full = sum_{d, e} U_d H_de U_e^T,   U_d = w * F[:, :, d]  (M', P)
 
-gives every entry by matrix products. On one trajectory H_ed = H_de^T, so
-only the n(n + 1)/2 blocks with d <= e are built, a row block of GRAM_ROWS
-samples at a time, each contracted before the next one is built. The cost
-depends on the state dimension n, not on the M(M + 1)/2 basis pairs.
+gives every entry by matrix products. The cost depends on the state
+dimension n, not on the M(M + 1)/2 basis pairs.
+
+Because K is symmetric, so is the whole integrand matrix
+H[(p, d), (q, e)] = H_de[p, q] of size nP x nP: H_ed = H_de^T, and each
+diagonal block H_dd is itself symmetric. Only its upper triangle is built,
+a row block of GRAM_ROWS samples [lo, hi) at a time:
+
+- a block with d < e is built for all P columns, and its contraction T is
+  counted twice (T + T^T, for its mirror H_ed);
+- a diagonal block H_dd is built only for the columns q >= lo. Its strip
+  contraction T is counted as T + T^T - T_ii, where T_ii is the part from
+  the row block's own hi - lo columns, the square on the diagonal of H_dd
+  that T and T^T both hold.
+
+Each block is contracted and dropped before the next one is built. Per row
+block this is still n(n + 1)/2 pre_inner_pairwise calls, but about
+n(n - 1)/2 P^2 + n P^2 / 2 kernel entries in all instead of n(n + 1)/2 P^2.
 
 A known part h of the dynamics rides along as field M' - 1 = M (stacked by
 sysid._fields, as on every route): G is G_full[:M, :M], r loses
@@ -51,8 +65,10 @@ from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _
                     _require_finite, _result, _svd_solve)
 
 # Rows of each mixed-derivative kernel block built at once: a (GRAM_ROWS, P)
-# block is contracted before the next one is built, which bounds memory.
-GRAM_ROWS = 256
+# block is contracted and dropped before the next one is built, which bounds
+# memory. Of 64, 128 and 256 rows, 128 gave the fastest system1 Gram assembly
+# (P = 1001, 2-vCPU Xeon with OpenBLAS).
+GRAM_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -91,8 +107,11 @@ class GramSystem:
 def _gram_blocks(traj, basis: BasisSet, kernel, rule):
     """One trajectory's (G, r, target_norm_sq) contribution.
 
-    G_full is contracted from the unit-field kernel blocks H_de, one row
-    block at a time, as the module docstring describes.
+    G_full is contracted from the unit-field kernel blocks H_de over the
+    upper triangle of the symmetric integrand (see the module docstring):
+    each contraction T is added as 2 T, a diagonal block's less its own
+    square T_ii, and the final symmetrization turns 2 T into T + T^T. The
+    first row block whose sum is not finite (kernel overflow) stops the loop.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         X = traj.samples
@@ -103,18 +122,20 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         U = np.ascontiguousarray((F * w[:, None]).transpose(2, 0, 1))  # (n, M', P)
         E = np.eye(n)
 
-        # H_ed = H_de^T on one trajectory, so a d < e block is built once and
-        # counted twice; symmetrizing at the end restores the mirror half.
         G_full = np.zeros((F.shape[0], F.shape[0]))
         for lo in range(0, P, GRAM_ROWS):
             hi = min(lo + GRAM_ROWS, P)
+            Ud = U[:, :, lo:hi]
             for d in range(n):
                 Ed = np.broadcast_to(E[d], (hi - lo, n))
                 for e in range(d, n):
-                    Ee = np.broadcast_to(E[e], (P, n))
+                    q0 = lo if d == e else 0
+                    Ee = np.broadcast_to(E[e], (P - q0, n))
                     # H_de is freed after the first product, before the next one is built
-                    T = U[d, :, lo:hi] @ kernel.pre_inner_pairwise(X[lo:hi], X, Ed, Ee) @ U[e].T
-                    G_full += T if d == e else 2.0 * T
+                    L = Ud[d] @ kernel.pre_inner_pairwise(X[lo:hi], X[q0:], Ed, Ee)
+                    G_full += 2.0 * (L @ U[e, :, q0:].T)
+                    if d == e:
+                        G_full -= L[:, : hi - lo] @ Ud[d].T
             if not np.isfinite(G_full).all():
                 break  # kernel overflow; _require_finite reports it below
         G_full = 0.5 * (G_full + G_full.T)

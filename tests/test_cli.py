@@ -98,6 +98,18 @@ class TestIdentify:
         assert summary["l2_error"] < 1e-3
         assert summary["condition_number"] > 1.0
 
+    def test_near_singular_fit_prints_a_note(self, tmp_path, capsys):
+        lorenz = ["identify", "--system", "lorenz", "--T", "2", "--basis-degree", "3"]
+        assert run(lorenz + ["--out", str(tmp_path / "lorenz")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert summary_floats(tmp_path / "lorenz" / "result.csv")["condition_number"] > 1e10
+        assert len(out) == 2 and out[1].startswith("note: condition_number ")
+        assert "exceeds 1e+10; the fit is nearly singular" in out[1]
+        assert "note" not in (tmp_path / "lorenz" / "result.csv").read_text()
+        assert run(["identify", "--system", "system1", "--out", str(tmp_path / "s1")]) == 0
+        assert summary_floats(tmp_path / "s1" / "result.csv")["condition_number"] < 1e10
+        assert "note" not in capsys.readouterr().out
+
     def test_deterministic_modulo_runtime(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

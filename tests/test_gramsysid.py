@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -276,9 +277,47 @@ class TestContractionMatchesPerPair:
         assert abs(g.target_norm_sq - c) <= 1e-12 * abs(c)
 
 
+def _curve(n, P, h=0.01):
+    """A smooth (P, n) trajectory with a different frequency per coordinate."""
+    t = h * np.arange(P)[:, None]
+    k = np.arange(1.0, n + 1.0)
+    return Trajectory(0.8 * np.sin(k * t + k), h)
+
+
+class TestTriangleMatchesPerPair:
+    # The upper-triangle contraction against the per-pair quadrature in state
+    # dimensions 1-4, inside one row block and one sample past whole blocks,
+    # with and without a known part.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("whole_blocks", [0, 2])
+    @pytest.mark.parametrize("family", ["gaussian", "exp_dot", "poly3", "feature_map"])
+    @pytest.mark.parametrize("known", [False, True], ids=["plain", "known"])
+    def test_matches_per_pair(self, n, whole_blocks, family, known):
+        P = whole_blocks * gramsysid.GRAM_ROWS + 1 if whole_blocks else 37
+        traj = _curve(n, P)
+        lib = oc.monomial_basis(oc.MonomialSpec(n, 2))
+        basis = lib.select(range(0, len(lib), max(1, len(lib) // 8)))
+        if known:
+            basis = dataclasses.replace(basis, known_part=lambda X: 0.5 - X)
+        kernel = {
+            "gaussian": oc.gaussian_rbf(2.0),
+            "exp_dot": oc.exp_dot(0.5),
+            "poly3": oc.polynomial(2.0, 3),
+            "feature_map": oc.FeatureMapKernel(oc.gaussian_rbf(2.0), traj.samples[::9]),
+        }[family]
+        g = oc.gram_assemble([traj], basis, kernel, "simpson")
+        G, r, c = _per_pair_gram(traj, basis, kernel, "simpson")
+        assert P < gramsysid.GRAM_ROWS or P % gramsysid.GRAM_ROWS == 1
+        assert _rel(g.G, G) <= 1e-12
+        assert _rel(g.r, r) <= 1e-12
+        assert abs(g.target_norm_sq - c) <= 1e-12 * abs(c)
+
+
 class TestKernelPasses:
     # Each row block builds the n(n+1)/2 mixed-derivative blocks H_de, d <= e,
-    # once, whatever the number of basis fields.
+    # once, whatever the number of basis fields: a d < e block for all P
+    # columns, a diagonal block only for the columns from the row block's
+    # first row on (the upper triangle of the symmetric integrand).
     @pytest.mark.parametrize("case", [_system1_case, _emps_case], ids=["n2", "n3_known"])
     def test_blocks_per_row_block(self, case, monkeypatch):
         basis, traj = case(1.0 / 600)
@@ -286,13 +325,21 @@ class TestKernelPasses:
         inner = oc.Kernel.pre_inner_pairwise
 
         def spy(self, X, Y, A, B):
-            calls.append(len(X))
+            calls.append((len(X), len(Y), A[0].argmax(), B[0].argmax()))
             return inner(self, X, Y, A, B)
 
         monkeypatch.setattr(oc.Kernel, "pre_inner_pairwise", spy)
         oc.gram_assemble([traj], basis, oc.gaussian_rbf(10.0), "simpson")
-        n = traj.dim
-        n_blocks = -(-traj.n_samples // gramsysid.GRAM_ROWS)
-        assert n_blocks >= 3 and traj.n_samples % gramsysid.GRAM_ROWS  # a partial last block
+        n, P, R = traj.dim, traj.n_samples, gramsysid.GRAM_ROWS
+        n_blocks = -(-P // R)
+        assert n_blocks >= 3 and P % R  # a partial last block
         assert len(calls) == n_blocks * n * (n + 1) // 2
-        assert sum(calls) == traj.n_samples * n * (n + 1) // 2
+        assert sum(rows for rows, _, _, _ in calls) == P * n * (n + 1) // 2
+        per_block = n * (n + 1) // 2
+        for j, (rows, cols, d, e) in enumerate(calls):
+            lo = (j // per_block) * R
+            assert rows == min(R, P - lo) and d <= e
+            assert cols == (P - lo if d == e else P)
+        triangle = sum(min(R, P - lo) * (P - lo) for lo in range(0, P, R))
+        assert sum(rows * cols for rows, cols, _, _ in calls) == (
+            n * (n - 1) // 2 * P * P + n * triangle)

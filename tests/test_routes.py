@@ -294,3 +294,37 @@ def test_short_body_falls_back_without_a_warning(tmp_path, text, line):
     with pytest.raises(TrajectoryParseError, match="need at least 3 data rows") as info:
         oc.load_csv(path)
     assert info.value.line == line
+
+
+# -- direct vs stream under the trapezoid rule ------------------------------
+
+
+def _stream_case(system):
+    """(basis, trajectory, centers) for system1, or emps_form with its known part."""
+    if system == "system1":
+        field, _, basis = oc.builtin_system("system1")
+        tr = oc.integrate_rk4(field, np.array([0.3, -2.0]), 1.0, 1e-2)
+        return basis, tr, oc.lattice_centers([(-1, 1), (-3, -1)], 1.0)
+    field, _, basis = oc.builtin_system("emps_form", control=lambda t: np.sin(3 * t))
+    tr = oc.integrate_rk4(field, np.array([0.1, 0.0, 0.0]), 1.0, 1e-2)
+    return basis, tr, oc.lattice_centers([(-1, 1), (-1, 1), (0, 1)], [1.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("window", [0.0, 0.3], ids=["growing", "sliding"])
+@pytest.mark.parametrize("system", ["system1", "emps_form"])
+@pytest.mark.parametrize("kernel", [oc.gaussian_rbf(10.0), oc.exp_dot(0.5), oc.polynomial(2.0, 3)],
+                         ids=["gaussian", "exp_dot", "poly3"])
+def test_stream_matches_batch_trapezoid(kernel, system, window):
+    """After each push, the stream's (A, b) is the batch assembly of its window."""
+    basis, tr, centers = _stream_case(system)
+    st = oc.new_stream(centers, basis, kernel, tr.step, window=window)
+    m = round(window / tr.step)
+    pushed = 0
+    for k in (12, 31, 32, 57, tr.n_intervals):
+        oc.stream_push(st, tr.samples[pushed: k + 1])
+        pushed = k + 1
+        A, b = oc.stream_matrices(st)
+        inside = trajectory.Trajectory(tr.samples[max(0, k - m) if m else 0: k + 1], tr.step)
+        s = oc.assemble([inside], centers, basis, kernel, "trapezoid")
+        assert np.abs(A - s.A).max() <= 1e-10
+        assert np.abs(b - s.b).max() <= 1e-10
