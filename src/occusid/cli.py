@@ -606,14 +606,19 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
         raise ConfigError("convergence requires --h-values h1,h2,...")
     hs = _h_ladder(cfg.h_values)
     errors = _TARGETS[cfg.target](cfg, hs)
-    order = empirical_order(list(zip(hs, errors)))
-    notes = [f"order: {FMT % order}"]
-    ladder = [e for _, e in sorted(zip(hs, errors), reverse=True)]
-    if not all(finer < coarser for coarser, finer in zip(ladder, ladder[1:])):
-        notes.append("note: errors do not decrease as h decreases, so the order is not "
-                     "meaningful: they sit at the roundoff floor or outside the asymptotic range")
+    if 0.0 in errors:  # an error at the roundoff floor has no logarithm to fit
+        summary = "no order"
+        notes = ["note: some errors are 0: they reached the roundoff floor, so no order is fitted"]
+    else:
+        order = FMT % empirical_order(list(zip(hs, errors)))
+        summary, notes = f"order={order}", [f"order: {order}"]
+        ladder = [e for _, e in sorted(zip(hs, errors), reverse=True)]
+        if not all(finer < coarser for coarser, finer in zip(ladder, ladder[1:])):
+            notes.append("note: errors do not decrease as h decreases, so the order is not "
+                         "meaningful: they sit at the roundoff floor or outside the "
+                         "asymptotic range")
     path = _write_table(cfg, "convergence.csv", "h,error", zip(hs, errors), notes)
-    print(f"wrote {path} (order={FMT % order})")
+    print(f"wrote {path} ({summary})")
     return 0
 
 

@@ -63,6 +63,7 @@ from .dynamics import BasisSet
 from .quadrature import as_rule, weights
 from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _fields,
                     _require_finite, _result, _svd_solve)
+from .trajectory import _freeze
 
 # Rows of each mixed-derivative kernel block built at once: a (GRAM_ROWS, P)
 # block is contracted and dropped before the next one is built, which bounds
@@ -88,14 +89,11 @@ class GramSystem:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
-        r = np.asarray(self.r, dtype=float)
+        G, r = _freeze(self.G), _freeze(self.r)
         if G.ndim != 2 or G.shape[0] != G.shape[1] or r.shape != (G.shape[0],):
             raise ValueError(f"inconsistent Gram shapes {G.shape} and {r.shape}")
         if not (np.isfinite(G).all() and np.isfinite(r).all()):
             raise ValueError("Gram system entries must be finite")
-        G.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "r", r)
 

@@ -41,7 +41,7 @@ factor exactly through the center-constraint matrix.
 assemble_block_multi accumulates long time axes in CHUNK-sample pieces, in
 time order, so results are reproducible run to run. matrix, grad1_contract
 and pre_inner_pairwise build their whole result at once; the double
-quadratures that call them (quadrature.occupation_inner,
+quadratures that call them (quadrature.occupation_eval,
 gramsysid._gram_blocks) chunk their own rows. Overflow yields non-finite
 entries without a warning; the assembly layers check for them.
 """
@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedKernelError
+from .trajectory import _freeze
 
 FAMILIES = ("gaussian_rbf", "exp_dot", "polynomial", "linear")
 
@@ -298,12 +299,11 @@ class FeatureMapKernel(_PointwiseKernel):
     def __init__(self, base: Kernel, centers):
         if not isinstance(base, Kernel):
             raise ValueError("base must be a Kernel")
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        centers = _freeze(np.atleast_2d(centers))
         if centers.shape[0] < 1:
             raise ValueError("need at least one center")
         self.base = base
         self.centers = centers
-        self.centers.setflags(write=False)
 
     @property
     def family(self) -> str:

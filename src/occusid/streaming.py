@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import BasisSet
 from .errors import DivergenceError
 from .sysid import _fields, _known_split, _rank_cond, _require_finite, _svd_solve
-from .trajectory import GRID_RTOL, off_grid
+from .trajectory import GRID_RTOL, _freeze, off_grid
 
 
 class StreamState:
@@ -48,7 +48,7 @@ class StreamState:
 
     def __init__(self, centers, basis: BasisSet, kernel, step: float, window: float = 0.0,
                  alpha: float | None = None, theta0=None):
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        centers = _freeze(np.atleast_2d(centers))
         if centers.shape[1] != basis.dim:
             raise ValueError(f"centers have dimension {centers.shape[1]}, expected {basis.dim}")
         if not step > 0:
@@ -207,14 +207,13 @@ class StreamSnapshot:
     b: np.ndarray
     theta: np.ndarray
 
+    def __post_init__(self):
+        for name in ("A", "b", "theta"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+
 
 def snapshot(state: StreamState) -> StreamSnapshot:
-    A, b = state.matrices()
-    A.setflags(write=False)
-    b.setflags(write=False)
-    th = state.theta.copy()
-    th.setflags(write=False)
-    return StreamSnapshot(time=state.time, A=A, b=b, theta=th)
+    return StreamSnapshot(state.time, *state.matrices(), state.theta)
 
 
 class ContinuityReport(NamedTuple):

@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import BasisSet
 from .errors import DivergenceError, IterationLimitError
 from .quadrature import as_rule, weights
-from .trajectory import as_trajectory_set
+from .trajectory import _freeze, as_trajectory_set
 
 CD_TOL = 1e-10
 CD_MAX_SWEEPS = 100_000
@@ -56,8 +56,7 @@ class ConstraintSystem:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        A, b = _freeze(self.A), _freeze(self.b)
         if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
             raise ValueError(f"inconsistent system shapes {A.shape} and {b.shape}")
         if A.shape[0] != self.n_trajectories * self.n_centers:
@@ -69,8 +68,6 @@ class ConstraintSystem:
             raise ValueError("constraint system entries must be finite")
         if self.labels is not None and len(self.labels) != A.shape[1]:
             raise ValueError("one label per column required")
-        A.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -111,9 +108,7 @@ class EstimationResult:
     degenerate: bool = False
 
     def __post_init__(self):
-        th = np.asarray(self.theta_hat, dtype=float)
-        th.setflags(write=False)
-        object.__setattr__(self, "theta_hat", th)
+        object.__setattr__(self, "theta_hat", _freeze(self.theta_hat))
 
     @property
     def n_parameters(self) -> int:

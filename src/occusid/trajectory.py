@@ -2,8 +2,8 @@
 
 A trajectory is the raw material of every identification routine here:
 samples of a single continuous path on a uniform time grid. Instances are
-immutable after construction (the sample array is marked read-only), so
-they can be shared freely between threads and across assembled systems.
+immutable after construction (their samples are a private read-only copy),
+so they can be shared freely between threads and across assembled systems.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def off_grid(t, t_grid, h):
     return ~(np.abs(t - t_grid) <= GRID_RTOL * h + 4.0 * np.spacing(np.abs(t_grid)))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a) -> np.ndarray:
+    """A read-only float copy of a: how every value type keeps an array it is given."""
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -47,7 +48,7 @@ class Trajectory:
     step: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _freeze(self.samples)
         if samples.ndim != 2:
             raise ValueError(f"samples must be 2-D, got shape {samples.shape}")
         if samples.shape[0] < 3:
@@ -58,7 +59,7 @@ class Trajectory:
             raise ValueError("trajectory samples must be finite")
         if not (np.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be positive, got {self.step}")
-        object.__setattr__(self, "samples", _freeze(samples))
+        object.__setattr__(self, "samples", samples)
 
     @property
     def dim(self) -> int:
@@ -145,7 +146,7 @@ def segment(traj: Trajectory, parts: int) -> TrajectorySet:
     for k in range(parts):
         length = base + (1 if k < rem else 0)
         stop = start + length
-        pieces.append(Trajectory(traj.samples[start : stop + 1].copy(), traj.step))
+        pieces.append(Trajectory(traj.samples[start : stop + 1], traj.step))
         start = stop
     return TrajectorySet(tuple(pieces))
 
@@ -155,7 +156,7 @@ def add_measurement_noise(traj: Trajectory, sigma: float, seed: int) -> Trajecto
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
-        return Trajectory(traj.samples.copy(), traj.step)
+        return traj
     rng = np.random.default_rng(seed)
     noisy = traj.samples + rng.normal(0.0, sigma, size=traj.samples.shape)
     return Trajectory(noisy, traj.step)
@@ -171,7 +172,7 @@ def moving_average(traj: Trajectory, window: int) -> Trajectory:
         raise ValueError(f"window must be >= 1, got {window}")
     x = traj.samples
     if window == 1:
-        return Trajectory(x.copy(), traj.step)
+        return traj
     w = min(window, x.shape[0])
     out = np.empty_like(x)
     # Startup rows: shrinking window via running mean.
@@ -186,14 +187,10 @@ def moving_average(traj: Trajectory, window: int) -> Trajectory:
 
 def save_csv(traj: Trajectory, path) -> None:
     """Write `t,x1,...,xn` rows with full float precision (17 significant digits)."""
-    n = traj.dim
-    header = "t," + ",".join(f"x{i + 1}" for i in range(n))
+    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(traj.n_samples):
-            t = k * traj.step
-            row = ",".join(f"{v:.17g}" for v in traj.samples[k])
-            fh.write(f"{t:.17g},{row}\n")
+        np.savetxt(fh, np.column_stack([traj.times(), traj.samples]), fmt="%.17g",
+                   delimiter=",", header=header, comments="")
 
 
 def _parse_header(line: str) -> int:
@@ -327,7 +324,7 @@ def subsample(traj: Trajectory, stride: int) -> Trajectory:
         raise ValueError(
             f"stride {stride} does not divide {traj.n_intervals} intervals"
         )
-    return Trajectory(traj.samples[::stride].copy(), traj.step * stride)
+    return Trajectory(traj.samples[::stride], traj.step * stride)
 
 
 def concatenate(pieces) -> Trajectory:

@@ -164,6 +164,28 @@ class TestIdentify:
         rc = run(self.ARGS + ["--solver", "sparse", "--out", str(tmp_path)])
         assert rc == 2
         assert "error: config:" in capsys.readouterr().err
+        rc = run(self.ARGS + ["--solver", "sparse", "--lambda", "1e-3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: config: solver sparse requires --threshold" in capsys.readouterr().err
+
+    SPARSE = ["--solver", "sparse", "--lambda", "1e-3", "--threshold", "0.02"]
+
+    def test_sparse_end_to_end(self, tmp_path):
+        assert run(self.ARGS + self.SPARSE + ["--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "result.csv").read_text().strip().splitlines()
+        rows = [r.split(",") for r in lines[1:-1]]
+        assert len(rows) == 12
+        # the refit support is exactly the true terms; the rest are exact zeros
+        for row in rows:
+            assert (float(row[4]) == 0.0) == (float(row[3]) == 0.0)
+        assert summary_floats(tmp_path / "result.csv")["l2_error"] < 1e-6
+
+    def test_sparse_sweep_cap_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("occusid.sysid.CD_MAX_SWEEPS", 1)
+        assert run(self.ARGS + self.SPARSE + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "error: numerical: coordinate descent did not converge in 1 sweeps" in err
+        assert not (tmp_path / "result.csv").exists()
 
     def test_missing_trajectory_file(self, tmp_path, capsys):
         rc = run(["identify", "--trajectories", str(tmp_path / "nope.csv"),
@@ -687,6 +709,21 @@ class TestConvergence:
         assert lines[-2].startswith("# order: ")
         assert lines[-1].startswith("# note: ")
         assert "not meaningful" in lines[-1] and "roundoff floor" in lines[-1]
+
+    def test_errors_at_the_floor_write_every_row_and_a_note(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # the default Simpson ladder of system1 at these h reads these; the 0
+        # is a distance clamped at the roundoff floor and has no logarithm
+        errors = [6.9e-12, 4.9e-15, 2.2e-16, 0.0]
+        monkeypatch.setattr("occusid.cli._occupation_ladder", lambda cfg, hs: errors)
+        rc = run(["convergence", "--system", "system1", "--target", "occupation",
+                  "--h-values", "0.04,0.02,0.01,0.005", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert [float(r.split(",")[1]) for r in lines[1:5]] == errors
+        assert lines[5:] == ["# note: some errors are 0: they reached the roundoff floor, "
+                             "so no order is fitted"]
+        assert capsys.readouterr().out.endswith("(no order)\n")
 
     def test_insufficient_points(self, tmp_path, capsys):
         rc = run(["convergence", "--system", "system1", "--h-values", "0.05,0.02",

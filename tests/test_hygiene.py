@@ -75,3 +75,34 @@ def test_checker_finds_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def setflags_outside_freeze(sources: dict) -> list[str]:
+    """`module:line` of each `setflags(` in sources outside trajectory._freeze.
+
+    _freeze is the one place an array is made read-only: every value type
+    stores _freeze of the arrays it keeps, so none freezes an array it shares.
+    """
+    found = []
+    for module, source in sorted(sources.items()):
+        allowed = set()
+        if module == "trajectory.py":
+            for node in ast.parse(source).body:
+                if isinstance(node, ast.FunctionDef) and node.name == "_freeze":
+                    allowed = set(range(node.lineno, node.end_lineno + 1))
+        found += [f"{module}:{i}" for i, line in enumerate(source.splitlines(), start=1)
+                  if "setflags(" in line and i not in allowed]
+    return found
+
+
+def test_checker_finds_setflags_outside_freeze():
+    sources = {
+        "trajectory.py": "def _freeze(a):\n    a.setflags(write=False)\n    return a\n"
+                         "x.setflags(write=False)\n",
+        "kernels.py": "def f(a):\n    a.setflags(write=False)\n",
+    }
+    assert setflags_outside_freeze(sources) == ["kernels.py:2", "trajectory.py:4"]
+
+
+def test_only_freeze_calls_setflags():
+    assert setflags_outside_freeze({p.name: p.read_text() for p in SRC.glob("*.py")}) == []

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import occusid as oc
+from occusid import quadrature
 from occusid.quadrature import as_rule
 from occusid.trajectory import Trajectory
 
@@ -159,6 +160,31 @@ class TestOccupation:
         a = oc.occupation_estimate(system1_trajs_coarse[0], gauss10, "simpson")
         b = oc.occupation_estimate(system1_trajs_coarse[1], gauss10, "trapezoid")
         assert oc.occupation_inner(a, b) == pytest.approx(oc.occupation_inner(b, a), rel=1e-12)
+
+    def test_eval_builds_blocks_of_bounded_size(self, monkeypatch, system1_trajs_coarse,
+                                                gauss10):
+        a = oc.occupation_estimate(system1_trajs_coarse[0], gauss10, "simpson")
+        b = oc.occupation_estimate(system1_trajs_coarse[1], gauss10, "trapezoid")
+        XA, XB = a.trajectory.samples, b.trajectory.samples
+        whole = a.weights @ gauss10.matrix(XA, XB) @ b.weights
+        shapes = []
+        real = oc.Kernel.matrix
+
+        def spy(self, X, Y):
+            shapes.append((X.shape[0], Y.shape[0]))
+            return real(self, X, Y)
+
+        monkeypatch.setattr(oc.Kernel, "matrix", spy)
+        P = XB.shape[0]
+        for entries in (50, 1000, quadrature.OCCUPATION_ENTRIES):
+            monkeypatch.setattr(quadrature, "OCCUPATION_ENTRIES", entries)
+            shapes.clear()
+            assert oc.occupation_inner(a, b) == pytest.approx(whole, rel=1e-13)
+            rows = max(1, entries // P)
+            # a row longer than the bound is a block of its own
+            assert shapes == [(min(rows, XA.shape[0] - lo), P)
+                              for lo in range(0, XA.shape[0], rows)]
+            assert all(r * c <= max(entries, c) for r, c in shapes)
 
     def test_inner_requires_same_kernel(self, system1_trajs_coarse):
         a = oc.occupation_estimate(system1_trajs_coarse[0], oc.gaussian_rbf(10.0), "simpson")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import occusid as oc
+from occusid import sysid
+from occusid.errors import IterationLimitError
 from occusid.trajectory import Trajectory
 
 
@@ -273,6 +275,37 @@ class TestSolveSparse:
         r = oc.solve_sparse(s, lam=1e-4, threshold=0.1)
         assert set(r.support.tolist()) == {0, 3}
         assert np.allclose(r.theta_hat, theta, atol=1e-8)
+
+    def test_refit_drops_a_term_below_threshold(self, monkeypatch):
+        # b = a0 + a1 and a2 = (a0 + a1 + e2) / sqrt(3): the lasso keeps all
+        # three columns above the threshold, the unpenalized refit puts 0 on
+        # a2, and the second refit runs on the two columns left
+        A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        A[:, 2] /= np.sqrt(3.0)
+        b = np.array([1.0, 1.0, 0.0])
+        assert (sysid._lasso_cd(A, b, 0.4, np.ones(3)) >= 0.05).all()
+        widths = []
+        real = sysid._svd_solve
+
+        def spy(A, b, rcond):
+            widths.append(A.shape[1])
+            return real(A, b, rcond)
+
+        monkeypatch.setattr(sysid, "_svd_solve", spy)
+        r = oc.solve_sparse(oc.ConstraintSystem(A, b, 1, 3), lam=0.4, threshold=0.05)
+        assert widths == [3, 2]
+        assert r.support.tolist() == [0, 1]
+        assert r.theta_hat[2] == 0.0
+        assert np.allclose(r.theta_hat, [1.0, 1.0, 0.0], atol=1e-12)
+
+    def test_sweep_cap_reports_last_iterate_in_parameter_units(self, monkeypatch):
+        # orthogonal columns: one sweep soft-thresholds A_std^T b = b, and a
+        # cap of one sweep stops there; last_iterate divides by the column norms
+        monkeypatch.setattr(sysid, "CD_MAX_SWEEPS", 1)
+        s = oc.ConstraintSystem(np.diag([2.0, 0.5, 4.0]), np.array([1.0, -3.0, 0.2]), 1, 3)
+        with pytest.raises(IterationLimitError, match="in 1 sweeps") as exc:
+            oc.solve_sparse(s, lam=0.5, threshold=0.1)
+        np.testing.assert_array_equal(exc.value.last_iterate, [0.25, -5.0, 0.0])
 
 
 class TestIls:

@@ -176,6 +176,21 @@ class TestCsv:
         assert np.array_equal(back.samples, tr.samples)
         assert back.step == tr.step
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bytes_match_per_row_formatting(self, tmp_path, n):
+        # the reference is a per-row f-string writer: `t,x1,...` then one
+        # `{v:.17g}` cell per value
+        rng = np.random.default_rng(n)
+        samples = rng.normal(size=(9, n)) * 10.0 ** rng.integers(-300, 300, size=(9, n))
+        samples.flat[:6] = [-0.0, 5e-324, 1e-310, 1e300, -1e300, 0.1]
+        tr = Trajectory(samples, 0.037)
+        path = tmp_path / "tr.csv"
+        oc.save_csv(tr, path)
+        lines = ["t," + ",".join(f"x{i + 1}" for i in range(n))]
+        lines += [",".join(f"{v:.17g}" for v in (k * tr.step, *tr.samples[k]))
+                  for k in range(tr.n_samples)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "tr.csv"
         oc.save_csv(ramp(5, 2), path)

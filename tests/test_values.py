@@ -1,0 +1,63 @@
+"""Every value type keeps a private read-only copy of each array it is given.
+
+Each case builds one object from views of a writable base array and names
+the arrays it keeps. The arrays handed in must stay writable, the kept ones
+must be read-only, and a later write to the base must not reach them.
+"""
+
+from operator import attrgetter
+
+import numpy as np
+import pytest
+
+import occusid as oc
+
+
+class Views:
+    """A writable base array that records every view taken of it."""
+
+    def __init__(self):
+        self.base = np.arange(1.0, 61.0).reshape(6, 10)
+        self.given = []
+
+    def __getitem__(self, index):
+        view = self.base[index]
+        self.given.append(view)
+        return view
+
+
+def _stream_state(v):
+    _, _, basis = oc.builtin_system("system1")
+    return oc.StreamState(v[:3, :2], basis, oc.gaussian_rbf(1.0), 0.1)
+
+
+# type -> (build from Views, the attributes holding the kept arrays)
+CASES = {
+    "Trajectory": (lambda v: oc.Trajectory(v[:4, :2], 0.1), ("samples",)),
+    "ConstraintSystem": (lambda v: oc.ConstraintSystem(v[:3, :2], v[:3, 2], 1, 3), ("A", "b")),
+    "GramSystem": (lambda v: oc.GramSystem(v[:2, :2], v[:2, 2], 1.0, 1), ("G", "r")),
+    "EstimationResult": (lambda v: oc.EstimationResult(v[0, :3], 0.0, 1.0, 3), ("theta_hat",)),
+    "StreamSnapshot": (lambda v: oc.StreamSnapshot(0.0, v[:3, :2], v[:3, 2], v[0, 3:5]),
+                       ("A", "b", "theta")),
+    "OccupationKernelEstimate": (
+        lambda v: oc.OccupationKernelEstimate(oc.Trajectory(v[:5, :2], 0.1),
+                                              oc.gaussian_rbf(1.0), "trapezoid"),
+        ("trajectory.samples", "weights")),
+    "FeatureMapKernel": (lambda v: oc.FeatureMapKernel(oc.gaussian_rbf(1.0), v[:3, :2]),
+                         ("centers",)),
+    "StreamState": (_stream_state, ("centers",)),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_keeps_a_private_read_only_copy(name):
+    build, attrs = CASES[name]
+    views = Views()
+    obj = build(views)
+    kept = [attrgetter(a)(obj) for a in attrs]
+    before = [k.copy() for k in kept]
+    assert views.base.flags.writeable and all(v.flags.writeable for v in views.given)
+    assert not any(k.flags.writeable for k in kept)
+    views.base[...] = -7.0
+    for k, old in zip(kept, before):
+        np.testing.assert_array_equal(k, old)
