@@ -26,20 +26,24 @@ gives every entry by matrix products. The cost depends on the state
 dimension n, not on the M(M + 1)/2 basis pairs.
 
 Because K is symmetric, so is the whole integrand matrix
-H[(p, d), (q, e)] = H_de[p, q] of size nP x nP: H_ed = H_de^T, and each
-diagonal block H_dd is itself symmetric. Only its upper triangle is built,
-a row block of GRAM_ROWS samples [lo, hi) at a time:
+H[(d, p), (e, q)] = H_de[p, q] of size nP x nP. Only its upper triangle by
+sample is built, a row block of samples [lo, hi) at a time. One stacked
+pre_inner_pairwise call on the unit fields gives all n^2 blocks H_de of the
+rows against the columns q >= lo, (n, R, n, Q) with R = hi - lo and
+Q = P - lo, from one kernel profile pass. Read as an (nR, nQ) matrix, it is
+contracted by one GEMM chain:
 
-- a block with d < e is built for all P columns, and its contraction T is
-  counted twice (T + T^T, for its mirror H_ed);
-- a diagonal block H_dd is built only for the columns q >= lo. Its strip
-  contraction T is counted as T + T^T - T_ii, where T_ii is the part from
-  the row block's own hi - lo columns, the square on the diagonal of H_dd
-  that T and T^T both hold.
+    L = U_rows @ H,   G_full += 2 L U_cols^T - L[:, square] U_rows^T
 
-Each block is contracted and dropped before the next one is built. Per row
-block this is still n(n + 1)/2 pre_inner_pairwise calls, but about
-n(n - 1)/2 P^2 + n P^2 / 2 kernel entries in all instead of n(n + 1)/2 P^2.
+where U_rows (M', nR) and U_cols (M', nQ) hold U_d over the rows and the
+columns, d-major. The strip q >= hi stands for its mirror too, hence the
+2; the square lo <= q < hi holds both halves of its own symmetric part, so
+it is counted once. The final symmetrization turns 2 T into T + T^T. In
+all this is n^2 (P^2 + P R) / 2 kernel entries, about the upper triangle.
+
+The entry budget GRAM_ENTRIES bounds memory: a row block has
+R = max(1, GRAM_ENTRIES // (n^2 P)) rows, so no stack exceeds the budget
+unless a single row does.
 
 A known part h of the dynamics rides along as field M' - 1 = M (stacked by
 sysid._fields, as on every route): G is G_full[:M, :M], r loses
@@ -65,11 +69,13 @@ from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _
                     _require_finite, _result, _svd_solve)
 from .trajectory import _freeze
 
-# Rows of each mixed-derivative kernel block built at once: a (GRAM_ROWS, P)
-# block is contracted and dropped before the next one is built, which bounds
-# memory. Of 64, 128 and 256 rows, 128 gave the fastest system1 Gram assembly
-# (P = 1001, 2-vCPU Xeon with OpenBLAS).
-GRAM_ROWS = 128
+# Kernel entries per row block: the n^2 mixed-derivative blocks of a row block
+# come from one pre_inner_pairwise call, (n, rows, n, P - lo), with rows =
+# max(1, GRAM_ENTRIES // (n^2 P)). 2^17 gives 32 rows for system1 (n = 2,
+# P = 1001), whose assembly then peaks at 2.8 MiB of traced allocations; 64
+# and 128 rows peaked at 4.9 and 9.3 MiB and raised the process's peak RSS
+# for little or no speed (2-vCPU Xeon with OpenBLAS).
+GRAM_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,10 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
     """One trajectory's (G, r, target_norm_sq) contribution.
 
     G_full is contracted from the unit-field kernel blocks H_de over the
-    upper triangle of the symmetric integrand (see the module docstring):
-    each contraction T is added as 2 T, a diagonal block's less its own
-    square T_ii, and the final symmetrization turns 2 T into T + T^T. The
-    first row block whose sum is not finite (kernel overflow) stops the loop.
+    upper triangle by sample of the symmetric integrand (see the module
+    docstring), one stacked pre_inner_pairwise call and one GEMM chain per
+    row block. The first row block whose sum is not finite (kernel overflow)
+    stops the loop.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         X = traj.samples
@@ -117,23 +123,21 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         w = weights(rule, traj.n_intervals, traj.step)
         M = len(basis)
         F = _fields(basis, X)  # (M', P, n)
-        U = np.ascontiguousarray((F * w[:, None]).transpose(2, 0, 1))  # (n, M', P)
-        E = np.eye(n)
+        Mp = F.shape[0]
+        U = np.ascontiguousarray((F * w[:, None]).transpose(0, 2, 1))  # (M', n, P)
+        units = np.broadcast_to(np.eye(n)[:, None, :], (n, P, n))  # field d is e_d
+        rows = max(1, GRAM_ENTRIES // (n * n * P))
 
-        G_full = np.zeros((F.shape[0], F.shape[0]))
-        for lo in range(0, P, GRAM_ROWS):
-            hi = min(lo + GRAM_ROWS, P)
-            Ud = U[:, :, lo:hi]
-            for d in range(n):
-                Ed = np.broadcast_to(E[d], (hi - lo, n))
-                for e in range(d, n):
-                    q0 = lo if d == e else 0
-                    Ee = np.broadcast_to(E[e], (P - q0, n))
-                    # H_de is freed after the first product, before the next one is built
-                    L = Ud[d] @ kernel.pre_inner_pairwise(X[lo:hi], X[q0:], Ed, Ee)
-                    G_full += 2.0 * (L @ U[e, :, q0:].T)
-                    if d == e:
-                        G_full -= L[:, : hi - lo] @ Ud[d].T
+        G_full = np.zeros((Mp, Mp))
+        for lo in range(0, P, rows):
+            hi = min(lo + rows, P)
+            R, Q = hi - lo, P - lo
+            H = kernel.pre_inner_pairwise(X[lo:hi], X[lo:], units[:, :R], units[:, :Q])
+            U_rows = U[:, :, lo:hi].reshape(Mp, n * R)
+            L = U_rows @ H.reshape(n * R, n * Q)  # (M', n Q)
+            del H  # freed before the next row block's stack is built
+            G_full += 2.0 * (L @ U[:, :, lo:].reshape(Mp, n * Q).T)
+            G_full -= L.reshape(Mp, n, Q)[:, :, :R].reshape(Mp, n * R) @ U_rows.T
             if not np.isfinite(G_full).all():
                 break  # kernel overflow; _require_finite reports it below
         G_full = 0.5 * (G_full + G_full.T)

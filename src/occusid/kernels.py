@@ -34,6 +34,13 @@ the vectorized method it wraps (matrix, grad1, pre_inner_pairwise,
 grad1_contract, assemble_block_multi). Each kernel type writes only grad1,
 grad1grad2 and the vectorized methods.
 
+pre_inner_pairwise takes one field per side, A (P, n) and B (Q, n), for the
+(P, Q) matrix of integrands, or stacks of fields, A (k, P, n) and B
+(l, Q, n), for all k l blocks at once as a (k, P, l, Q) array built from one
+kernel profile pass over the (P, Q) sample pairs; one field is the stack of
+one. The Gram assembly asks for the n^2 mixed-derivative blocks of a row
+block this way, with the unit fields e_d on both sides.
+
 FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
 factor exactly through the center-constraint matrix.
@@ -77,6 +84,20 @@ def _rows(X) -> np.ndarray:
 def _rowdot(U, W) -> np.ndarray:
     """U[p] . W[p], shape (P,)."""
     return np.einsum("pd,pd->p", U, W)
+
+
+def _field_stacks(X, Y, A, B):
+    """(X, Y, A, B, stacked) for pre_inner_pairwise: points as rows, each side's
+    fields as a stack (k, P, n), one field (P, n) being a stack of one, and
+    whether each side came as a stack."""
+    stacked = (np.ndim(A) == 3, np.ndim(B) == 3)
+    A, B = (np.asarray(F, dtype=float) if s else _rows(F)[None] for F, s in zip((A, B), stacked))
+    return _rows(X), _rows(Y), A, B, stacked
+
+
+def _unstack(out, stacked) -> np.ndarray:
+    """A (k, P, l, Q) block result without the axis of each side that was not a stack."""
+    return out[(slice(None) if stacked[0] else 0, slice(None), slice(None) if stacked[1] else 0)]
 
 
 def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
@@ -271,20 +292,37 @@ class Kernel(_PointwiseKernel):
         return acc
 
     def pre_inner_pairwise(self, X, Y, A, B) -> np.ndarray:
-        """Matrix of pre_inner_integrand(X[p], Y[q], A[p], B[q]), shape (P, Q).
+        """Blocks of pre_inner_integrand(X[p], Y[q], A_i[p], B_j[q]) from one kernel pass.
 
-        beta f' A[p] . B[q] + beta^2 f'' (A[p] . (y - rho x)) ((x - rho y) . B[q]).
+        A is one field (P, n) or a stack (k, P, n), B one field (Q, n) or a
+        stack (l, Q, n). Entry [i, p, j, q] of the (k, P, l, Q) result is
+
+            beta f' A_i[p] . B_j[q] + beta^2 f'' (A_i[p] . (y - rho x)) ((x - rho y) . B_j[q])
+
+        at x = X[p], y = Y[q]; an unstacked A or B drops its axis, so two
+        fields give the (P, Q) matrix.
         """
         self._integrand_guard("pre_inner_pairwise")
-        X, Y, A, B = _rows(X), _rows(Y), _rows(A), _rows(B)
+        X, Y, A, B, stacked = _field_stacks(X, Y, A, B)
+        (k, P, n), (l, Q, _) = A.shape, B.shape
         rho, beta = self._rho, self._beta
         with np.errstate(**_QUIET):
             base, _, c1, c2 = self._profile(self._z(X, Y))
-            out = _pair(A, Y, -rho * _rowdot(A, X), 0.0, beta * beta * c2)
-            out *= _pair(X, B, 0.0, -rho * _rowdot(B, Y))
-            out += _pair(A, B, 0.0, 0.0, beta * c1)
-            out *= base
-            return out
+            # a[i, p, q] = beta^2 f'' A_i[p] . (y - rho x), b[p, j, q] = (x - rho y) . B_j[q]
+            ax = np.einsum("kpd,pd->kp", A, X).reshape(-1)
+            by = np.einsum("lqd,qd->lq", B, Y).reshape(-1)
+            a = _pair(A.reshape(k * P, n), Y, -rho * ax, 0.0, beta * beta * c2).reshape(k, P, Q)
+            a *= base
+            b = _pair(X, B.reshape(l * Q, n), 0.0, -rho * by).reshape(P, l, Q)
+            out = np.multiply(a[:, :, None, :], b)
+            del a, b  # freed before the f' term's (P, Q) products
+            base *= beta * c1  # beta f'
+            for i in range(k):
+                for j in range(l):
+                    ab = A[i] @ B[j].T
+                    ab *= base
+                    out[i, :, j, :] += ab
+        return _unstack(out, stacked)
 
 
 class FeatureMapKernel(_PointwiseKernel):
@@ -344,9 +382,12 @@ class FeatureMapKernel(_PointwiseKernel):
         return [phi_c @ blk for blk in blocks]
 
     def pre_inner_pairwise(self, X, Y, A, B) -> np.ndarray:
-        ga = self.base.grad1_contract(X, self.centers, A)  # (P, S)
-        gb = self.base.grad1_contract(Y, self.centers, B)  # (Q, S)
-        return ga @ gb.T
+        """Kernel.pre_inner_pairwise's blocks as one (kP, S) @ (S, lQ) product."""
+        X, Y, A, B, stacked = _field_stacks(X, Y, A, B)
+        (k, P, n), (l, Q, _) = A.shape, B.shape
+        ga = self.base.grad1_contract(np.tile(X, (k, 1)), self.centers, A.reshape(k * P, n))
+        gb = self.base.grad1_contract(np.tile(Y, (l, 1)), self.centers, B.reshape(l * Q, n))
+        return _unstack((ga @ gb.T).reshape(k, P, l, Q), stacked)
 
 
 def gaussian_rbf(mu: float) -> Kernel:

@@ -151,7 +151,8 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
         state._psi_last = psi
         state._prev_rows = rows
         state.n_samples += 1
-    A, _ = state.matrices()
+    # reads the accumulator's parameter block in place; matrices() would copy it
+    A = _known_split(state._acc, len(state.basis))[0]
     state._auto_alpha = _default_alpha(A, state.kernel)
     return state
 

@@ -842,10 +842,13 @@ class TestStream:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the subprocess finds the package under test without an installed copy
+        src = str(Path(oc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "occusid", "identify", "--system", "system1",
              "--n-trajectories", "2", "--h", "1e-2", "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "result.csv").exists()
@@ -870,14 +873,18 @@ print(json.dumps(texts))
 def test_blas_threads_move_theta_within_the_rounding_bound():
     """Equal BLAS thread counts give equal bytes; other counts move theta by rounding only.
 
-    A thread count splits the sums over a trajectory's P samples in another
-    order. Each order is within gamma_P = P u of the exact sum (u the unit
-    roundoff), so the constraint system moves by a relative 2 P u at most, and
-    the solution of a small-residual (noise-free) least-squares problem by
-    cond * 2 P u * |theta| to first order, cond being the reported one.
+    A thread count splits a matrix product's sums in another order. Each
+    order of a sum of N terms is within gamma_N = N u of the exact sum (u the
+    unit roundoff), so the system moves by a relative 2 N u at most, and the
+    solution of a small-residual (noise-free) least-squares problem by
+    cond * 2 N u * |theta| to first order, cond being the reported one. The
+    direct route's sums run over a trajectory's P samples (N = P); the Gram
+    route contracts its kernel blocks over samples and state coordinates, so
+    its sums run over N = n P terms.
     """
     commands = [(["identify", "--system", "system1"], 1001),  # T = 1, h = 1e-3
-                (["identify", "--system", "lorenz", "--T", "2", "--basis-degree", "3"], 2001)]
+                (["identify", "--system", "lorenz", "--T", "2", "--basis-degree", "3"], 2001),
+                (["identify", "--system", "system1", "--solver", "gram"], 2 * 1001)]
     src = str(Path(oc.__file__).resolve().parents[1])
     texts = {}
     for threads in ("1", "2"):
@@ -890,11 +897,11 @@ def test_blas_threads_move_theta_within_the_rounding_bound():
         assert proc.returncode == 0, proc.stderr
         texts[threads] = [RUNTIME.sub("", text) for text in json.loads(proc.stdout)]
     u = np.finfo(float).eps / 2
-    for j, (argv, samples) in enumerate(commands):
+    for j, (argv, terms) in enumerate(commands):
         (a, a_again), (b, b_again) = texts["1"][2 * j: 2 * j + 2], texts["2"][2 * j: 2 * j + 2]
         assert a == a_again and b == b_again, argv
         theta_a, theta_b = (np.array([float(line.split(",")[4]) for line in text.splitlines()[1:]
                                       if not line.startswith("#")]) for text in (a, b))
         cond = max(float(re.search(r"condition_number=([^,]*)", t).group(1)) for t in (a, b))
-        bound = cond * 2 * samples * u * np.linalg.norm(theta_a)
+        bound = cond * 2 * terms * u * np.linalg.norm(theta_a)
         assert np.linalg.norm(theta_a - theta_b) <= bound, argv

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -286,14 +287,19 @@ def _curve(n, P, h=0.01):
 
 class TestTriangleMatchesPerPair:
     # The upper-triangle contraction against the per-pair quadrature in state
-    # dimensions 1-4, inside one row block and one sample past whole blocks,
-    # with and without a known part.
+    # dimensions 1-4, inside one row block and one sample past whole blocks of
+    # ROWS rows (an entry budget of exactly ROWS rows), with and without a
+    # known part.
+    ROWS = 64
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("whole_blocks", [0, 2])
     @pytest.mark.parametrize("family", ["gaussian", "exp_dot", "poly3", "feature_map"])
     @pytest.mark.parametrize("known", [False, True], ids=["plain", "known"])
-    def test_matches_per_pair(self, n, whole_blocks, family, known):
-        P = whole_blocks * gramsysid.GRAM_ROWS + 1 if whole_blocks else 37
+    def test_matches_per_pair(self, n, whole_blocks, family, known, monkeypatch):
+        P = whole_blocks * self.ROWS + 1 if whole_blocks else 37
+        if whole_blocks:
+            monkeypatch.setattr(gramsysid, "GRAM_ENTRIES", self.ROWS * n * n * P)
         traj = _curve(n, P)
         lib = oc.monomial_basis(oc.MonomialSpec(n, 2))
         basis = lib.select(range(0, len(lib), max(1, len(lib) // 8)))
@@ -307,39 +313,61 @@ class TestTriangleMatchesPerPair:
         }[family]
         g = oc.gram_assemble([traj], basis, kernel, "simpson")
         G, r, c = _per_pair_gram(traj, basis, kernel, "simpson")
-        assert P < gramsysid.GRAM_ROWS or P % gramsysid.GRAM_ROWS == 1
+        rows = gramsysid.GRAM_ENTRIES // (n * n * P)
+        assert rows == self.ROWS if whole_blocks else rows >= P
         assert _rel(g.G, G) <= 1e-12
         assert _rel(g.r, r) <= 1e-12
         assert abs(g.target_norm_sq - c) <= 1e-12 * abs(c)
 
 
 class TestKernelPasses:
-    # Each row block builds the n(n+1)/2 mixed-derivative blocks H_de, d <= e,
-    # once, whatever the number of basis fields: a d < e block for all P
-    # columns, a diagonal block only for the columns from the row block's
-    # first row on (the upper triangle of the symmetric integrand).
+    # Each row block [lo, hi) builds every mixed-derivative block H_de of its
+    # rows in one stacked pre_inner_pairwise call on the unit fields, over the
+    # columns from lo on (the upper triangle by sample), whatever the number
+    # of basis fields. The rows come from the GRAM_ENTRIES budget.
     @pytest.mark.parametrize("case", [_system1_case, _emps_case], ids=["n2", "n3_known"])
     def test_blocks_per_row_block(self, case, monkeypatch):
         basis, traj = case(1.0 / 600)
+        kernel = oc.gaussian_rbf(10.0)
+        n, P = traj.dim, traj.n_samples
         calls = []
         inner = oc.Kernel.pre_inner_pairwise
 
         def spy(self, X, Y, A, B):
-            calls.append((len(X), len(Y), A[0].argmax(), B[0].argmax()))
+            calls.append((len(X), len(Y), np.array(A), np.array(B)))
             return inner(self, X, Y, A, B)
 
+        whole = oc.gram_assemble([traj], basis, kernel, "simpson").G
         monkeypatch.setattr(oc.Kernel, "pre_inner_pairwise", spy)
-        oc.gram_assemble([traj], basis, oc.gaussian_rbf(10.0), "simpson")
-        n, P, R = traj.dim, traj.n_samples, gramsysid.GRAM_ROWS
-        n_blocks = -(-P // R)
-        assert n_blocks >= 3 and P % R  # a partial last block
-        assert len(calls) == n_blocks * n * (n + 1) // 2
-        assert sum(rows for rows, _, _, _ in calls) == P * n * (n + 1) // 2
-        per_block = n * (n + 1) // 2
-        for j, (rows, cols, d, e) in enumerate(calls):
-            lo = (j // per_block) * R
-            assert rows == min(R, P - lo) and d <= e
-            assert cols == (P - lo if d == e else P)
-        triangle = sum(min(R, P - lo) * (P - lo) for lo in range(0, P, R))
-        assert sum(rows * cols for rows, cols, _, _ in calls) == (
-            n * (n - 1) // 2 * P * P + n * triangle)
+        for entries in (1, 20_000, gramsysid.GRAM_ENTRIES):
+            monkeypatch.setattr(gramsysid, "GRAM_ENTRIES", entries)
+            calls.clear()
+            G = oc.gram_assemble([traj], basis, kernel, "simpson").G
+            assert _rel(G, whole) <= 1e-12
+            rows = max(1, entries // (n * n * P))
+            starts = range(0, P, rows)
+            assert len(calls) == len(starts)
+            assert rows == 1 or P % rows  # a partial last block
+            for lo, (R, Q, A, B) in zip(starts, calls):
+                assert (R, Q) == (min(rows, P - lo), P - lo)
+                assert A.shape == (n, R, n) and B.shape == (n, Q, n)
+                assert (A == np.eye(n)[:, None, :]).all() and (B == np.eye(n)[:, None, :]).all()
+            assert sum(n * n * R * Q for R, Q, _, _ in calls) == n * n * sum(
+                min(rows, P - lo) * (P - lo) for lo in starts)
+            # a row longer than the budget is a block of its own
+            assert all(n * n * R * P <= max(entries, n * n * P) for R, _, _, _ in calls)
+
+    def test_peak_memory_of_one_assembly(self):
+        # The entry budget bounds the stacked kernel blocks: one P = 1001
+        # system1 assembly peaks at about 2.5 MiB of traced allocations, where
+        # a 128-row stack would take about 14 MiB.
+        field, _, basis = oc.builtin_system("system1")
+        traj = oc.integrate_rk4(field, np.array([0.3, -2.0]), 1.0, 1e-3)
+        assert traj.n_samples == 1001
+        tracemalloc.start()
+        try:
+            oc.gram_assemble([traj], basis, oc.gaussian_rbf(10.0), "simpson")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2 ** 20

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import occusid as oc
-from occusid import dynamics, trajectory
-from occusid.errors import TrajectoryParseError
+from occusid import dynamics, gramsysid, trajectory
+from occusid.errors import TrajectoryParseError, UnsupportedKernelError
 
 # -- term tables vs the term formulas ---------------------------------------
 
@@ -328,3 +328,75 @@ def test_stream_matches_batch_trapezoid(kernel, system, window):
         s = oc.assemble([inside], centers, basis, kernel, "trapezoid")
         assert np.abs(A - s.A).max() <= 1e-10
         assert np.abs(b - s.b).max() <= 1e-10
+
+
+# -- stacked kernel blocks vs the per-pair pre_inner_pairwise calls ----------
+
+
+def _pairwise_kernel(family, n):
+    return {
+        "gaussian": oc.gaussian_rbf(2.0),
+        "exp_dot": oc.exp_dot(0.5),
+        "poly3": oc.polynomial(2.0, 3),
+        "feature_map": oc.FeatureMapKernel(
+            oc.gaussian_rbf(2.0), np.random.default_rng(n).uniform(-1, 1, (5, n))),
+    }[family]
+
+
+def _unit_stack(dims, P, n):
+    """Fields e_d for d in dims, each constant over P samples: (len(dims), P, n)."""
+    return np.broadcast_to(np.eye(n)[list(dims), None, :], (len(dims), P, n))
+
+
+def assert_blocks_match_pairs(kernel, X, Y, A, B):
+    """Block [i, :, j, :] of the stacked call against the 2-D call on A[i], B[j]."""
+    got = kernel.pre_inner_pairwise(X, Y, A, B)
+    assert got.shape == (len(A), len(X), len(B), len(Y))
+    scale = np.abs(got).max()
+    for i in range(len(A)):
+        for j in range(len(B)):
+            expect = kernel.pre_inner_pairwise(X, Y, A[i], B[j])
+            np.testing.assert_allclose(got[i, :, j, :], expect, rtol=1e-13, atol=1e-13 * scale)
+    return got
+
+
+FAMILIES = ["gaussian", "exp_dot", "poly3", "feature_map"]
+
+
+@pytest.mark.parametrize("fields", ["unit", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_pre_inner_pairwise_matches_pairs(family, n, fields):
+    kernel = _pairwise_kernel(family, n)
+    rng = np.random.default_rng(10 * n + len(fields))
+    P, Q = 9, 13
+    X, Y = rng.uniform(-1, 1, (P, n)), rng.uniform(-1, 1, (Q, n))
+    if fields == "unit":  # k = n, and l = n - 1 (l = 1 at n = 1) in reverse order
+        A, B = _unit_stack(range(n), P, n), _unit_stack(range(n - 1, 0, -1) or [0], Q, n)
+    else:
+        A, B = rng.normal(size=(3, P, n)), rng.normal(size=(2, Q, n))
+    assert_blocks_match_pairs(kernel, X, Y, A, B)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_rows_across_the_budget_boundary(family):
+    """Row counts on both sides of the Gram budget's rows, and the split it makes."""
+    n, Q = 2, 1001
+    kernel = _pairwise_kernel(family, n)
+    t = 1e-3 * np.arange(Q)[:, None]
+    Y = 0.8 * np.sin(np.arange(1.0, n + 1.0) * t + 1.0)
+    rows = gramsysid.GRAM_ENTRIES // (n * n * Q)
+    units = _unit_stack(range(n), Q, n)
+    for R in (rows - 1, rows, rows + 1):
+        got = assert_blocks_match_pairs(kernel, Y[:R], Y, units[:, :R], units)
+        if R > rows:  # the same rows as two row blocks of at most `rows`
+            parts = [kernel.pre_inner_pairwise(Y[lo:hi], Y, units[:, lo:hi], units)
+                     for lo, hi in ((0, rows), (rows, R))]
+            np.testing.assert_allclose(np.concatenate(parts, axis=1), got,
+                                       rtol=1e-13, atol=1e-13 * np.abs(got).max())
+
+
+def test_linear_has_no_stacked_blocks():
+    X = np.random.default_rng(0).uniform(-1, 1, (4, 2))
+    with pytest.raises(UnsupportedKernelError):
+        oc.linear().pre_inner_pairwise(X, X, _unit_stack(range(2), 4, 2), _unit_stack([1], 4, 2))
