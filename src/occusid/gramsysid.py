@@ -144,15 +144,13 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
 
         # r[m]: quadrature of the endpoint-jump gradient against Y_m. One
         # assemble_block call with the two endpoints as "centers" gives every
-        # field, the known part included.
+        # field, the known part included; one kernel matrix on the endpoints
+        # gives the constant term, the jump's squared RKHS norm.
         ends = np.stack([traj.initial, traj.final])
         blk = kernel.assemble_block(X, ends, F, w)  # (2, M')
         jump = blk[1] - blk[0]
-        jump_sq = (
-            kernel.eval(traj.final, traj.final)
-            - 2.0 * kernel.eval(traj.final, traj.initial)
-            + kernel.eval(traj.initial, traj.initial)
-        )
+        K = kernel.matrix(ends, ends)
+        jump_sq = K[1, 1] - 2.0 * K[1, 0] + K[0, 0]
         if len(F) == M:
             r = jump
         else:

@@ -15,8 +15,8 @@ B(t) = A(t) - A(t - s); this is what lets the tracker follow parameters that
 change over time.
 
 The tracker itself is plain gradient descent on 1/2 ||A theta - b||^2, one
-step per push by convention; its default step size is re-estimated after
-each push from a short power iteration on A^T A.
+step per push by convention; its default step size is 1/lambda_max(A^T A),
+recomputed after each push by one symmetric eigensolve of the M x M matrix.
 
 Streaming uses trapezoid panels only. A panel needs just the two bounding
 samples, arrives complete, and never has to be revised; the cost is dropping
@@ -34,7 +34,7 @@ import numpy as np
 
 from .dynamics import BasisSet
 from .errors import DivergenceError
-from .sysid import _fields, _known_split, _rank_cond, _require_finite, _svd_solve
+from .sysid import _fields, _known_split, _require_finite, _svd_solve
 from .trajectory import GRID_RTOL, _freeze, off_grid
 
 
@@ -163,24 +163,15 @@ def stream_matrices(state: StreamState):
 
 
 def _default_alpha(A: np.ndarray, kernel) -> float:
-    """1 / lambda_max(A^T A) by 10 power iterations from a fixed start.
+    """1 / lambda_max(A^T A) from one symmetric eigensolve; 1 when A = 0.
 
     Finite entries of A can still square past the float range (kernel values
     near 1e154 and above); that is the kernel's overflow, reported as such.
     """
-    M = A.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         B = A.T @ A
     _require_finite(kernel, B)
-    v = np.full(M, 1.0 / np.sqrt(M))
-    lam = 0.0
-    for _ in range(10):
-        w = B @ v
-        lam = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 1.0
-        v = w / norm
+    lam = float(np.linalg.eigvalsh(B)[-1])
     return 1.0 / lam if lam > 0 else 1.0
 
 
@@ -227,27 +218,25 @@ class ContinuityReport(NamedTuple):
 def track_continuity(snapshots, rcond: float = 1e-12) -> ContinuityReport:
     """Largest consecutive jumps of A(t) and of the exact LS estimate.
 
-    Snapshots taken before A reaches full column rank are excluded (the
-    least-squares minimizer is not unique there); at least two snapshots
-    past that onset are required.
+    Each snapshot's rank and estimate come from one truncated SVD. Snapshots
+    taken before A reaches full column rank are excluded (the least-squares
+    minimizer is not unique there); at least two snapshots past that onset
+    are required.
     """
     snaps = list(snapshots)
     if not snaps:
         raise ValueError("no snapshots given")
     M = snaps[0].A.shape[1]
-    ranks = [_rank_cond(np.linalg.svd(s.A, compute_uv=False), rcond)[0] for s in snaps]
+    solved = [_svd_solve(s.A, s.b, rcond) for s in snaps]
+    ranks = [rank for _, _, rank, _ in solved]
     onset = ranks.index(M) if M in ranks else len(snaps)
-    usable = snaps[onset:]
-    if len(usable) < 2:
+    if len(snaps) - onset < 2:
         raise ValueError("need at least 2 snapshots after full-rank onset")
-    max_dA = 0.0
-    max_dth = 0.0
-    prev_theta = None
-    prev_A = None
-    for snap in usable:
-        theta, _, _, _ = _svd_solve(snap.A, snap.b, rcond)
-        if prev_A is not None:
-            max_dA = max(max_dA, float(np.linalg.norm(snap.A - prev_A)))
-            max_dth = max(max_dth, float(np.linalg.norm(theta - prev_theta)))
-        prev_A, prev_theta = snap.A, theta
-    return ContinuityReport(max_dA, max_dth, onset, len(usable))
+    A = [s.A for s in snaps[onset:]]
+    theta = [th for th, _, _, _ in solved[onset:]]
+    return ContinuityReport(
+        max(float(np.linalg.norm(a1 - a0)) for a0, a1 in zip(A, A[1:])),
+        max(float(np.linalg.norm(t1 - t0)) for t0, t1 in zip(theta, theta[1:])),
+        onset,
+        len(A),
+    )

@@ -870,6 +870,18 @@ print(json.dumps(texts))
 """
 
 
+def _run_at_blas_threads(threads, script, *args):
+    """stdout of `python -c script args` with BLAS limited to `threads` threads."""
+    src = str(Path(oc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_blas_threads_move_theta_within_the_rounding_bound():
     """Equal BLAS thread counts give equal bytes; other counts move theta by rounding only.
 
@@ -885,17 +897,10 @@ def test_blas_threads_move_theta_within_the_rounding_bound():
     commands = [(["identify", "--system", "system1"], 1001),  # T = 1, h = 1e-3
                 (["identify", "--system", "lorenz", "--T", "2", "--basis-degree", "3"], 2001),
                 (["identify", "--system", "system1", "--solver", "gram"], 2 * 1001)]
-    src = str(Path(oc.__file__).resolve().parents[1])
     texts = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _TWICE_EACH,
-                               json.dumps([argv for argv, _ in commands])],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        texts[threads] = [RUNTIME.sub("", text) for text in json.loads(proc.stdout)]
+        out = _run_at_blas_threads(threads, _TWICE_EACH, json.dumps([argv for argv, _ in commands]))
+        texts[threads] = [RUNTIME.sub("", text) for text in json.loads(out)]
     u = np.finfo(float).eps / 2
     for j, (argv, terms) in enumerate(commands):
         (a, a_again), (b, b_again) = texts["1"][2 * j: 2 * j + 2], texts["2"][2 * j: 2 * j + 2]
@@ -905,3 +910,48 @@ def test_blas_threads_move_theta_within_the_rounding_bound():
         cond = max(float(re.search(r"condition_number=([^,]*)", t).group(1)) for t in (a, b))
         bound = cond * 2 * terms * u * np.linalg.norm(theta_a)
         assert np.linalg.norm(theta_a - theta_b) <= bound, argv
+
+
+# Runs `stream --system system1` twice in one process on the CSV file at
+# argv[1] and prints the two stdout texts as a JSON list.
+_STREAM_TWICE = """
+import contextlib, io, json, sys
+from occusid import cli
+texts = []
+for _ in range(2):
+    with open(sys.argv[1]) as stdin, contextlib.redirect_stdout(io.StringIO()) as out:
+        sys.stdin = stdin
+        assert cli.main(["stream", "--system", "system1"]) == 0
+    texts.append(out.getvalue())
+print(json.dumps(texts))
+"""
+
+
+def test_blas_threads_move_the_stream_within_the_rounding_bound(tmp_path):
+    """Equal BLAS thread counts give equal stream bytes; other counts move theta by rounding only.
+
+    Every push runs A^T A and its eigensolve for the step size, and every
+    gradient step A^T (A theta - b), through BLAS and LAPACK. With alpha =
+    1/lambda_max(A^T A) a gradient step does not expand the difference of two
+    iterates (I - alpha A^T A has its eigenvalues in [0, 1]), so what rounding
+    changes in one step is carried by the later ones but not grown. A step's
+    sums run over N = S + M terms (S centers, M parameters) of about the size
+    of |theta| on noise-free data, so K steps (one per sample, then the settle
+    steps) move theta by K * 2 N u * |theta| at most, to first order. A is
+    taken as equal across thread counts: its entries are sums over one sample
+    at a time.
+    """
+    assert run(["simulate", "--system", "system1", "--n-trajectories", "1",
+                "--out", str(tmp_path)]) == 0
+    csv = tmp_path / "traj_000.csv"
+    texts = {threads: json.loads(_run_at_blas_threads(threads, _STREAM_TWICE, str(csv)))
+             for threads in ("1", "2")}
+    for a, a_again in texts.values():
+        assert a == a_again
+    theta_a, theta_b = (np.array([float(v) for v in texts[t][0].splitlines()[-1].split(",")[1:-1]])
+                        for t in ("1", "2"))
+    cfg = ExperimentConfig(system="system1")
+    N = len(cli._centers_for(cfg, 2)) + theta_a.size
+    K = len(csv.read_text().splitlines()) - 1 + cfg.settle_steps
+    bound = K * 2 * N * (np.finfo(float).eps / 2) * np.linalg.norm(theta_a)
+    assert np.linalg.norm(theta_a - theta_b) <= bound

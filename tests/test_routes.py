@@ -400,3 +400,39 @@ def test_linear_has_no_stacked_blocks():
     X = np.random.default_rng(0).uniform(-1, 1, (4, 2))
     with pytest.raises(UnsupportedKernelError):
         oc.linear().pre_inner_pairwise(X, X, _unit_stack(range(2), 4, 2), _unit_stack([1], 4, 2))
+
+
+# -- direct vs Gram through a feature-map kernel -----------------------------
+
+
+def _gram_case(system):
+    """(basis, two trajectories, centers) for system1, or emps_form with its known part."""
+    if system == "system1":
+        field, _, basis = oc.builtin_system("system1")
+        x0s = ([0.3, -2.0], [-0.25, -1.75])
+        centers = oc.lattice_centers([(-1, 1), (-3, -1)], 1.0)
+    else:
+        field, _, basis = oc.builtin_system("emps_form", control=lambda t: np.sin(3 * t))
+        x0s = ([0.1, 0.0, 0.0], [-0.2, 0.3, 0.0])
+        centers = oc.lattice_centers([(-1, 1), (-1, 1), (0, 1)], [1.0, 1.0, 0.5])
+    return basis, [oc.integrate_rk4(field, np.array(x0), 1.0, 1e-2) for x0 in x0s], centers
+
+
+@pytest.mark.parametrize("rule", ["rh", "trapezoid", "simpson"])
+@pytest.mark.parametrize("system", ["system1", "emps_form"])
+@pytest.mark.parametrize("base", [oc.gaussian_rbf(10.0), oc.exp_dot(0.5), oc.polynomial(2.0, 3)],
+                         ids=["gaussian", "exp_dot", "poly3"])
+def test_feature_map_gram_is_the_direct_normal_equations(base, system, rule):
+    """The Gram system of FeatureMapKernel(base, C) is (A^T A, A^T b, b^T b) of the
+    direct system at centers C.
+
+    b^T b gets a looser bound: with a known part h, target_norm_sq adds
+    G_full[M, M] - 2 <jump, h> to the jump's norm, terms that nearly cancel.
+    """
+    basis, trajs, centers = _gram_case(system)
+    g = oc.gram_assemble(trajs, basis, oc.FeatureMapKernel(base, centers), rule)
+    s = oc.assemble(trajs, centers, basis, base, rule)
+    G, r = s.A.T @ s.A, s.A.T @ s.b
+    assert np.abs(g.G - G).max() <= 1e-12 * np.abs(G).max()
+    assert np.abs(g.r - r).max() <= 1e-12 * np.abs(r).max()
+    assert g.target_norm_sq == pytest.approx(s.b @ s.b, rel=1e-11, abs=0)

@@ -2,9 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis.strategies import floats, integers, just, one_of, tuples
+from hypothesis.extra.numpy import arrays
 
 import occusid as oc
 from occusid.errors import DivergenceError
+from occusid.streaming import _default_alpha
 from occusid.trajectory import Trajectory
 
 
@@ -232,6 +236,50 @@ class TestGradientChase:
         oc.stream_push(st, tr.samples[:2])
         with pytest.raises(DivergenceError, match="nan"):
             oc.gradient_chase_step(st)
+
+
+# Entries of A: zero, or of magnitude 1e-3 to 1e3, so A^T A neither
+# overflows nor underflows.
+ENTRIES = one_of(just(0.0), floats(1e-3, 1e3), floats(-1e3, -1e-3))
+
+
+class TestStepSize:
+    def test_start_on_a_lower_eigenvector(self):
+        # A^T A = [[1, -1/2], [-1/2, 1]], exactly: eigenvalues 1/2 and 3/2,
+        # and (1, 1) / sqrt(2), a power iteration's natural start, is the
+        # eigenvector of 1/2. A step of 2 = 3 / lambda_max diverges.
+        A = np.array([[1.0, -0.5], [0.0, 0.5], [0.0, 0.5], [0.0, 0.5]])
+        b = np.array([1.0, 0.0, 1.0, 2.0])
+        alpha = _default_alpha(A, oc.gaussian_rbf(1.0))
+        assert abs(alpha - 2.0 / 3.0) <= 1e-15
+        theta = np.zeros(2)
+        for _ in range(100):
+            theta = theta - alpha * (A.T @ (A @ theta - b))
+        np.testing.assert_allclose(theta, np.linalg.lstsq(A, b, rcond=None)[0], rtol=1e-12)
+
+    @given(A=tuples(integers(1, 8), integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=ENTRIES)))
+    def test_inverse_of_the_largest_eigenvalue(self, A):
+        kernel = oc.gaussian_rbf(1.0)
+        lam = np.linalg.svd(A, compute_uv=False)[0] ** 2
+        if lam == 0.0:
+            assert _default_alpha(A, kernel) == 1.0
+        else:
+            assert abs(_default_alpha(A, kernel) * lam - 1.0) <= 1e-12
+        assert _default_alpha(np.zeros_like(A), kernel) == 1.0
+
+    def test_refreshed_after_every_push(self, setup):
+        # criterion 11's prefix pushes
+        _, tr, _ = setup
+        st = fresh_stream(setup)
+        rng = np.random.default_rng(1)
+        pushed = 0
+        for k in sorted(set(rng.integers(2, tr.samples.shape[0], size=20).tolist())):
+            oc.stream_push(st, tr.samples[pushed: k + 1])
+            pushed = k + 1
+            A, _ = oc.stream_matrices(st)
+            lam = np.linalg.svd(A, compute_uv=False)[0] ** 2
+            assert st._auto_alpha == pytest.approx(1.0 / lam, rel=1e-12, abs=0)
 
 
 class TestWindowTracking:
