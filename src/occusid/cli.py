@@ -127,7 +127,7 @@ class ExperimentConfig:
         if self.trajectories and self.n_trajectories is not None:
             raise ConfigError("n_trajectories counts simulated start states; "
                               "it does not apply to --trajectories files")
-        from_name(self.kernel, degree=self.degree)
+        from_name(self.kernel, mu=self.mu or 1.0, degree=self.degree)
         as_rule(self.rule)
         if self.solver not in _SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; one of {sorted(_SOLVERS)}")
@@ -665,28 +665,29 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
     centers = _centers_for(cfg, dim)
 
     state = None
-    pending: list[tuple[float, np.ndarray]] = []  # rows not yet pushed
+    pending: list[tuple[int, float, np.ndarray]] = []  # (line, time, sample) not yet pushed
     count = 0
     for lineno, raw in enumerate(lines, start=2):
         times, rows = _parse_rows([raw.rstrip("\r\n")], dim, lineno)
         if not rows:
             continue
-        pending.append((times[0], np.array(rows[0])))
+        pending.append((lineno, times[0], np.array(rows[0])))
         if state is None:
             if len(pending) < 2:
                 continue  # the first two rows fix the step
-            h = cfg.h if cfg.h is not None else pending[1][0] - pending[0][0]
-            if h <= 0:
-                raise ConfigError(f"line {lineno}: non-increasing time column")
-            state = new_stream(centers, basis, kernel, h, window=cfg.window, alpha=cfg.alpha)
-        for t, x in pending:
+            h = cfg.h if cfg.h is not None else pending[1][1] - pending[0][1]
+            try:
+                state = new_stream(centers, basis, kernel, h, window=cfg.window, alpha=cfg.alpha)
+            except ValueError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+        for at, t, x in pending:
             try:
                 stream_push(state, x, times=[t])
             except ValueError as exc:
                 # far from the origin t1 - t0 drifts, so a grid error names --h
                 hint = "" if cfg.h is not None or not str(exc).startswith("grid") else (
                     f"; the step {FMT % h} came from the first two rows, pass --h to set it")
-                raise ConfigError(f"line {lineno}: {exc}{hint}") from None
+                raise ConfigError(f"line {at}: {exc}{hint}") from None
             gradient_chase_step(state)
             count += 1
             if cfg.print_every > 0 and count % cfg.print_every == 0:

@@ -220,7 +220,7 @@ def lattice_centers(bounds, width) -> np.ndarray:
              gives one spacing per dimension.
     Points are ordered lexicographically by dimension index (first dimension
     varies slowest). Raises ValueError unless every lo <= hi and every width
-    > 0, all finite.
+    > 0, all finite, with a finite point count.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     n = len(bounds)
@@ -235,6 +235,9 @@ def lattice_centers(bounds, width) -> np.ndarray:
         if not (math.isfinite(hi - lo) and 0 < w < math.inf and lo <= hi):
             raise ValueError(f"bound ({lo}, {hi}) with width {w}: need finite lo <= hi "
                              "and a finite width > 0")
+        if not math.isfinite((hi - lo) / w):
+            raise ValueError(f"bound ({lo}, {hi}) with width {w}: (hi - lo) / width "
+                             "overflows, so the point count is not finite")
         count = int(math.floor((hi - lo) / w + 1e-9)) + 1
         axes.append(lo + w * np.arange(count))
     grids = np.meshgrid(*axes, indexing="ij")

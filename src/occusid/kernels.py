@@ -173,7 +173,8 @@ class _PointwiseKernel:
 class Kernel(_PointwiseKernel):
     """A positive-definite kernel from one of the supported FAMILIES.
 
-    mu is the width/scale parameter (ignored by `linear`); degree applies to
+    mu is the width/scale parameter (ignored by `linear`): positive, and its
+    square must neither underflow to 0 nor overflow. degree applies to
     `polynomial` only and must be an integer >= 2.
     """
 
@@ -184,8 +185,8 @@ class Kernel(_PointwiseKernel):
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family != "linear" and not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if self.family != "linear" and not (self.mu > 0 and 0 < self.mu * self.mu < np.inf):
+            raise ValueError(f"mu must be positive with a nonzero, finite square, got {self.mu}")
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 2:
                 raise ValueError(f"polynomial degree must be an integer >= 2, got {self.degree}")

@@ -9,10 +9,11 @@ known part (sysid._fields); matrices() splits off the known column and
 rebuilds the right side from the current endpoints as Psi(gamma(t)) -
 Psi(gamma(0)) minus it, with no other integral.
 
-A positive window length keeps a ring of recent panel contributions and
-subtracts those that expire, yielding the sliding-window system
-B(t) = A(t) - A(t - s); this is what lets the tracker follow parameters that
-change over time.
+The sample index is the stream's one clock: sample k is at t0 + k h. A window
+s keeps the last keep = ceil(s / h - GRID_RTOL) panels in a ring and subtracts
+the oldest when a newer one arrives, yielding the sliding-window system
+B(t) = A(t) - A(t - s) that lets the tracker follow parameters that change;
+a window of 0 or infinity grows.
 
 The tracker itself is plain gradient descent on 1/2 ||A theta - b||^2, one
 step per push by convention; its default step size is 1/lambda_max(A^T A),
@@ -43,7 +44,9 @@ class StreamState:
 
     Mutated in place by stream_push and gradient_chase_step (both also
     return the state for chaining); snapshot() takes immutable copies for
-    later continuity analysis.
+    later continuity analysis. The step is finite and > 0. A window keeps
+    the last max(1, ceil(window / step - GRID_RTOL)) panels, and time is
+    t0 + (n_samples - 1) step: both come from the sample index.
     """
 
     def __init__(self, centers, basis: BasisSet, kernel, step: float, window: float = 0.0,
@@ -51,8 +54,8 @@ class StreamState:
         centers = _freeze(np.atleast_2d(centers))
         if centers.shape[1] != basis.dim:
             raise ValueError(f"centers have dimension {centers.shape[1]}, expected {basis.dim}")
-        if not step > 0:
-            raise ValueError(f"step must be positive, got {step}")
+        if not 0 < step < np.inf:
+            raise ValueError(f"step must be finite and positive, got {step}")
         if not window >= 0:
             raise ValueError(f"window must be >= 0 (0 means growing), got {window}")
         if alpha is not None and not alpha >= 0:
@@ -62,6 +65,8 @@ class StreamState:
         self.kernel = kernel
         self.step = float(step)
         self.window = float(window)
+        ratio = self.window / self.step  # keep 0 grows: window 0 or inf
+        self._keep = max(1, int(np.ceil(ratio - GRID_RTOL))) if 0 < ratio < np.inf else 0
         self.alpha = None if alpha is None else float(alpha)
         M, S = len(basis), centers.shape[0]
         self.theta = np.zeros(M) if theta0 is None else np.asarray(theta0, dtype=float).copy()
@@ -78,7 +83,7 @@ class StreamState:
         # Panel sums over the active window, (S, M') with the known part as
         # column M when there is one; with window 0 nothing expires.
         self._acc = np.zeros((S, M + (basis.known_part is not None)))
-        # Ring of (panel, psi of the right end, end_time).
+        # Ring of (panel, psi of the right end).
         self._panels = deque()
         self._auto_alpha = 1.0
 
@@ -99,9 +104,11 @@ def new_stream(centers, basis: BasisSet, kernel, step: float, window: float = 0.
 def stream_push(state: StreamState, samples, times=None) -> StreamState:
     """Append samples that continue the uniform grid; update accumulators.
 
-    times, when given, are the absolute sample times and are checked against
-    the grid (the first sample ever seen sets the origin); a time that is
-    `off_grid` is a grid discontinuity error. Non-finite samples are a
+    times, when given, are the absolute sample times, checked against the
+    grid value t0 + k h of sample k (the first sample ever seen sets t0); a
+    time that is `off_grid` is a grid discontinuity error. The state's time
+    is that grid value of its last sample, and a window keeps the last
+    ceil(window / h - GRID_RTOL) panels. Non-finite samples or times are a
     ValueError and a kernel row that overflows a DivergenceError. Every
     sample's time and kernel rows are checked before the first sample
     changes the state, so a rejected push leaves it as it was. One check
@@ -117,6 +124,8 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.shape != (samples.shape[0],):
             raise ValueError("one time per sample required")
+        if not np.isfinite(times).all():
+            raise ValueError("times must be finite")
     h = state.step
     checked = []  # (rows, psi) per sample
     for q, x in enumerate(samples):
@@ -136,20 +145,18 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
     for q, (rows, psi) in enumerate(checked):
         if state.n_samples == 0:
             state.t0 = 0.0 if times is None else float(times[q])
-            state.time = state.t0
             state._psi_left = psi
         else:
-            state.time += h
             panel = (h / 2.0) * (state._prev_rows + rows)
             state._acc += panel
-            if state.window > 0:
-                state._panels.append((panel, psi, state.time))
-                cutoff = state.time - state.window + GRID_RTOL * h
-                while state._panels and state._panels[0][2] <= cutoff:
-                    old, state._psi_left, _ = state._panels.popleft()
+            if state._keep:
+                state._panels.append((panel, psi))
+                if len(state._panels) > state._keep:
+                    old, state._psi_left = state._panels.popleft()
                     state._acc -= old
         state._psi_last = psi
         state._prev_rows = rows
+        state.time = state.t0 + state.n_samples * h
         state.n_samples += 1
     # reads the accumulator's parameter block in place; matrices() would copy it
     A = _known_split(state._acc, len(state.basis))[0]

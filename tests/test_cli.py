@@ -559,6 +559,22 @@ def test_bad_centers_and_h_values_rejected_before_simulation(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--centers", "0:1e300:1e-300,0:1:1"],  # (hi - lo) / width overflows
+    ["--centers", "0:1:5e-324,0:1:1"],
+    ["--mu", "1e-200"],  # mu * mu underflows to 0
+    ["--mu", "1e-200", "--kernel", "poly"],
+], ids=["centers-huge-span", "centers-subnormal-width", "mu-gaussian", "mu-poly"])
+def test_extreme_finite_setting_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the setting was checked")
+
+    monkeypatch.setattr("occusid.cli.integrate_rk4", no_simulation)
+    assert run(["identify", "--system", "system1", *argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -771,16 +787,40 @@ class TestStream:
         assert rc == 2
         assert "grid discontinuity" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cell, argv, code, message", [
-        ("nan", [], 2, "config: line 4: samples must be finite\n"),  # no --h hint
+    @pytest.mark.parametrize("row, cell, argv, code, message", [
+        (2, "nan", [], 2, "config: line 4: samples must be finite\n"),  # no --h hint
+        # held until the second row fixes the step, and still named by its own line
+        (0, "nan", [], 2, "config: line 2: samples must be finite\n"),
         # the kernel rows stay finite (about 1e237) but A^T A overflows
-        ("-2.48", ["--kernel", "expdot", "--mu", "60"], 3, "numerical: kernel exp_dot with mu=60"),
-    ], ids=["nan-sample", "kernel-overflow"])
+        (2, "-2.48", ["--kernel", "expdot", "--mu", "60"], 3,
+         "numerical: kernel exp_dot with mu=60"),
+    ], ids=["nan-sample", "nan-first-sample", "kernel-overflow"])
     def test_bad_sample_or_kernel_fails_as_in_batch(self, monkeypatch, capsys, recwarn,
-                                                    cell, argv, code, message):
-        text = f"t,x1,x2\n0.0,-0.5,-2.5\n0.01,-0.5,-2.49\n0.02,-0.5,{cell}\n"
+                                                    row, cell, argv, code, message):
+        rows = ["0.0,-0.5,-2.5", "0.01,-0.5,-2.49", "0.02,-0.5,-2.48"]
+        rows[row] = rows[row].rsplit(",", 1)[0] + f",{cell}"
+        text = "t,x1,x2\n" + "".join(r + "\n" for r in rows)
         assert run_stream(monkeypatch, ["stream", "--system", "system1"] + argv, text) == code
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert [str(w.message) for w in recwarn] == []
+
+    @pytest.mark.parametrize("t0, t1, step", [
+        ("nan", "0.01", "nan"), ("0.0", "inf", "inf"), ("0.01", "0.01", "0.0"),
+        ("0.01", "0.0", "-0.01"),
+    ], ids=["nan", "inf", "repeated", "decreasing"])
+    def test_bad_step_from_the_first_two_rows_names_its_line(self, monkeypatch, capsys,
+                                                             t0, t1, step):
+        text = f"t,x1\n{t0},1.0\n{t1},0.99\n0.02,0.98\n"
+        assert run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], text) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: line 3: step must be finite and positive, got {step}\n")
+
+    @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
+    def test_non_finite_first_time_with_h_names_its_line(self, monkeypatch, capsys, recwarn,
+                                                         t0):
+        text = f"t,x1\n{t0},1.0\n0.01,0.99\n"
+        assert run_stream(monkeypatch, ["stream", "--centers=-1:3:1", "--h", "0.01"], text) == 2
+        assert capsys.readouterr().err == "error: config: line 2: times must be finite\n"
         assert [str(w.message) for w in recwarn] == []
 
     def test_divergent_alpha_is_numerical_error(self, monkeypatch, capsys):

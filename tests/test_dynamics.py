@@ -96,6 +96,11 @@ class TestLattice:
         with np.errstate(all="raise"), pytest.raises(ValueError, match="need finite lo <= hi"):
             oc.lattice_centers(bounds, width)
 
+    @pytest.mark.parametrize("bounds, width", [([(0, 1e300)], 1e-300), ([(0, 1)], 5e-324)])
+    def test_point_count_past_the_float_range(self, bounds, width):
+        with pytest.raises(ValueError, match="point count is not finite"):
+            oc.lattice_centers(bounds, width)
+
 
 class TestIntegrateRk4:
     def test_constant_field_exact(self):

@@ -215,6 +215,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             oc.exp_dot(-1.0)
 
+    @pytest.mark.parametrize("family", ["gaussian_rbf", "exp_dot", "polynomial"])
+    @pytest.mark.parametrize("mu", [1e-200, 1e200])
+    def test_mu_square_must_be_nonzero_and_finite(self, family, mu):
+        with pytest.raises(ValueError, match="mu"):
+            oc.Kernel(family, mu=mu)
+
+    @given(mu=st.floats(0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
+           family=st.sampled_from(["gaussian_rbf", "exp_dot", "polynomial", "linear"]))
+    def test_positive_finite_mu_is_rejected_or_usable(self, mu, family):
+        try:
+            kern = oc.Kernel(family, mu=mu)
+        except ValueError as exc:
+            assert "mu" in str(exc)
+            return
+        X = np.arange(6.0).reshape(3, 2) / 4
+        assert kern.matrix(X, X).shape == (3, 3)
+
     def test_poly_degree_integer_ge_two(self):
         with pytest.raises(ValueError):
             oc.polynomial(1.0, 1)

@@ -402,6 +402,57 @@ def test_linear_has_no_stacked_blocks():
         oc.linear().pre_inner_pairwise(X, X, _unit_stack(range(2), 4, 2), _unit_stack([1], 4, 2))
 
 
+# -- FeatureMapKernel vs sums of its base kernel over the centers -----------
+
+def assert_close_to(got, expect):
+    """got within 1e-12 of expect, relative to expect's largest entry."""
+    assert got.shape == expect.shape
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("base", [oc.gaussian_rbf(2.0), oc.exp_dot(0.5), oc.polynomial(2.0, 3)],
+                         ids=["gaussian", "exp_dot", "poly3"])
+def test_feature_map_methods_are_sums_over_the_centers(base, n):
+    """Each FeatureMapKernel method against the base's pointwise eval and grad1:
+
+        K(x, y) = sum_s k(x, c_s) k(y, c_s)
+        grad1 K(x, y) = sum_s k(y, c_s) grad1 k(x, c_s)
+        a^T grad1grad2 K(x, y) b = sum_s (grad1 k(x, c_s) . a) (grad1 k(y, c_s) . b)
+    """
+    rng = np.random.default_rng(20 + n)
+    centers = rng.uniform(-1, 1, (4, n))
+    fm = oc.FeatureMapKernel(base, centers)
+    P, Q = 7, 5
+    X, Y, C = rng.uniform(-1, 1, (P, n)), rng.uniform(-1, 1, (Q, n)), rng.uniform(-1, 1, (3, n))
+    V, Vs, ws = rng.normal(size=(P, n)), rng.normal(size=(2, P, n)), rng.uniform(0.1, 1, (2, P))
+    A, B = rng.normal(size=(3, P, n)), rng.normal(size=(2, Q, n))
+
+    def k(x, c):
+        return np.array([base.eval(x, s) for s in c])
+
+    def g(x):  # (S, n) rows grad1 k(x, c_s)
+        return np.array([base.grad1(x, s) for s in centers])
+
+    def grad1(x, y):
+        return k(y, centers) @ g(x)
+
+    assert_close_to(fm.matrix(X, Y),
+                    np.array([[k(x, centers) @ k(y, centers) for y in Y] for x in X]))
+    assert_close_to(fm.grad1_contract(X, C, V),
+                    np.array([[grad1(x, c) @ v for c in C] for x, v in zip(X, V)]))
+    got = fm.assemble_block_multi(X, C, Vs, ws)
+    assert len(got) == 2
+    for blk, w in zip(got, ws):
+        assert_close_to(blk, np.array([[sum(w[p] * grad1(X[p], c) @ Vs[i, p] for p in range(P))
+                                        for i in range(2)] for c in C]))
+    gx, gy = [g(x) for x in X], [g(y) for y in Y]
+    pairs = np.array([[[[(gx[p] @ A[i, p]) @ (gy[q] @ B[j, q]) for q in range(Q)]
+                        for j in range(2)] for p in range(P)] for i in range(3)])
+    assert_close_to(fm.pre_inner_pairwise(X, Y, A, B), pairs)
+    assert_close_to(fm.pre_inner_pairwise(X, Y, A[1], B[0]), pairs[1, :, 0, :])
+
+
 # -- direct vs Gram through a feature-map kernel -----------------------------
 
 

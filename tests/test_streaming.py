@@ -34,7 +34,7 @@ class TestValidation:
 
     def test_step_positive(self, setup):
         basis, _, centers = setup
-        for step in (0.0, np.nan):
+        for step in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="step"):
                 oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), step)
 
@@ -53,6 +53,13 @@ class TestValidation:
         st = fresh_stream(setup)
         with pytest.raises(ValueError):
             oc.stream_push(st, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_first_time_must_be_finite(self, setup, t):
+        st = fresh_stream(setup)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="times must be finite"):
+            oc.stream_push(st, [[0.5, -2.0], [0.5, -2.0]], times=[t, 0.01])
+        assert st.n_samples == 0 and st.t0 is None
 
     @pytest.mark.parametrize("sample, error, match", [
         ([[0.5, -2.0], [0.5, np.nan]], ValueError, "finite"),  # the first sample is valid
@@ -142,6 +149,33 @@ class TestPrefixIdentity:
         Aw, bw = oc.stream_matrices(wide)
         assert np.allclose(Ag, Aw, atol=1e-13)
         assert np.allclose(bg, bw, atol=1e-13)
+
+    @pytest.mark.parametrize("window", [np.inf, 1e-12])
+    def test_infinite_window_grows_and_a_short_one_keeps_a_panel(self, setup, window):
+        _, tr, _ = setup
+        st = fresh_stream(setup, window=window * tr.step)
+        oc.stream_push(st, tr.samples)
+        grow = fresh_stream(setup)  # a growing stream over the samples the window keeps
+        oc.stream_push(grow, tr.samples if window == np.inf else tr.samples[-2:])
+        for u, v in zip(oc.stream_matrices(st), oc.stream_matrices(grow)):
+            assert np.array_equal(u, v) if window == np.inf else np.abs(u - v).max() < 1e-10
+
+    def test_sliding_window_far_from_the_origin(self, system1):
+        # At t0 = 1000 a running sum of h drifts below the grid, and a
+        # float-time cutoff then kept 251 panels of a 250-panel window.
+        field, _, basis = system1
+        tr = oc.integrate_rk4(field, np.array([0.25, -2.0]), 0.4, 1e-3)  # 401 samples
+        centers = oc.lattice_centers([(-3, 3), (-3, 5)], 1.0)  # the CLI's 63 system1 centers
+        kern, t0, h = oc.gaussian_rbf(10.0), 1000.0, 1e-3
+        st = oc.new_stream(centers, basis, kern, h, window=0.25)
+        for k, x in enumerate(tr.samples):
+            oc.stream_push(st, x, times=[t0 + k * h])
+        assert len(st._panels) == 250
+        assert st.time == t0 + (tr.n_samples - 1) * h
+        s = oc.assemble([Trajectory(tr.samples[-251:], h)], centers, basis, kern, "trapezoid")
+        A, b = oc.stream_matrices(st)
+        assert np.abs(A - s.A).max() <= 1e-12 * np.abs(s.A).max()
+        assert np.abs(b - s.b).max() <= 1e-12 * np.abs(s.b).max()
 
     @pytest.mark.parametrize("block", [False, True])
     def test_sliding_window_matches_batch_on_window(self, setup, block):

@@ -59,12 +59,33 @@ class TestConstraintSystem:
     def test_save_csv(self, tmp_path):
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         s = oc.ConstraintSystem(A, np.array([5.0, 6.0]), 1, 2, labels=("u", "v"))
-        path = tmp_path / "sys.csv"
+        path = tmp_path / "small.csv"
         s.save_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "row,u,v,b"
         assert lines[1].startswith("traj0:center0,1,2,5")
         assert lines[2].startswith("traj0:center1,3,4,6")
+
+        # 2 trajectories x 3 centers; every cell is %.17g text that parses back
+        # to the stored bits
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(6, 2)) * 10.0 ** rng.integers(-300, 300, size=(6, 2))
+        b = rng.normal(size=6)
+        A.flat[:6] = [-0.0, 5e-324, 1e-310, 1e300, -1e300, 0.1]
+        b[:3] = [-0.0, -5e-324, 1e-300]
+        s = oc.ConstraintSystem(A, b, 2, 3, labels=("u", "v"))
+        path = tmp_path / "sys.csv"
+        s.save_csv(path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "row,u,v,b"
+        assert len(lines) == 7
+        for j in range(2):
+            for c in range(3):
+                line = lines[1 + s.row_index(j, c)]
+                stored = np.append(s.A[s.row_index(j, c)], s.b[s.row_index(j, c)])
+                assert line == f"traj{j}:center{c}," + ",".join(f"{v:.17g}" for v in stored)
+                back = np.array([float(v) for v in line.split(",")[1:]])
+                assert back.tobytes() == stored.tobytes()
 
 
 class TestAssembleOracle:

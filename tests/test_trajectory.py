@@ -190,6 +190,9 @@ class TestCsv:
         lines += [",".join(f"{v:.17g}" for v in (k * tr.step, *tr.samples[k]))
                   for k in range(tr.n_samples)]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        back = oc.load_csv(path)  # and reads back to the same bits, zero signs included
+        assert back.samples.tobytes() == tr.samples.tobytes()
+        assert back.step == tr.step
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "tr.csv"
