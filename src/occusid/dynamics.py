@@ -266,10 +266,11 @@ def integrate_rk4(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},), got {x0.shape}")
-    if h <= 0 or T <= 0:
-        raise ValueError("T and h must be positive")
+    for name, value in (("T", T), ("h", h)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     ratio = T / h
-    steps = int(round(ratio))
+    steps = int(round(ratio)) if ratio < np.inf else 0
     if abs(ratio - steps) > GRID_RTOL * max(steps, 1) or steps < 2:
         raise ValueError(f"T/h = {ratio} does not give a usable whole number of steps")
 
@@ -286,8 +287,8 @@ def integrate_rk4(
             return plus(np.asarray(process_noise(x), dtype=float))
     else:
         eps, seed = process_noise
-        if eps < 0:
-            raise ValueError(f"noise amplitude must be >= 0, got {eps}")
+        if not 0 <= eps < np.inf:
+            raise ValueError(f"process_noise amplitude must be finite and >= 0, got {eps}")
         noise = np.random.default_rng(seed).uniform(-float(eps), float(eps),
                                                     size=(steps, field.dim))
 

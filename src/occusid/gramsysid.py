@@ -41,9 +41,8 @@ columns, d-major. The strip q >= hi stands for its mirror too, hence the
 it is counted once. The final symmetrization turns 2 T into T + T^T. In
 all this is n^2 (P^2 + P R) / 2 kernel entries, about the upper triangle.
 
-The entry budget GRAM_ENTRIES bounds memory: a row block has
-R = max(1, GRAM_ENTRIES // (n^2 P)) rows, so no stack exceeds the budget
-unless a single row does.
+A row block has R = max(1, kernels.ENTRIES // (n^2 P)) rows, so no stack
+exceeds the kernels module's entry budget unless a single row does.
 
 A known part h of the dynamics rides along as field M' - 1 = M (stacked by
 sysid._fields, as on every route): G is G_full[:M, :M], r loses
@@ -63,19 +62,12 @@ from functools import reduce
 
 import numpy as np
 
+from . import kernels
 from .dynamics import BasisSet
 from .quadrature import as_rule, weights
 from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _fields,
                     _require_finite, _result, _svd_solve)
 from .trajectory import _freeze
-
-# Kernel entries per row block: the n^2 mixed-derivative blocks of a row block
-# come from one pre_inner_pairwise call, (n, rows, n, P - lo), with rows =
-# max(1, GRAM_ENTRIES // (n^2 P)). 2^17 gives 32 rows for system1 (n = 2,
-# P = 1001), whose assembly then peaks at 2.8 MiB of traced allocations; 64
-# and 128 rows peaked at 4.9 and 9.3 MiB and raised the process's peak RSS
-# for little or no speed (2-vCPU Xeon with OpenBLAS).
-GRAM_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         Mp = F.shape[0]
         U = np.ascontiguousarray((F * w[:, None]).transpose(0, 2, 1))  # (M', n, P)
         units = np.broadcast_to(np.eye(n)[:, None, :], (n, P, n))  # field d is e_d
-        rows = max(1, GRAM_ENTRIES // (n * n * P))
+        rows = max(1, kernels.ENTRIES // (n * n * P))
 
         G_full = np.zeros((Mp, Mp))
         for lo in range(0, P, rows):

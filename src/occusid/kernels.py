@@ -45,12 +45,17 @@ FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
 factor exactly through the center-constraint matrix.
 
-assemble_block_multi accumulates long time axes in CHUNK-sample pieces, in
-time order, so results are reproducible run to run. matrix, grad1_contract
-and pre_inner_pairwise build their whole result at once; the double
-quadratures that call them (quadrature.occupation_eval,
-gramsysid._gram_blocks) chunk their own rows. Overflow yields non-finite
-entries without a warning; the assembly layers check for them.
+One entry budget, ENTRIES, sizes every kernel block: a loop over blocks of
+samples builds at most ENTRIES kernel entries at once, unless a block's own
+output or a single sample's row is larger. assemble_block_multi takes
+max(M' n, ENTRIES // S) samples against S centers, so its (samples, S)
+block is no larger than the budget or its (M' n, S) output;
+quadrature.occupation_eval takes max(1, ENTRIES // P) points against P
+samples, and gramsysid._gram_blocks max(1, ENTRIES // (n^2 P)) rows. Each
+loop reads ENTRIES at call time and sums its blocks in time order, so
+results are reproducible run to run. matrix, grad1_contract and
+pre_inner_pairwise build their whole result at once. Overflow yields
+non-finite entries without a warning; the assembly layers check for them.
 """
 
 from __future__ import annotations
@@ -64,8 +69,8 @@ from .trajectory import _freeze
 
 FAMILIES = ("gaussian_rbf", "exp_dot", "polynomial", "linear")
 
-# Fixed chunk length for accumulating quadratures along long trajectories.
-CHUNK = 8192
+# Kernel entries one block builds at once (see the module docstring).
+ENTRIES = 1 << 17
 
 _QUIET = {"over": "ignore", "under": "ignore", "invalid": "ignore"}
 
@@ -273,9 +278,10 @@ class Kernel(_PointwiseKernel):
         M = Vs.shape[0]
         rho = self._rho
         acc = [np.zeros((C.shape[0], M)) for _ in ws]
+        rows = max(M * n, ENTRIES // max(1, C.shape[0]))  # no centers, no entries
         with np.errstate(**_QUIET):
-            for lo in range(0, P, CHUNK):
-                hi = min(lo + CHUNK, P)
+            for lo in range(0, P, rows):
+                hi = min(lo + rows, P)
                 Xc = X[lo:hi]
                 Vc = Vs[:, lo:hi, :].transpose(0, 2, 1)  # (M, n, P_c)
                 base, _, c1, _ = self._profile(self._z(Xc, C))

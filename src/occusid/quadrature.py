@@ -21,15 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .trajectory import Trajectory, _freeze
 
 SCHEMES = ("right_hand", "trapezoid", "simpson")
-
-# Kernel entries occupation_eval builds and contracts at once. On the
-# `convergence --target occupation` ladder (12,801-sample reference, 2-vCPU
-# Xeon) 2^16-2^22 took 3.1-4.4 s at 33-65 MB peak RSS; 2^14 took 10 s, and
-# 2^24 7 s at 160 MB.
-OCCUPATION_ENTRIES = 1 << 20
 
 _ALIASES = {
     "rh": "right_hand",
@@ -77,11 +72,11 @@ def weights(rule, n_intervals: int, h: float) -> np.ndarray:
     which keeps the O(h^4) order.
     """
     rule = as_rule(rule)
+    if not 0 < h < np.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
+    if not (float(n_intervals).is_integer() and n_intervals >= 1):
+        raise ValueError(f"n_intervals must be a whole number >= 1, got {n_intervals}")
     F = int(n_intervals)
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    if F < 1:
-        raise ValueError(f"need at least 1 interval, got {F}")
     if rule.scheme == "right_hand":
         w = np.full(F + 1, h)
         w[0] = 0.0
@@ -138,7 +133,10 @@ def occupation_estimate(traj: Trajectory, kernel, rule) -> OccupationKernelEstim
 
 
 def occupation_eval(est: OccupationKernelEstimate, x):
-    """Evaluate the estimate at one point (n,) -> float or many (Q, n) -> (Q,)."""
+    """Evaluate the estimate at one point (n,) -> float or many (Q, n) -> (Q,).
+
+    The points go in blocks sized by kernels.ENTRIES.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = x[None, :] if single else x
@@ -147,7 +145,7 @@ def occupation_eval(est: OccupationKernelEstimate, x):
             f"point dimension {pts.shape[1]} does not match trajectory dimension {est.trajectory.dim}"
         )
     X = est.trajectory.samples
-    rows = max(1, OCCUPATION_ENTRIES // X.shape[0])
+    rows = max(1, kernels.ENTRIES // X.shape[0])
     vals = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], rows):
         vals[lo : lo + rows] = est.kernel.matrix(pts[lo : lo + rows], X) @ est.weights

@@ -58,8 +58,8 @@ class StreamState:
             raise ValueError(f"step must be finite and positive, got {step}")
         if not window >= 0:
             raise ValueError(f"window must be >= 0 (0 means growing), got {window}")
-        if alpha is not None and not alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        if alpha is not None and not 0 <= alpha < np.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         self.centers = centers
         self.basis = basis
         self.kernel = kernel

@@ -153,8 +153,8 @@ def segment(traj: Trajectory, parts: int) -> TrajectorySet:
 
 def add_measurement_noise(traj: Trajectory, sigma: float, seed: int) -> Trajectory:
     """Corrupt every sample with i.i.d. N(0, sigma^2) noise per coordinate."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0:
         return traj
     rng = np.random.default_rng(seed)

@@ -730,7 +730,7 @@ class TestConvergence:
                                                             capsys):
         # the default Simpson ladder of system1 at these h reads these; the 0
         # is a distance clamped at the roundoff floor and has no logarithm
-        errors = [6.9e-12, 4.9e-15, 2.2e-16, 0.0]
+        errors = [6.9e-12, 4.8e-15, 2.2e-16, 0.0]
         monkeypatch.setattr("occusid.cli._occupation_ladder", lambda cfg, hs: errors)
         rc = run(["convergence", "--system", "system1", "--target", "occupation",
                   "--h-values", "0.04,0.02,0.01,0.005", "--out", str(tmp_path)])

@@ -129,6 +129,18 @@ class TestIntegrateRk4:
         tr = oc.integrate_rk4(field, np.array([1.0]), 0.3, 0.1)  # 0.3 / 0.1 = 2.9999999999999996
         assert tr.samples.shape == (4, 1)
 
+    @pytest.mark.parametrize("kw, name", [
+        ({"T": np.inf}, "T"), ({"T": np.nan}, "T"), ({"h": np.nan}, "h"), ({"h": np.inf}, "h"),
+        ({"T": 1e300, "h": 1e-300}, "T/h"),
+        ({"process_noise": (np.nan, 7)}, "process_noise"),
+        ({"process_noise": (np.inf, 7)}, "process_noise"),
+    ])
+    def test_non_finite_argument_is_named(self, kw, name):
+        field = oc.VectorField(1, lambda x: -x)
+        args = {"T": 1.0, "h": 0.1, **kw}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            oc.integrate_rk4(field, np.array([1.0]), **args)
+
     def test_divergence_raises_with_time(self):
         field = oc.VectorField(1, lambda x: x * x)
         with pytest.raises(DivergenceError) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import occusid as oc
-from occusid import gramsysid
+from occusid import kernels
 from occusid.errors import DivergenceError, UnsupportedKernelError
 from occusid.quadrature import weights
 from occusid.trajectory import Trajectory
@@ -299,7 +299,7 @@ class TestTriangleMatchesPerPair:
     def test_matches_per_pair(self, n, whole_blocks, family, known, monkeypatch):
         P = whole_blocks * self.ROWS + 1 if whole_blocks else 37
         if whole_blocks:
-            monkeypatch.setattr(gramsysid, "GRAM_ENTRIES", self.ROWS * n * n * P)
+            monkeypatch.setattr(kernels, "ENTRIES", self.ROWS * n * n * P)
         traj = _curve(n, P)
         lib = oc.monomial_basis(oc.MonomialSpec(n, 2))
         basis = lib.select(range(0, len(lib), max(1, len(lib) // 8)))
@@ -313,7 +313,7 @@ class TestTriangleMatchesPerPair:
         }[family]
         g = oc.gram_assemble([traj], basis, kernel, "simpson")
         G, r, c = _per_pair_gram(traj, basis, kernel, "simpson")
-        rows = gramsysid.GRAM_ENTRIES // (n * n * P)
+        rows = kernels.ENTRIES // (n * n * P)
         assert rows == self.ROWS if whole_blocks else rows >= P
         assert _rel(g.G, G) <= 1e-12
         assert _rel(g.r, r) <= 1e-12
@@ -324,7 +324,7 @@ class TestKernelPasses:
     # Each row block [lo, hi) builds every mixed-derivative block H_de of its
     # rows in one stacked pre_inner_pairwise call on the unit fields, over the
     # columns from lo on (the upper triangle by sample), whatever the number
-    # of basis fields. The rows come from the GRAM_ENTRIES budget.
+    # of basis fields. The rows come from the kernels.ENTRIES budget.
     @pytest.mark.parametrize("case", [_system1_case, _emps_case], ids=["n2", "n3_known"])
     def test_blocks_per_row_block(self, case, monkeypatch):
         basis, traj = case(1.0 / 600)
@@ -339,8 +339,8 @@ class TestKernelPasses:
 
         whole = oc.gram_assemble([traj], basis, kernel, "simpson").G
         monkeypatch.setattr(oc.Kernel, "pre_inner_pairwise", spy)
-        for entries in (1, 20_000, gramsysid.GRAM_ENTRIES):
-            monkeypatch.setattr(gramsysid, "GRAM_ENTRIES", entries)
+        for entries in (1, 20_000, kernels.ENTRIES):
+            monkeypatch.setattr(kernels, "ENTRIES", entries)
             calls.clear()
             G = oc.gram_assemble([traj], basis, kernel, "simpson").G
             assert _rel(G, whole) <= 1e-12

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 import occusid as oc
 from occusid.errors import UnsupportedKernelError
-from occusid.kernels import CHUNK, FeatureMapKernel
+from occusid import kernels
+from occusid.kernels import FeatureMapKernel
 
 ALL = [
     oc.gaussian_rbf(2.0),
@@ -172,29 +175,52 @@ class TestVectorized:
 
     @pytest.mark.parametrize("kern", ALL, ids=lambda k: k.family)
     def test_assemble_block_accumulates_across_chunk(self, kern):
-        # P = CHUNK + 5 crosses one chunk boundary: the whole quadrature is
-        # the sum of the one over the first chunk and the one over the rest.
+        # P = rows + 5 crosses one block boundary (rows = ENTRIES // S samples
+        # against S centers): the whole quadrature is the sum of the one over
+        # the first block and the one over the rest.
         rng = np.random.default_rng(20)
-        P = CHUNK + 5
+        rows = kernels.ENTRIES // 3
+        P = rows + 5
         X = rng.uniform(-1.0, 1.0, size=(P, 2))
         C = rng.uniform(-1.0, 1.0, size=(3, 2))
         Vs = rng.uniform(-1.0, 1.0, size=(2, P, 2))
         w = rng.uniform(0.1, 1.0, size=P)
         whole = kern.assemble_block(X, C, Vs, w)
-        parts = (kern.assemble_block(X[:CHUNK], C, Vs[:, :CHUNK], w[:CHUNK])
-                 + kern.assemble_block(X[CHUNK:], C, Vs[:, CHUNK:], w[CHUNK:]))
+        parts = (kern.assemble_block(X[:rows], C, Vs[:, :rows], w[:rows])
+                 + kern.assemble_block(X[rows:], C, Vs[:, rows:], w[rows:]))
         assert np.allclose(whole, parts, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kern", INTEGRAND, ids=lambda k: k.family)
     def test_pre_inner_pairwise_rows_across_chunk(self, kern):
+        # rows are independent: any split of X gives the same rows
         rng = np.random.default_rng(21)
-        P = CHUNK + 5
+        P, split = 8197, 8192
         X, A = rng.uniform(-1.0, 1.0, size=(2, P, 2))
         Y, B = rng.uniform(-1.0, 1.0, size=(2, 3, 2))
         whole = kern.pre_inner_pairwise(X, Y, A, B)
-        parts = np.vstack([kern.pre_inner_pairwise(X[:CHUNK], Y, A[:CHUNK], B),
-                           kern.pre_inner_pairwise(X[CHUNK:], Y, A[CHUNK:], B)])
+        parts = np.vstack([kern.pre_inner_pairwise(X[:split], Y, A[:split], B),
+                           kern.pre_inner_pairwise(X[split:], Y, A[split:], B)])
         assert np.allclose(whole, parts, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kern", [oc.gaussian_rbf(2.0), oc.polynomial(2.0, 3)],
+                             ids=lambda k: k.family)
+    def test_assembly_memory_is_bounded_by_the_entry_budget(self, kern):
+        # 1001 samples against 4000 centers: one whole-axis kernel block is
+        # 4M entries (32 MB); blocks of ENTRIES // S samples peak at 3.2
+        # (gaussian) and 7.6 (polynomial) MiB of traced allocations.
+        rng = np.random.default_rng(22)
+        P, S, M = 1001, 4000, 12
+        X = rng.uniform(-1.0, 1.0, size=(P, 2))
+        C = rng.uniform(-1.0, 1.0, size=(S, 2))
+        Vs = rng.uniform(-1.0, 1.0, size=(M, P, 2))
+        w = rng.uniform(0.1, 1.0, size=P)
+        tracemalloc.start()
+        try:
+            kern.assemble_block_multi(X, C, Vs, [w])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
     @pytest.mark.parametrize("kern", ALL, ids=lambda k: k.family)
     def test_kernel_matrix_psd(self, kern):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import occusid as oc
-from occusid import quadrature
+from occusid import kernels
 from occusid.quadrature import as_rule
 from occusid.trajectory import Trajectory
 
@@ -56,6 +56,15 @@ class TestWeights:
     def test_h_positive(self):
         with pytest.raises(ValueError):
             oc.weights("trapezoid", 4, 0.0)
+
+    @pytest.mark.parametrize("F, h, name", [
+        (4, np.nan, "h"), (4, np.inf, "h"),
+        (2.5, 0.1, "n_intervals"), (np.nan, 0.1, "n_intervals"), (np.inf, 0.1, "n_intervals"),
+    ])
+    def test_non_finite_or_fractional_argument_is_named(self, F, h, name):
+        # NaN or inf weights, or a count silently truncated to 2 intervals
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            oc.weights("simpson", F, h)
 
 
 class TestIntegrate:
@@ -176,8 +185,8 @@ class TestOccupation:
 
         monkeypatch.setattr(oc.Kernel, "matrix", spy)
         P = XB.shape[0]
-        for entries in (50, 1000, quadrature.OCCUPATION_ENTRIES):
-            monkeypatch.setattr(quadrature, "OCCUPATION_ENTRIES", entries)
+        for entries in (50, 1000, kernels.ENTRIES):
+            monkeypatch.setattr(kernels, "ENTRIES", entries)
             shapes.clear()
             assert oc.occupation_inner(a, b) == pytest.approx(whole, rel=1e-13)
             rows = max(1, entries // P)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import occusid as oc
-from occusid import dynamics, gramsysid, trajectory
+from occusid import dynamics, kernels, trajectory
 from occusid.errors import TrajectoryParseError, UnsupportedKernelError
 
 # -- term tables vs the term formulas ---------------------------------------
@@ -385,7 +385,7 @@ def test_stacked_rows_across_the_budget_boundary(family):
     kernel = _pairwise_kernel(family, n)
     t = 1e-3 * np.arange(Q)[:, None]
     Y = 0.8 * np.sin(np.arange(1.0, n + 1.0) * t + 1.0)
-    rows = gramsysid.GRAM_ENTRIES // (n * n * Q)
+    rows = kernels.ENTRIES // (n * n * Q)
     units = _unit_stack(range(n), Q, n)
     for R in (rows - 1, rows, rows + 1):
         got = assert_blocks_match_pairs(kernel, Y[:R], Y, units[:, :R], units)
@@ -487,3 +487,38 @@ def test_feature_map_gram_is_the_direct_normal_equations(base, system, rule):
     assert np.abs(g.G - G).max() <= 1e-12 * np.abs(G).max()
     assert np.abs(g.r - r).max() <= 1e-12 * np.abs(r).max()
     assert g.target_norm_sq == pytest.approx(s.b @ s.b, rel=1e-11, abs=0)
+
+
+# -- blocked vs one-block assembly --------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", kernels.FAMILIES)
+def test_blocked_assembly_matches_one_block(family, n, monkeypatch):
+    """assemble_block_multi over blocks of max(M n, ENTRIES // S) samples against
+    the same call in one block: with the budget's 13 rows (more than M n) and
+    with the M n floor (ENTRIES = 1), a short last block in both."""
+    kernel = oc.Kernel(family, mu=2.0, degree=3)
+    rng = np.random.default_rng(30 + n)
+    P, S, M = 49, 5, 2
+    X, C = rng.uniform(-1, 1, (P, n)), rng.uniform(-1, 1, (S, n))
+    Vs, ws = rng.normal(size=(M, P, n)), rng.uniform(0.1, 1, (2, P))
+    blocks = []
+    z = oc.Kernel._z
+
+    def spy(self, X, Y):  # one kernel pass per block of samples
+        blocks.append(len(X))
+        return z(self, X, Y)
+
+    monkeypatch.setattr(oc.Kernel, "_z", spy)
+    monkeypatch.setattr(kernels, "ENTRIES", P * S)
+    whole = kernel.assemble_block_multi(X, C, Vs, ws)
+    assert blocks == [P]
+    for entries, rows in ((13 * S, 13), (1, M * n)):
+        monkeypatch.setattr(kernels, "ENTRIES", entries)
+        blocks.clear()
+        got = kernel.assemble_block_multi(X, C, Vs, ws)
+        assert blocks == [min(rows, P - lo) for lo in range(0, P, rows)]
+        assert P % rows
+        for blk, expect in zip(got, whole):
+            assert_close_to(blk, expect)

@@ -44,6 +44,12 @@ class TestValidation:
             with pytest.raises(ValueError, match=next(iter(kw))):
                 oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), 0.01, **kw)
 
+    def test_infinite_alpha_is_named(self, setup):
+        # the one non-finite alpha that `alpha >= 0` let through
+        basis, _, centers = setup
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), 0.01, alpha=np.inf)
+
     def test_theta0_shape(self, setup):
         basis, _, centers = setup
         with pytest.raises(ValueError):

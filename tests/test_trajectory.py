@@ -104,6 +104,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             oc.add_measurement_noise(ramp(), -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_is_named(self, sigma):
+        # not blamed on the noisy samples it would make
+        with pytest.raises(ValueError, match="^sigma must be finite"):
+            oc.add_measurement_noise(ramp(), sigma, 0)
+
 
 class TestMovingAverage:
     def test_window_one_identity(self):
