@@ -53,7 +53,9 @@ class BasisSet:
     Every BasisSet is a term table, set when it is built: a function from
     (P, n) points to the (T, P) values of scalar terms, and (rows, fields,
     coords): coordinate coords[j] of function fields[j] is table(X)[rows[j]],
-    and every other entry is 0. `values` is one scatter of one table call.
+    and every other entry is 0. `values` is one scatter of one table call;
+    with terms=True it returns table(X)[rows] unscattered, the term form
+    that every route assembles from (sysid._fields).
     When every function is a view of one library table (monomial_basis,
     emps_form, a select or a copy of either), the basis shares that table;
     otherwise the table holds its functions' n coordinates.
@@ -89,10 +91,15 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.functions)
 
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate every basis function: returns (M, P, n)."""
+    def values(self, X: np.ndarray, terms: bool = False) -> np.ndarray:
+        """Evaluate every basis function: returns (M, P, n), or with terms=True
+        the (R, P) term values table(X)[rows] alone. Points are (P, dim)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"points of shape {X.shape} do not match basis dimension {self.dim}")
         table, rows, fields, coords = self._terms
+        if terms:
+            return table(X)[rows]
         out = np.zeros((len(self), X.shape[0], self.dim))
         out[fields, :, coords] = table(X)[rows]
         return out

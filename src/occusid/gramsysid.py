@@ -16,14 +16,16 @@ stacked variant keeps the per-trajectory blocks separate for least-squares
 treatment.
 
 The double integral is bilinear in the two fields, so it is never formed per
-pair of basis functions. With quadrature weights w and the fields stacked as
-F (M', P, n), the kernel blocks H_de[p, q] = d^2 K / dx_d dy_e (x_p, x_q) come
-from pre_inner_pairwise with the constant unit fields e_d and e_e, and
+pair of basis functions. With quadrature weights w and the fields F_m, the
+kernel blocks H_de[p, q] = d^2 K / dx_d dy_e (x_p, x_q) come from
+pre_inner_pairwise with the constant unit fields e_d and e_e, and
 
-    G_full = sum_{d, e} U_d H_de U_e^T,   U_d = w * F[:, :, d]  (M', P)
+    G_full = sum_{d, e} U_d H_de U_e^T,   U_d[m, p] = w[p] F_m(x_p)_d  (M', P)
 
-gives every entry by matrix products. The cost depends on the state
-dimension n, not on the M(M + 1)/2 basis pairs.
+gives every entry by matrix products. U is scattered from the term form of
+sysid._fields: term j (scalar g_j on coordinate k_j of field f_j) fills
+U_{k_j}[f_j] = w g_j, and every other entry is 0. The cost depends on the
+state dimension n, not on the M(M + 1)/2 basis pairs.
 
 Because K is symmetric, so is the whole integrand matrix
 H[(d, p), (e, q)] = H_de[p, q] of size nP x nP. Only its upper triangle by
@@ -114,9 +116,9 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         P, n = X.shape
         w = weights(rule, traj.n_intervals, traj.step)
         M = len(basis)
-        F = _fields(basis, X)  # (M', P, n)
-        Mp = F.shape[0]
-        U = np.ascontiguousarray((F * w[:, None]).transpose(0, 2, 1))  # (M', n, P)
+        g, fields, coords, Mp = _fields(basis, X)
+        U = np.zeros((Mp, n, P))
+        U[fields, coords] = g * w  # each (field, coord) holds one term
         units = np.broadcast_to(np.eye(n)[:, None, :], (n, P, n))  # field d is e_d
         rows = max(1, kernels.ENTRIES // (n * n * P))
 
@@ -139,11 +141,11 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         # field, the known part included; one kernel matrix on the endpoints
         # gives the constant term, the jump's squared RKHS norm.
         ends = np.stack([traj.initial, traj.final])
-        blk = kernel.assemble_block(X, ends, F, w)  # (2, M')
+        blk = kernel.assemble_block(X, ends, (g, fields, coords, Mp), w)  # (2, M')
         jump = blk[1] - blk[0]
         K = kernel.matrix(ends, ends)
         jump_sq = K[1, 1] - 2.0 * K[1, 0] + K[0, 0]
-        if len(F) == M:
+        if Mp == M:
             r = jump
         else:
             r = jump[:M] - G_full[:M, M]

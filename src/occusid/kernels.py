@@ -41,6 +41,16 @@ kernel profile pass over the (P, Q) sample pairs; one field is the stack of
 one. The Gram assembly asks for the n^2 mixed-derivative blocks of a row
 block this way, with the unit fields e_d on both sides.
 
+Every basis field is a sum of scalar terms g_j(x) e_{k_j}: term j puts the
+scalar g_j on coordinate k_j of field f_j. assemble_block_multi takes the
+fields in this term form (G, fields, coords, M'): G (R, P) holds g_j at the
+samples, fields and coords (R,) hold f_j and k_j, and M' is the number of
+fields. A dense (M, P, n) array is the term form with one term per (field,
+coordinate). With F[p, s] = f'(z_ps) and weights w, grad1 above gives the
+entry (s, i) of the rows as one formula:
+
+    A[s, i] = beta sum_{j: f_j = i} (C[s, k_j] (F^T (w g_j))[s] - rho (F^T (w X_{k_j} g_j))[s])
+
 FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
 factor exactly through the center-constraint matrix.
@@ -48,8 +58,8 @@ factor exactly through the center-constraint matrix.
 One entry budget, ENTRIES, sizes every kernel block: a loop over blocks of
 samples builds at most ENTRIES kernel entries at once, unless a block's own
 output or a single sample's row is larger. assemble_block_multi takes
-max(M' n, ENTRIES // S) samples against S centers, so its (samples, S)
-block is no larger than the budget or its (M' n, S) output;
+max(R, ENTRIES // S) samples against S centers for R terms, so its
+(samples, S) block is no larger than the budget or its (R, S) term sums;
 quadrature.occupation_eval takes max(1, ENTRIES // P) points against P
 samples, and gramsysid._gram_blocks max(1, ENTRIES // (n^2 P)) rows. Each
 loop reads ENTRIES at call time and sums its blocks in time order, so
@@ -167,7 +177,8 @@ class _PointwiseKernel:
 
         X  : (P, n) trajectory samples,
         C  : (S, n) centers,
-        Vs : (M, P, n) basis values along the trajectory,
+        Vs : (M, P, n) basis values along the trajectory, or their term form
+             (G, fields, coords, M) (see the module docstring),
         w  : (P,) quadrature weights.
         Returns (S, M).
         """
@@ -268,35 +279,43 @@ class Kernel(_PointwiseKernel):
     def assemble_block_multi(self, X, C, Vs, ws) -> list[np.ndarray]:
         """assemble_block for several weight vectors sharing one kernel pass.
 
-        Entry (s, i) is sum_p w[p] beta f'(z_ps) (C[s] . v - rho X[p] . v)
-        with v = Vs[i, p]; the second term drops out for rho = 0.
+        Vs is the term form or a dense array (module docstring). Each block of
+        samples stacks the terms g_j over, when rho != 0, their products with
+        X_{k_j}, and sums them against F in one (2R, P_c) @ (P_c, S) product
+        per weight vector. C[s, k_j] and the sum over each field's terms
+        enter once, after the last block.
         """
         X, C = _rows(X), _rows(C)
-        Vs = np.asarray(Vs, dtype=float)
+        if not isinstance(Vs, tuple):  # dense (M, P, n): one term per (field, coordinate)
+            Vs = np.asarray(Vs, dtype=float)
+            if Vs.shape[1:] != X.shape:
+                raise ValueError(f"fields of shape {Vs.shape} do not match samples {X.shape}")
+            G = Vs.transpose(0, 2, 1).reshape(-1, len(X))
+            Vs = (G, *np.divmod(np.arange(len(G)), X.shape[1]), len(Vs))
+        G, fields, coords, M = Vs
         ws = [np.asarray(w, dtype=float) for w in ws]
-        P, n = X.shape
-        M = Vs.shape[0]
+        P, R, S = X.shape[0], G.shape[0], C.shape[0]
+        if G.shape[1] != P or any(w.shape != (P,) for w in ws):
+            raise ValueError(f"terms of shape {G.shape} and weights of shapes "
+                             f"{[w.shape for w in ws]} do not match {P} samples")
         rho = self._rho
-        acc = [np.zeros((C.shape[0], M)) for _ in ws]
-        rows = max(M * n, ENTRIES // max(1, C.shape[0]))  # no centers, no entries
+        acc = [np.zeros((2 * R if rho else R, S)) for _ in ws]
+        rows = max(R, ENTRIES // max(1, S))  # no centers, no entries
         with np.errstate(**_QUIET):
             for lo in range(0, P, rows):
                 hi = min(lo + rows, P)
-                Xc = X[lo:hi]
-                Vc = Vs[:, lo:hi, :].transpose(0, 2, 1)  # (M, n, P_c)
+                Xc, Gc = X[lo:hi], G[:, lo:hi]
                 base, _, c1, _ = self._profile(self._z(Xc, C))
                 F, scale = (base * c1, self._beta) if np.ndim(c1) else (base, self._beta * c1)
                 if rho:
-                    xv = (-rho) * np.einsum("mdp,pd->mp", Vc, Xc)
+                    Gc = np.concatenate([Gc, Gc * Xc.T[coords]])
                 for j, w in enumerate(ws):
-                    sw = scale * w[lo:hi]
-                    Vw = np.multiply(Vc, sw, out=np.empty(Vc.shape))
-                    blk = (Vw.reshape(M * n, -1) @ F).reshape(M, n, -1)
-                    blk = (blk * C.T[None]).sum(axis=1)  # (M, S)
-                    if rho:
-                        blk += (xv * sw) @ F
-                    acc[j] += blk.T
-        return acc
+                    acc[j] += (Gc * (scale * w[lo:hi])) @ F
+            into = (fields[:, None] == np.arange(M)).astype(float)  # (R, M): term j -> field
+            out = [(a[:R] * C.T[coords]).T @ into for a in acc]
+            if rho:
+                out = [blk - rho * (a[R:].T @ into) for blk, a in zip(out, acc)]
+        return out
 
     def pre_inner_pairwise(self, X, Y, A, B) -> np.ndarray:
         """Blocks of pre_inner_integrand(X[p], Y[q], A_i[p], B_j[q]) from one kernel pass.

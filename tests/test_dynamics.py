@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,23 @@ class TestBasisSet:
         assert list(sub.labels) == [basis.labels[i] for i in [1, 4, 8, 9]]
         X = np.array([[0.3, -1.2]])
         assert np.allclose(sub.values(X), basis.values(X)[[1, 4, 8, 9]])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (3,), (2, 4, 2)])
+    @pytest.mark.parametrize("build", ["monomial", "emps_form", "hand-built"])
+    def test_points_of_another_dimension_are_rejected(self, build, shape):
+        # (4, 3) against a 2-D monomial basis gave (M, 4, 2) values without x3
+        basis = {"monomial": lambda: oc.monomial_basis(MonomialSpec(2, 1)),
+                 "emps_form": lambda: oc.builtin_system("emps_form", control=np.cos)[2],
+                 "hand-built": lambda: oc.BasisSet(dim=2, functions=(lambda X: X ** 2,),
+                                                   labels=("sq",))}[build]()
+        if shape[-1] == basis.dim:
+            shape = shape[:-1] + (basis.dim + 1,)
+        X = np.ones(shape)
+        for call in (basis.values, lambda X: basis.values(X, terms=True),
+                     lambda X: basis.combination(np.ones(len(basis)), X)):
+            with pytest.raises(ValueError, match=rf"{re.escape(str(np.atleast_2d(X).shape))}.*"
+                                                 rf"dimension {basis.dim}"):
+                call(X)
 
     def test_known_part_defaults_to_none(self, system1):
         # combination must then be the pure weighted sum

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -257,6 +258,30 @@ class TestValidation:
             return
         X = np.arange(6.0).reshape(3, 2) / 4
         assert kern.matrix(X, X).shape == (3, 3)
+
+    @pytest.mark.parametrize("kern", ALL + [FeatureMapKernel(oc.gaussian_rbf(2.0), np.eye(2))],
+                             ids=lambda k: k.family)
+    @pytest.mark.parametrize("case", ["one-weight", "seven-weights", "eight-samples-of-fields",
+                                      "eight-samples-of-terms"])
+    def test_assembly_sample_count_must_match(self, kern, case):
+        # 5 points: a (1,) weight vector was broadcast over every sample, and
+        # 7 weights or fields over 8 samples were cut down to the first 5
+        rng = np.random.default_rng(23)
+        X, C = rng.uniform(-1, 1, (5, 2)), rng.uniform(-1, 1, (3, 2))
+        Vs, w = rng.normal(size=(4, 5, 2)), np.ones(5)
+        if case == "one-weight":
+            w, named = np.ones(1), "(1,)"
+        elif case == "seven-weights":
+            w, named = np.ones(7), "(7,)"
+        elif case == "eight-samples-of-fields":
+            Vs, named = rng.normal(size=(4, 8, 2)), "(4, 8, 2)"
+        else:
+            Vs, named = (rng.normal(size=(3, 8)), np.arange(3), np.array([0, 1, 0]), 3), "(3, 8)"
+        for call in (lambda: kern.assemble_block_multi(X, C, Vs, [np.ones(5), w]),
+                     lambda: kern.assemble_block(X, C, Vs, w)):
+            with pytest.raises(ValueError, match=re.escape(named)) as exc:
+                call()
+            assert "5" in str(exc.value)
 
     def test_poly_degree_integer_ge_two(self):
         with pytest.raises(ValueError):

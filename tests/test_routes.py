@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import occusid as oc
-from occusid import dynamics, kernels, trajectory
+from occusid import dynamics, kernels, sysid, trajectory
 from occusid.errors import TrajectoryParseError, UnsupportedKernelError
 
 # -- term tables vs the term formulas ---------------------------------------
@@ -522,3 +522,89 @@ def test_blocked_assembly_matches_one_block(family, n, monkeypatch):
         assert P % rows
         for blk, expect in zip(got, whole):
             assert_close_to(blk, expect)
+
+
+# -- the term form vs the dense (M, P, n) call ---------------------------------
+
+
+def _term_bases():
+    """(name, basis) for the term-form entries: monomial libraries at n = 1-3, a
+    reordered select, emps_form (known part) and hand-built fields (generic table,
+    known part)."""
+    lib = oc.monomial_basis(oc.MonomialSpec(2, 2))
+    return [("monomial-n1", oc.monomial_basis(oc.MonomialSpec(1, 3))), ("monomial-n2", lib),
+            ("monomial-n3", oc.monomial_basis(oc.MonomialSpec(3, 1))),
+            ("select", lib.select([7, 0, 7, 11, 3])),
+            ("emps_form", oc.builtin_system("emps_form", control=lambda t: np.cos(3 * t))[2]),
+            ("hand-built", _hand_fields())]
+
+
+def _dense(basis, X):
+    """The dense (M', P, n) fields: basis.values(X), the known part stacked as field M."""
+    kv = basis.known_values(X)
+    return basis.values(X) if kv is None else np.concatenate([basis.values(X), kv[None]])
+
+
+def _term_kernel(family, n):
+    if family == "feature_map":
+        return oc.FeatureMapKernel(oc.gaussian_rbf(2.0),
+                                   np.random.default_rng(n).uniform(-1, 1, (5, n)))
+    return oc.Kernel(family, mu=2.0, degree=3)
+
+
+@pytest.mark.parametrize("rule", ["rh", "trapezoid", "simpson"])
+@pytest.mark.parametrize("family", list(kernels.FAMILIES) + ["feature_map"])
+@pytest.mark.parametrize("basis", [pytest.param(b, id=name) for name, b in _term_bases()])
+def test_term_form_matches_the_dense_call(basis, family, rule):
+    """assemble_block_multi on sysid._fields' term form, and the direct, ILS, Gram
+    and stream systems built from it, against the dense public calls."""
+    n, M = basis.dim, len(basis)
+    kernel = _term_kernel(family, n)
+    rng = np.random.default_rng(40 + n)
+    t = 0.01 * np.arange(41)[:, None]
+    trajs = [trajectory.Trajectory(0.8 * np.sin(rng.uniform(1, 3, n) * t + rng.uniform(0, 3, n)),
+                                   0.01) for _ in range(2)]
+    C = rng.uniform(-1, 1, (4, n))
+    A, b, ils_A, ils_b = [], [], [], []
+    for tr in trajs:
+        X, w = tr.samples, oc.weights(rule, tr.n_intervals, tr.step)
+        F, ws = _dense(basis, X), [w, rng.uniform(0.1, 1, len(X))]
+        for got, expect in zip(kernel.assemble_block_multi(X, C, sysid._fields(basis, X), ws),
+                               kernel.assemble_block_multi(X, C, F, ws)):
+            assert_close_to(got, expect)
+        blk = kernel.assemble_block(X, C, F, w)
+        jump = kernel.matrix(tr.final[None], C)[0] - kernel.matrix(tr.initial[None], C)[0]
+        A.append(blk[:, :M])
+        b.append(jump - (blk[:, M] if len(F) > M else 0.0))
+        ints = np.tensordot(F, w, axes=(1, 0))  # (M', n)
+        ils_A.append(ints[:M].T)
+        ils_b.append(tr.final - tr.initial - (ints[M] if len(F) > M else 0.0))
+    s = oc.assemble(trajs, C, basis, kernel, rule)
+    assert_close_to(s.A, np.vstack(A))
+    assert_close_to(s.b, np.concatenate(b))
+    s = oc.ils_assemble(trajs, basis, rule)
+    assert_close_to(s.A, np.vstack(ils_A))
+    assert_close_to(s.b, np.concatenate(ils_b))
+    if family != "linear":  # linear has no Gram integrands
+        G, r, jump_sq = 0.0, 0.0, 0.0
+        for tr in trajs:
+            X, w = tr.samples, oc.weights(rule, tr.n_intervals, tr.step)
+            F = _dense(basis, X)
+            G_full = np.einsum("ipjq,p,q->ij", kernel.pre_inner_pairwise(X, X, F, F), w, w)
+            ends = np.stack([tr.initial, tr.final])
+            jump = np.diff(kernel.assemble_block(X, ends, F, w), axis=0)[0]
+            K = kernel.matrix(ends, ends)
+            G, r = G + G_full[:M, :M], r + jump[:M] - G_full[:M, M:].sum(axis=1)
+            jump_sq += K[1, 1] - 2 * K[1, 0] + K[0, 0]
+            if len(F) > M:
+                jump_sq += G_full[M, M] - 2 * jump[M]
+        g = oc.gram_assemble(trajs, basis, kernel, rule)
+        assert_close_to(g.G, G)
+        assert_close_to(g.r, r)
+        assert g.target_norm_sq == pytest.approx(jump_sq, rel=1e-12, abs=0)
+    if rule == "trapezoid":  # the stream's panels are trapezoids
+        st = oc.new_stream(C, basis, kernel, trajs[0].step)
+        oc.stream_push(st, trajs[0].samples)
+        got = oc.stream_matrices(st)
+        assert_close_to(got[0], A[0])
+        assert_close_to(got[1], b[0])
