@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands cover the full experiment surface: simulate (write trajectory
+Commands cover the full experiment surface: simulate (write trajectory
 CSVs), identify (one estimation run with a per-parameter report), sweep
 (repeat identification across one varying setting), montecarlo (noise-trial
 comparison of the occupation-kernel and componentwise-integral solvers),
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import math
 import multiprocessing
@@ -36,6 +37,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .dynamics import (
+    BasisSet,
     MonomialSpec,
     _on_library,
     builtin_system,
@@ -50,7 +52,7 @@ from .gramsysid import gram_assemble, gram_solve
 from .kernels import from_name
 from .quadrature import as_rule, empirical_order, norm_distance_squared, occupation_estimate
 from .streaming import gradient_chase_step, new_stream, stream_matrices, stream_push
-from .sysid import assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
+from .sysid import EstimationResult, assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
 from .trajectory import (
     Trajectory,
     _parse_header,
@@ -336,7 +338,7 @@ def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
                     "basis_terms entries must be [exponent list, target dim] pairs"
                 ) from None
             try:
-                idx.append(monomial_index(spec, exps, int(k)))
+                idx.append(monomial_index(spec, exps, k))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         basis = basis.select(idx)
@@ -361,14 +363,12 @@ def _centers_for(cfg: ExperimentConfig, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IdentifyOutcome:
-    theta_hat: np.ndarray
+    """One identify run: the solver's result over the basis, and its errors against targets."""
+
+    result: EstimationResult
+    basis: BasisSet
     targets: np.ndarray | None
-    labels: tuple[str, ...]
-    dims: tuple
-    condition_number: float
-    residual_norm: float
     runtime_seconds: float
-    support: np.ndarray | None
     l2_error: float | None
     max_error: float | None
 
@@ -388,19 +388,7 @@ def run_identify(cfg: ExperimentConfig, data=None) -> IdentifyOutcome:
         diff = result.theta_hat - targets
         l2 = float(np.linalg.norm(diff))
         max_err = float(np.max(np.abs(diff)))
-    runtime = time.perf_counter() - start
-    return IdentifyOutcome(
-        theta_hat=result.theta_hat,
-        targets=targets,
-        labels=tuple(basis.labels),
-        dims=tuple(basis.target_dims),
-        condition_number=result.condition_number,
-        residual_norm=result.residual_norm,
-        runtime_seconds=runtime,
-        support=result.support,
-        l2_error=l2,
-        max_error=max_err,
-    )
+    return IdentifyOutcome(result, basis, targets, time.perf_counter() - start, l2, max_err)
 
 
 def _assembled(trajs, basis, kernel, cfg: ExperimentConfig):
@@ -440,23 +428,23 @@ def _fmt(v) -> str:
 
 
 def write_result_csv(path, outcome: IdentifyOutcome) -> None:
+    result, basis, targets = outcome.result, outcome.basis, outcome.targets
     with open(path, "w", newline="\n") as fh:
         fh.write("param_index,monomial,dim,target,estimate,abs_error\n")
-        for i, est in enumerate(outcome.theta_hat):
-            label = outcome.labels[i]
-            d = outcome.dims[i]
+        for i, (label, d, est) in enumerate(zip(basis.labels, basis.target_dims,
+                                                result.theta_hat)):
             dim_cell = "" if d is None else str(d + 1)
-            if outcome.targets is None:
+            if targets is None:
                 target_cell = err_cell = ""
             else:
-                target_cell = _fmt(outcome.targets[i])
-                err_cell = _fmt(abs(est - outcome.targets[i]))
+                target_cell = _fmt(targets[i])
+                err_cell = _fmt(abs(est - targets[i]))
             fh.write(f"{i},{label},{dim_cell},{target_cell},{_fmt(est)},{err_cell}\n")
         fh.write(
             "# summary: "
             f"l2_error={_fmt(outcome.l2_error)},"
             f"max_error={_fmt(outcome.max_error)},"
-            f"condition_number={_fmt(outcome.condition_number)},"
+            f"condition_number={_fmt(result.condition_number)},"
             f"runtime_seconds={_fmt(outcome.runtime_seconds)}\n"
         )
 
@@ -479,7 +467,7 @@ def _write_table(cfg: ExperimentConfig, name: str, header: str, rows, notes=()) 
     return path
 
 
-# -- subcommands -------------------------------------------------------------
+# -- commands -----------------------------------------------------------------
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -501,15 +489,16 @@ NEAR_SINGULAR_COND = 1e10
 
 def cmd_identify(cfg: ExperimentConfig) -> int:
     outcome = run_identify(cfg)
+    cond = outcome.result.condition_number
     path = _out_path(cfg, "result.csv")
     write_result_csv(path, outcome)
     print(
         f"wrote {path} "
         f"(l2_error={_fmt(outcome.l2_error)}, max_error={_fmt(outcome.max_error)}, "
-        f"condition_number={_fmt(outcome.condition_number)})"
+        f"condition_number={_fmt(cond)})"
     )
-    if outcome.condition_number > NEAR_SINGULAR_COND:
-        print(f"note: condition_number {outcome.condition_number:.2g} exceeds "
+    if cond > NEAR_SINGULAR_COND:
+        print(f"note: condition_number {cond:.2g} exceeds "
               f"{NEAR_SINGULAR_COND:g}; the fit is nearly singular, so the estimates "
               "may be far from the true parameters")
     return 0
@@ -580,7 +569,7 @@ def _mc_trial(args):
     ok = run_identify(replace(cfg, solver="pinv"), data)
     ok_error = _known_error(ok)
     ils = run_identify(replace(cfg, solver="ils"), data)
-    return ok_error, _known_error(ils), ok.condition_number, ils.condition_number
+    return ok_error, _known_error(ils), ok.result.condition_number, ils.result.condition_number
 
 
 def cmd_montecarlo(cfg: ExperimentConfig) -> int:
@@ -664,42 +653,39 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
     kernel = _kernel_for(cfg)
     centers = _centers_for(cfg, dim)
 
-    state = None
-    pending: list[tuple[int, float, np.ndarray]] = []  # (line, time, sample) not yet pushed
-    count = 0
-    for lineno, raw in enumerate(lines, start=2):
-        times, rows = _parse_rows([raw.rstrip("\r\n")], dim, lineno)
-        if not rows:
-            continue
-        pending.append((lineno, times[0], np.array(rows[0])))
-        if state is None:
-            if len(pending) < 2:
-                continue  # the first two rows fix the step
-            h = cfg.h if cfg.h is not None else pending[1][1] - pending[0][1]
-            try:
-                state = new_stream(centers, basis, kernel, h, window=cfg.window, alpha=cfg.alpha)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-        for at, t, x in pending:
-            try:
-                stream_push(state, x, times=[t])
-            except ValueError as exc:
-                # far from the origin t1 - t0 drifts, so a grid error names --h
-                hint = "" if cfg.h is not None or not str(exc).startswith("grid") else (
-                    f"; the step {FMT % h} came from the first two rows, pass --h to set it")
-                raise ConfigError(f"line {at}: {exc}{hint}") from None
-            gradient_chase_step(state)
-            count += 1
-            if cfg.print_every > 0 and count % cfg.print_every == 0:
-                _print_stream_line(state)
-        pending.clear()
-
-    if state is None:
+    rows = _stream_rows(lines, dim)
+    first = list(itertools.islice(rows, 2))  # the first two rows fix the step
+    if len(first) < 2:
         return 0
+    h = cfg.h if cfg.h is not None else first[1][1] - first[0][1]
+    try:
+        state = new_stream(centers, basis, kernel, h, window=cfg.window, alpha=cfg.alpha)
+    except ValueError as exc:
+        raise ConfigError(f"line {first[1][0]}: {exc}") from None
+    for count, (at, t, x) in enumerate(itertools.chain(first, rows), start=1):
+        try:
+            stream_push(state, x, times=[t])
+        except ValueError as exc:
+            # far from the origin t1 - t0 drifts, so a grid error names --h
+            hint = "" if cfg.h is not None or not str(exc).startswith("grid") else (
+                f"; the step {FMT % h} came from the first two rows, pass --h to set it")
+            raise ConfigError(f"line {at}: {exc}{hint}") from None
+        gradient_chase_step(state)
+        if cfg.print_every > 0 and count % cfg.print_every == 0:
+            _print_stream_line(state)
+
     for _ in range(cfg.settle_steps):
         gradient_chase_step(state)
     _print_stream_line(state)
     return 0
+
+
+def _stream_rows(lines, dim: int):
+    """(line number, time, sample) of each data row after the header; blank lines skipped."""
+    for lineno, raw in enumerate(lines, start=2):
+        times, rows = _parse_rows([raw.rstrip("\r\n")], dim, lineno)
+        if rows:
+            yield lineno, times[0], np.array(rows[0])
 
 
 def _print_stream_line(state) -> None:
@@ -713,21 +699,17 @@ def _print_stream_line(state) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    g = shared.add_argument_group("experiment settings")
+    parser = argparse.ArgumentParser(
+        prog="occusid",
+        description="Parameter identification for nonlinear dynamics from sampled trajectories.",
+    )
+    parser.add_argument("command", choices=_COMMANDS)
+    g = parser.add_argument_group("experiment settings")
     g.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
     for f in fields(ExperimentConfig):
         if f.name != "basis_terms":  # [exponents, target dim] pairs: config files only
             flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
             g.add_argument(flag, dest=f.name, default=argparse.SUPPRESS)
-
-    parser = argparse.ArgumentParser(
-        prog="occusid",
-        description="Parameter identification for nonlinear dynamics from sampled trajectories.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        sub.add_parser(name, parents=[shared], help=fn.__doc__)
     return parser
 
 
@@ -762,8 +744,7 @@ def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     command = _COMMANDS[ns.command]
     try:
         return command(_merge_config(ns))

@@ -12,6 +12,7 @@ functions evaluate vectorized: given points X of shape (P, n) they return
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -209,11 +210,23 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
                     np.tile(np.arange(T), spec.dim))
 
 
+def _is_count(v, stop=math.inf) -> bool:
+    """Whether v is an integer (bool excluded) in [0, stop)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < stop
+
+
 def monomial_index(spec: MonomialSpec, exponents, k: int) -> int:
-    """Position of x^exponents * e_k in the monomial_basis ordering."""
+    """Position of x^exponents * e_k in the monomial_basis ordering.
+
+    The key is spec.dim non-negative integer exponents and an integer target
+    dim k in [0, spec.dim); any other key is a ValueError that names it.
+    """
+    if not (_is_count(k, spec.dim) and isinstance(exponents, (list, tuple, np.ndarray))
+            and len(exponents) == spec.dim and all(_is_count(e) for e in exponents)):
+        raise ValueError(f"basis term ({exponents!r}, {k!r}) is not {spec.dim} non-negative "
+                         f"integer exponents and a target dim in 0..{spec.dim - 1}")
     exps = monomial_exponents(spec.dim, spec.degree)
-    target = np.asarray(exponents, dtype=int)
-    hits = np.nonzero((exps == target).all(axis=1))[0]
+    hits = np.nonzero((exps == np.asarray(exponents)).all(axis=1))[0]
     if hits.size == 0:
         raise ValueError(f"exponents {list(exponents)} not in the degree-{spec.degree} library")
     return k * exps.shape[0] + int(hits[0])

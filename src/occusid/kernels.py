@@ -70,6 +70,7 @@ non-finite entries without a warning; the assembly layers check for them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,22 @@ def _field_stacks(X, Y, A, B):
 def _unstack(out, stacked) -> np.ndarray:
     """A (k, P, l, Q) block result without the axis of each side that was not a stack."""
     return out[(slice(None) if stacked[0] else 0, slice(None), slice(None) if stacked[1] else 0)]
+
+
+def _center_set(centers, dim: int | None = None) -> np.ndarray:
+    """centers as a frozen (S, n) float array, the one check of every center set.
+
+    A ValueError unless there is at least one center, n is dim (when given)
+    and every entry is finite.
+    """
+    C = _freeze(np.atleast_2d(centers))
+    if C.ndim != 2 or 0 in C.shape:
+        raise ValueError(f"centers must be a non-empty (S, n) array, got shape {C.shape}")
+    if dim is not None and C.shape[1] != dim:
+        raise ValueError(f"centers have dimension {C.shape[1]}, expected {dim}")
+    if not np.isfinite(C).all():
+        raise ValueError("centers must be finite")
+    return C
 
 
 def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
@@ -204,7 +221,8 @@ class Kernel(_PointwiseKernel):
         if self.family != "linear" and not (self.mu > 0 and 0 < self.mu * self.mu < np.inf):
             raise ValueError(f"mu must be positive with a nonzero, finite square, got {self.mu}")
         if self.family == "polynomial":
-            if int(self.degree) != self.degree or self.degree < 2:
+            d = self.degree
+            if not (isinstance(d, numbers.Real) and 2 <= d < np.inf and int(d) == d):
                 raise ValueError(f"polynomial degree must be an integer >= 2, got {self.degree}")
         radial = self.family == "gaussian_rbf"
         object.__setattr__(self, "_rho", 1.0 if radial else 0.0)
@@ -363,11 +381,8 @@ class FeatureMapKernel(_PointwiseKernel):
     def __init__(self, base: Kernel, centers):
         if not isinstance(base, Kernel):
             raise ValueError("base must be a Kernel")
-        centers = _freeze(np.atleast_2d(centers))
-        if centers.shape[0] < 1:
-            raise ValueError("need at least one center")
         self.base = base
-        self.centers = centers
+        self.centers = _center_set(centers)
 
     @property
     def family(self) -> str:

@@ -144,6 +144,8 @@ def occupation_eval(est: OccupationKernelEstimate, x):
         raise ValueError(
             f"point dimension {pts.shape[1]} does not match trajectory dimension {est.trajectory.dim}"
         )
+    if not np.isfinite(pts).all():
+        raise ValueError("points x must be finite")
     X = est.trajectory.samples
     rows = max(1, kernels.ENTRIES // X.shape[0])
     vals = np.empty(pts.shape[0])

@@ -35,6 +35,7 @@ import numpy as np
 
 from .dynamics import BasisSet
 from .errors import DivergenceError
+from .kernels import _center_set
 from .sysid import _fields, _known_split, _require_finite, _svd_solve
 from .trajectory import GRID_RTOL, _freeze, off_grid
 
@@ -51,9 +52,7 @@ class StreamState:
 
     def __init__(self, centers, basis: BasisSet, kernel, step: float, window: float = 0.0,
                  alpha: float | None = None, theta0=None):
-        centers = _freeze(np.atleast_2d(centers))
-        if centers.shape[1] != basis.dim:
-            raise ValueError(f"centers have dimension {centers.shape[1]}, expected {basis.dim}")
+        centers = _center_set(centers, basis.dim)
         if not 0 < step < np.inf:
             raise ValueError(f"step must be finite and positive, got {step}")
         if not window >= 0:
@@ -72,6 +71,8 @@ class StreamState:
         self.theta = np.zeros(M) if theta0 is None else np.asarray(theta0, dtype=float).copy()
         if self.theta.shape != (M,):
             raise ValueError(f"theta0 must have shape ({M},)")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("theta0 must be finite")
         self.time = 0.0
         self.t0 = None
         self.n_samples = 0

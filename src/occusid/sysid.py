@@ -35,6 +35,7 @@ import numpy as np
 
 from .dynamics import BasisSet
 from .errors import DivergenceError, IterationLimitError
+from .kernels import _center_set
 from .quadrature import as_rule, weights
 from .trajectory import _freeze, as_trajectory_set
 
@@ -186,9 +187,7 @@ def assemble_multi(trajs, centers, basis: BasisSet, kernel, rules) -> list[Const
     samples, so rule ladders reuse them.
     """
     trajs = _checked_trajectories(trajs, basis)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if centers.shape[1] != trajs.dim:
-        raise ValueError(f"centers have dimension {centers.shape[1]}, expected {trajs.dim}")
+    centers = _center_set(centers, trajs.dim)
     rules = [as_rule(r) for r in rules]
     N, S, M = len(trajs), centers.shape[0], len(basis)
     As = [np.empty((N * S, M)) for _ in rules]

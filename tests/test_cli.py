@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -42,11 +41,9 @@ def summary_floats(result_csv):
 
 
 def setting_flags():
-    """{field name: flag} of every option the subcommands share, --config included."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a.option_strings[0] for a in sub.choices["identify"]._actions
-            if a.dest != "help"}
+    """{field name: flag} of every option the commands share, --config included."""
+    return {a.dest: a.option_strings[0] for a in cli.build_parser()._actions
+            if a.option_strings and a.dest != "help"}
 
 
 def stream_rows(n, h=0.01, decay=0.5):
@@ -216,6 +213,19 @@ class TestIdentify:
         assert run(self.ARGS + ["--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert summary_floats(tmp_path / "result.csv")["l2_error"] is None
 
+    @pytest.mark.parametrize("term", [[[1, 0], -1], [[1, 0], 1.5], [[1, 0], 7], [[1, 0, 0], 0]],
+                             ids=["negative-dim", "fractional-dim", "dim-past-n", "n-plus-1-exps"])
+    def test_basis_term_outside_the_library_is_config_error(self, tmp_path, capsys, term):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"basis_terms": [term]}))
+        out = tmp_path / "out"
+        assert run(["identify", "--system", "system1", "--n-trajectories", "2",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config: basis term ({term[0]!r}, {term[1]!r}) is not 2 non-negative "
+            "integer exponents and a target dim in 0..1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["identify", "stream"])
     def test_data_dimension_must_match_the_system(self, tmp_path, monkeypatch, capsys, command):
         field, _, _ = oc.builtin_system("lorenz")
@@ -327,14 +337,47 @@ def test_flag_and_config_key_give_equal_configs(tmp_path, name):
 
 
 def test_readme_experiment_commands_build_configs():
-    # each command of the Experiments table parses and validates without running
+    # each command of the Experiments table gives the config of its own flags, without running
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n## Experiments\n")[1].split("\n## ")[0]
     commands = re.findall(r"`occusid ([^`]*)`", table)
     assert len(commands) >= 8
     parser = cli.build_parser()
+    field_of = {flag: name for name, flag in setting_flags().items()}
     for command in commands:
-        cli._merge_config(parser.parse_args(command.split()))
+        name, *tokens = command.split()
+        expect = ExperimentConfig(**{field_of[f]: cli._parse_text(field_of[f], v)
+                                     for f, v in zip(tokens[::2], tokens[1::2])})
+        ns = parser.parse_args(command.split())
+        assert ns.command == name
+        assert cli._merge_config(ns) == expect
+        # a flag may come before the command as well
+        assert parser.parse_args(tokens + [name]) == ns
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"], ["--help", "stream"]])
+def test_help_lists_every_command_and_flag(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert "{" + ",".join(cli._COMMANDS) + "}" in out
+    flags = setting_flags()
+    settings = {f.name for f in fields(ExperimentConfig)} - {"basis_terms"}  # config files only
+    assert flags.keys() == settings | {"config"}
+    missing = [flag for flag in flags.values()
+               if not re.search(rf"{re.escape(flag)}(?![\w-])", out)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--system", "system1"], "the following arguments are required: command"),
+    (["fit"], "invalid choice: 'fit'"),
+    (["identify", "--kernel-width", "5"], "unrecognized arguments: --kernel-width 5"),
+    (["identify", "stream"], "unrecognized arguments: stream"),
+], ids=["none", "flags-only", "unknown-command", "unknown-flag", "two-commands"])
+def test_bad_command_line_exits_2(capsys, argv, message):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_every_flag_is_in_readme():

@@ -58,6 +58,14 @@ class TestMonomials:
         with pytest.raises(ValueError):
             monomial_index(MonomialSpec(2, 2), [3, 0], 0)
 
+    @pytest.mark.parametrize("exponents, k", [
+        ([1, 0], -1), ([1, 0], 1.5), ([1, 0], 2), ([1, 0], True), ([1, 0, 0], 0),
+        ([1], 0), ([-1, 1], 0), ([1.0, 0], 0), ("10", 0), (3, 0)])
+    def test_monomial_index_rejects_keys_outside_the_library(self, exponents, k):
+        key = re.escape(f"basis term ({exponents!r}, {k!r}) is not 2")
+        with pytest.raises(ValueError, match=key):
+            monomial_index(MonomialSpec(2, 2), exponents, k)
+
     def test_combination_reconstructs_field(self, system1):
         field, theta_true, basis = system1
         x = np.array([[0.4, -1.7]])

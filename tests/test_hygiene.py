@@ -106,3 +106,11 @@ def test_checker_finds_setflags_outside_freeze():
 
 def test_only_freeze_calls_setflags():
     assert setflags_outside_freeze({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_readme_minimal_example_runs(capsys):
+    # the README's library example, run as written, so the doc cannot drift from the code
+    readme = (SRC.parents[1] / "README.md").read_text()
+    code = readme.split("Minimal example:\n\n```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < 1e-9

@@ -286,8 +286,10 @@ class TestValidation:
     def test_poly_degree_integer_ge_two(self):
         with pytest.raises(ValueError):
             oc.polynomial(1.0, 1)
-        with pytest.raises(ValueError):
-            oc.Kernel("polynomial", mu=1.0, degree=2.5)
+        # each is this ValueError, not an OverflowError, a TypeError or a numpy message
+        for degree in (2.5, np.inf, np.nan, "3", None):
+            with pytest.raises(ValueError, match="^polynomial degree must be an integer >= 2"):
+                oc.Kernel("polynomial", mu=1.0, degree=degree)
 
     def test_from_name(self):
         assert oc.from_name("gaussian", mu=3.0).family == "gaussian_rbf"
@@ -375,3 +377,39 @@ class TestHypothesisProperties:
         v = kern.eval(x, y)
         assert 0.0 < v <= 1.0
         assert kern.eval(x, x) == pytest.approx(1.0)
+
+
+def _center_route(route, centers):
+    """Build the system of one route over `centers` from one system1 trajectory."""
+    field, _, basis = oc.builtin_system("system1")
+    tr = oc.integrate_rk4(field, np.array([0.25, -2.0]), 0.1, 1e-2)
+    if route == "assemble":
+        return oc.assemble([tr], centers, basis, oc.gaussian_rbf(10.0), "simpson")
+    if route == "stream":
+        return oc.stream_push(oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), tr.step),
+                              tr.samples[:2])
+    return oc.gram_assemble([tr], basis, FeatureMapKernel(oc.gaussian_rbf(10.0), centers),
+                            "simpson")
+
+
+@pytest.mark.parametrize("route", ["assemble", "stream", "gram"])
+class TestCenterSet:
+    """Every route that takes centers checks them with one rule, before any kernel runs."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_center_is_named(self, route, bad):
+        # not the kernel's mu: a DivergenceError would send the user to the wrong setting
+        with pytest.raises(ValueError, match="^centers must be finite$"):
+            _center_route(route, [[0.0, 0.0], [bad, 1.0]])
+
+    def test_no_center(self, route):
+        with pytest.raises(ValueError, match=r"^centers must be a non-empty \(S, n\) array"):
+            _center_route(route, np.empty((0, 2)))
+
+
+def test_center_set_is_a_frozen_float_copy():
+    centers = [[0, 0], [1, -1]]
+    C = kernels._center_set(centers, 2)
+    assert C.dtype == float and not C.flags.writeable and C.tolist() == centers
+    with pytest.raises(ValueError, match="^centers have dimension 2, expected 3$"):
+        kernels._center_set(centers, 3)

@@ -150,6 +150,12 @@ class TestOccupation:
         T = tr.duration
         assert oc.occupation_eval(est, x) == pytest.approx(T * kern.eval(x, c), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [[0.0, 0.0], [0.0, np.inf]]])
+    def test_eval_point_must_be_finite(self, x):
+        est = oc.occupation_estimate(constant_traj([0.5, -1.0]), oc.gaussian_rbf(2.0), "simpson")
+        with pytest.raises(ValueError, match="^points x must be finite$"):
+            oc.occupation_eval(est, x)
+
     def test_eval_batch(self):
         tr = constant_traj([1.0])
         est = oc.occupation_estimate(tr, oc.gaussian_rbf(1.0), "simpson")

@@ -55,6 +55,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             oc.new_stream(centers, basis, oc.gaussian_rbf(10.0), 0.01, theta0=np.zeros(3))
 
+    def test_theta0_must_be_finite(self, setup):
+        basis, _, centers = setup
+        with pytest.raises(ValueError, match="^theta0 must be finite$"):
+            oc.StreamState(centers, basis, oc.gaussian_rbf(10.0), 0.01,
+                           theta0=[np.nan] * len(basis))
+
     def test_sample_dimension(self, setup):
         st = fresh_stream(setup)
         with pytest.raises(ValueError):
@@ -272,8 +278,9 @@ class TestGradientChase:
 
     def test_nan_iterate_diverges(self, setup):
         basis, tr, _ = setup
-        st = fresh_stream(setup, theta0=np.full(len(basis), np.nan))
+        st = fresh_stream(setup)
         oc.stream_push(st, tr.samples[:2])
+        st.theta = np.full(len(basis), np.nan)  # theta0 must be finite, so set it in place
         with pytest.raises(DivergenceError, match="nan"):
             oc.gradient_chase_step(st)
 
