@@ -49,7 +49,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DivergenceError, IterationLimitError
 from .gramsysid import gram_assemble, gram_solve
-from .kernels import from_name
+from .kernels import _center_set, from_name
 from .quadrature import as_rule, empirical_order, norm_distance_squared, occupation_estimate
 from .streaming import gradient_chase_step, new_stream, stream_matrices, stream_push
 from .sysid import EstimationResult, assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
@@ -338,9 +338,12 @@ def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
                     "basis_terms entries must be [exponent list, target dim] pairs"
                 ) from None
             try:
-                idx.append(monomial_index(spec, exps, k))
+                i = monomial_index(spec, exps, k)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            if i in idx:  # two equal columns: the fit could not tell them apart
+                raise ConfigError(f"basis term ({exps!r}, {k!r}) is listed twice in basis_terms")
+            idx.append(i)
         basis = basis.select(idx)
     if theta_true is None:
         return basis, None
@@ -355,10 +358,10 @@ def _centers_for(cfg: ExperimentConfig, dim: int) -> np.ndarray:
         spec = _SYSTEMS.get(cfg.system, _NO_SYSTEM)["centers"]
     if spec is None:
         raise ConfigError("no default centers for this input; pass --centers lo:hi:width,...")
-    centers = parse_centers(spec)
-    if centers.shape[1] != dim:
-        raise ConfigError(f"centers have dimension {centers.shape[1]}, data has {dim}")
-    return centers
+    try:
+        return _center_set(parse_centers(spec), dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -501,6 +504,11 @@ def cmd_identify(cfg: ExperimentConfig) -> int:
         print(f"note: condition_number {cond:.2g} exceeds "
               f"{NEAR_SINGULAR_COND:g}; the fit is nearly singular, so the estimates "
               "may be far from the true parameters")
+    result = outcome.result
+    if result.rank_deficient:
+        print(f"note: effective rank {result.effective_rank} is below the "
+              f"{result.n_parameters} parameters; the data do not determine every estimate, "
+              "and condition_number covers the kept singular values only")
     return 0
 
 

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError
+from .kernels import _term_maps
 from .trajectory import GRID_RTOL, Trajectory, _parse_rows
 
 
@@ -52,14 +53,20 @@ class BasisSet:
                   by any parameter.
 
     Every BasisSet is a term table, set when it is built: a function from
-    (P, n) points to the (T, P) values of scalar terms, and (rows, fields,
-    coords): coordinate coords[j] of function fields[j] is table(X)[rows[j]],
-    and every other entry is 0. `values` is one scatter of one table call;
-    with terms=True it returns table(X)[rows] unscattered, the term form
-    that every route assembles from (sysid._fields).
+    (P, n) points to the (T, P) values of scalar functions, and (rows,
+    fields, coords): coordinate coords[j] of function fields[j] is
+    table(X)[rows[j]], and every other entry is 0. `values` is one scatter of
+    one table call; with terms=True it returns the (T, P) table itself, which
+    every route assembles from (sysid._fields) through the index maps of the
+    kernels module's term form, built here once per basis with the known
+    part as field M (its n coordinates are the last n rows, -n..-1, that
+    sysid._fields appends to the table).
     When every function is a view of one library table (monomial_basis,
     emps_form, a select or a copy of either), the basis shares that table;
-    otherwise the table holds its functions' n coordinates.
+    otherwise the table holds its functions' n coordinates. A table may
+    carry a product map (monomial_basis): which row, or which monomial past
+    the table, is x_k times row r. The maps then stack each product once,
+    and the basis's selects and copies share the map with the table.
     """
 
     dim: int
@@ -68,6 +75,7 @@ class BasisSet:
     target_dims: tuple[int | None, ...] = None
     known_part: Callable[[np.ndarray], np.ndarray] | None = None
     _terms: tuple = field(default=None, init=False, repr=False, compare=False)
+    _maps: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = len(self.functions)
@@ -87,7 +95,15 @@ class BasisSet:
             funcs, rows = self.functions, np.arange(M * self.dim)
             terms = (lambda X: np.concatenate([np.transpose(f(X)) for f in funcs]),
                      rows, *np.divmod(rows, self.dim))
+        table, rows, fields, coords = terms
+        if self.known_part is not None:  # h's n coordinates: field M, the last n table rows
+            n = self.dim
+            rows, fields, coords = (np.append(rows, np.arange(-n, 0)), np.append(fields, [M] * n),
+                                    np.append(coords, np.arange(n)))
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_maps", _term_maps(rows, fields, coords,
+                                                     M + (self.known_part is not None),
+                                                     getattr(table, "_prod", None)))
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -100,7 +116,7 @@ class BasisSet:
             raise ValueError(f"points of shape {X.shape} do not match basis dimension {self.dim}")
         table, rows, fields, coords = self._terms
         if terms:
-            return table(X)[rows]
+            return np.asarray(table(X), dtype=float)
         out = np.zeros((len(self), X.shape[0], self.dim))
         out[fields, :, coords] = table(X)[rows]
         return out
@@ -195,6 +211,10 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
     coordinate in coordinate order.
     """
     exps = monomial_exponents(spec.dim, spec.degree)
+    # x_k times row r is the monomial alpha_r + e_k: a table row, or one numbered past the table
+    index = {tuple(e): r for r, e in enumerate(exps.tolist())}
+    prod = np.array([[index.setdefault(tuple((e + step).tolist()), len(index))
+                      for step in np.eye(spec.dim, dtype=int)] for e in exps])
 
     def table(X):
         powers = np.stack([np.ones_like(X), X] + [X ** np.full(spec.dim, k)
@@ -204,6 +224,7 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
             mono = mono * powers[exps[:, j], :, j]
         return mono
 
+    table._prod = prod
     T = exps.shape[0]
     return _library(spec.dim, [monomial_label(e) for e in exps] * spec.dim,
                     [k for k in range(spec.dim) for _ in range(T)], table,

@@ -23,9 +23,10 @@ pre_inner_pairwise with the constant unit fields e_d and e_e, and
     G_full = sum_{d, e} U_d H_de U_e^T,   U_d[m, p] = w[p] F_m(x_p)_d  (M', P)
 
 gives every entry by matrix products. U is scattered from the term form of
-sysid._fields: term j (scalar g_j on coordinate k_j of field f_j) fills
-U_{k_j}[f_j] = w g_j, and every other entry is 0. The cost depends on the
-state dimension n, not on the M(M + 1)/2 basis pairs.
+sysid._fields: term j (table row r_j on coordinate k_j of field f_j) fills
+U_{k_j}[f_j] = w G[r_j] (one gather, G[rows] * w, of the table), and
+every other entry is 0. The cost depends on the state dimension n, not on
+the M(M + 1)/2 basis pairs.
 
 Because K is symmetric, so is the whole integrand matrix
 H[(d, p), (e, q)] = H_de[p, q] of size nP x nP. Only its upper triangle by
@@ -116,9 +117,10 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         P, n = X.shape
         w = weights(rule, traj.n_intervals, traj.step)
         M = len(basis)
-        g, fields, coords, Mp = _fields(basis, X)
+        G, t = terms = _fields(basis, X)
+        Mp = t.M
         U = np.zeros((Mp, n, P))
-        U[fields, coords] = g * w  # each (field, coord) holds one term
+        U[t.fields, t.coords] = G[t.rows] * w  # each (field, coord) holds one term
         units = np.broadcast_to(np.eye(n)[:, None, :], (n, P, n))  # field d is e_d
         rows = max(1, kernels.ENTRIES // (n * n * P))
 
@@ -141,7 +143,7 @@ def _gram_blocks(traj, basis: BasisSet, kernel, rule):
         # field, the known part included; one kernel matrix on the endpoints
         # gives the constant term, the jump's squared RKHS norm.
         ends = np.stack([traj.initial, traj.final])
-        blk = kernel.assemble_block(X, ends, (g, fields, coords, Mp), w)  # (2, M')
+        blk = kernel.assemble_block(X, ends, terms, w)  # (2, M')
         jump = blk[1] - blk[0]
         K = kernel.matrix(ends, ends)
         jump_sq = K[1, 1] - 2.0 * K[1, 0] + K[0, 0]

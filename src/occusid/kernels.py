@@ -26,7 +26,15 @@ and the two integrands of the Gram-style inner-product systems are
     rhs_integrand(x, (start, end), v) = (grad1(x, end) - grad1(x, start)) . v
 
 Only the profile is written per family; every Kernel operation is written
-once over it.
+once over it. Each profile is exp, a power or the identity of one affine
+argument s = a z + b: exp(-z / mu), exp(mu z), (1 + z / mu)^degree, z.
+Kernel._z gives s from one matrix product: the scale a multiplies its small
+left operand, and the shift b and, for gaussian_rbf, the squared norms ride
+along as augmented columns, so the profile is one in-place pass over each
+(samples, centers) block. The
+gaussian_rbf points are measured from the mean of the second argument's
+points first: z depends on x - y only, and the smaller squared norms cancel
+with less rounding than about the origin.
 
 Kernel and FeatureMapKernel share one pointwise API (eval, grad2,
 pre_inner_integrand, rhs_integrand, assemble_block): each is one entry of
@@ -42,14 +50,26 @@ one. The Gram assembly asks for the n^2 mixed-derivative blocks of a row
 block this way, with the unit fields e_d on both sides.
 
 Every basis field is a sum of scalar terms g_j(x) e_{k_j}: term j puts the
-scalar g_j on coordinate k_j of field f_j. assemble_block_multi takes the
-fields in this term form (G, fields, coords, M'): G (R, P) holds g_j at the
-samples, fields and coords (R,) hold f_j and k_j, and M' is the number of
-fields. A dense (M, P, n) array is the term form with one term per (field,
-coordinate). With F[p, s] = f'(z_ps) and weights w, grad1 above gives the
-entry (s, i) of the rows as one formula:
+scalar g_j on coordinate k_j of field f_j, and g_j is row r_j of a table of
+scalar functions. assemble_block_multi takes the fields in this term form
+(G, maps): G (T, P) holds the table at the samples, and maps (a _Terms,
+built once per basis by _term_maps) holds r_j, f_j, k_j, the number of
+fields M', and where each term's rows sit in the stack below. A dense
+(M, P, n) array is the term form with one table row per (field, coordinate).
+With F[p, s] = f'(z_ps) and weights w, grad1 above gives the entry (s, i) of
+the rows as one formula:
 
-    A[s, i] = beta sum_{j: f_j = i} (C[s, k_j] (F^T (w g_j))[s] - rho (F^T (w X_{k_j} g_j))[s])
+    A[s, i] = beta sum_{j: f_j = i} (C[s, k_j] acc[g_j, s] - rho acc[x_{k_j} g_j, s]),
+    acc[h, s] = (F^T (w h))[s]
+
+Each acc row is one distinct function, stacked once per block of samples:
+the table rows that some term uses and, when rho != 0, each product
+x_k g_j. A product is a table row when the table's product map says so
+(monomial_basis: x_k x^alpha = x^(alpha + e_k)), and is made from X_k and
+row r_j otherwise, once per distinct product. The degree-3 monomial
+library in 3-D stacks 35 rows (20 monomials and 15 of degree 4) for its 60
+terms, where one row per term and product took 120. After the last block
+each term gathers its two rows.
 
 FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems
@@ -72,6 +92,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,12 +169,67 @@ def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
     Wa[:, :n] = W
     Wa[:, n] = 1.0
     Wa[:, n + 1] = w
-    if np.ndim(c):
+    if isinstance(c, np.ndarray):
         out = Ua @ Wa.T
         out *= c
         return out
     Ua *= c
     return Ua @ Wa.T
+
+
+class _Terms(NamedTuple):
+    """The index maps of a term form over a table of scalar rows (module docstring)."""
+
+    rows: np.ndarray    # (R,) table row of each term's g_j
+    fields: np.ndarray  # (R,) its field f_j
+    coords: np.ndarray  # (R,) its coordinate k_j
+    M: int              # number of fields
+    stack: np.ndarray   # table rows stacked per block: g rows, table products, made sources
+    n_g: int            # stack[:n_g] are the g rows, all that rho = 0 needs
+    made: np.ndarray    # coordinate k of each made product x_k g, the stack's last rows
+    g_at: np.ndarray    # (R,) stack position of g_j
+    x_at: np.ndarray    # (R,) stack position of x_{k_j} g_j
+    into: np.ndarray    # (R, M) 0/1: term j -> field f_j
+
+
+def _term_maps(rows, fields, coords, M: int, prod=None) -> _Terms:
+    """_Terms of the terms (rows, fields, coords) over M fields, built once per basis.
+
+    prod[r, k] names the row equal to x_k times table row r: a table row
+    below len(prod), or a product the table lacks, numbered from len(prod)
+    so that equal products share a number. Without prod, and for rows
+    outside it (negative rows count from the table's end), each distinct
+    (row, coord) pair is a product of its own.
+    """
+    rows, fields, coords = (np.asarray(a, dtype=int) for a in (rows, fields, coords))
+    T = 0 if prod is None else len(prod)
+    keys, first = [], {}  # x_k g_j of each term, ("row", r) or ("made", key); its first term
+    for j, (r, k) in enumerate(zip(rows.tolist(), coords.tolist())):
+        p = int(prod[r, k]) if 0 <= r < T else None
+        keys.append(("row", p) if p is not None and p < T else ("made", (r, k) if p is None else p))
+        first.setdefault(keys[-1], j)
+    g_rows, g_at = np.unique(rows, return_inverse=True)
+    at = {("row", r): i for i, r in enumerate(g_rows.tolist())}
+    new = sorted((key for key in first if key not in at), key=lambda key: key[0] == "made")
+    at.update({key: len(at) + i for i, key in enumerate(new)})  # table rows, then made ones
+    sources = [first[key] for key in new if key[0] == "made"]  # made from their first term
+    stack = [key[1] for key in new if key[0] == "row"] + rows[sources].tolist()
+    return _Terms(rows, fields, coords, M, np.array(g_rows.tolist() + stack, dtype=int),
+                  len(g_rows), coords[sources], g_at, np.array([at[key] for key in keys]),
+                  (fields[:, None] == np.arange(M)).astype(float))
+
+
+def _term_form(Vs, X):
+    """(G, _Terms) of Vs at the samples X: Vs itself, or the one term per
+    (field, coordinate) of a dense (M, P, n) array."""
+    if isinstance(Vs, tuple):
+        return Vs
+    Vs = np.asarray(Vs, dtype=float)
+    if Vs.shape[1:] != X.shape:
+        raise ValueError(f"fields of shape {Vs.shape} do not match samples {X.shape}")
+    terms = np.arange(Vs.shape[0] * X.shape[1])
+    return (Vs.transpose(0, 2, 1).reshape(-1, len(X)),
+            _term_maps(terms, *np.divmod(terms, X.shape[1]), len(Vs)))
 
 
 class _PointwiseKernel:
@@ -195,7 +271,7 @@ class _PointwiseKernel:
         X  : (P, n) trajectory samples,
         C  : (S, n) centers,
         Vs : (M, P, n) basis values along the trajectory, or their term form
-             (G, fields, coords, M) (see the module docstring),
+             (G, maps) (see the module docstring),
         w  : (P,) quadrature weights.
         Returns (S, M).
         """
@@ -227,33 +303,36 @@ class Kernel(_PointwiseKernel):
         radial = self.family == "gaussian_rbf"
         object.__setattr__(self, "_rho", 1.0 if radial else 0.0)
         object.__setattr__(self, "_beta", -2.0 if radial else 1.0)
+        arg = {"gaussian_rbf": (-1.0 / self.mu, 0.0), "exp_dot": (self.mu, 0.0),
+               "polynomial": (1.0 / self.mu, 1.0)}  # (a, b) of the argument s = a z + b
+        object.__setattr__(self, "_arg", arg.get(self.family, (1.0, 0.0)))
 
-    def _profile(self, z):
+    def _profile(self, s):
         """(base, c0, c1, c2) with f^(k)(z) = base * c_k, from one transcendental pass.
 
-        z is consumed: the result may reuse its memory. The factors are
-        scalars except for polynomial, where they carry powers of
-        u = 1 + z / mu, and linear, whose f(z) = z.
+        s is the argument from _z and is consumed: the result may reuse its
+        memory. The factors are scalars except for polynomial, where they
+        carry powers of u = 1 + z / mu, and linear, whose f(z) = z.
         """
         mu = self.mu
         if self.family == "gaussian_rbf":
-            return np.exp(np.divide(z, -mu, out=z), out=z), 1.0, -1.0 / mu, 1.0 / (mu * mu)
+            return np.exp(s, out=s), 1.0, -1.0 / mu, 1.0 / (mu * mu)
         if self.family == "exp_dot":
-            return np.exp(np.multiply(z, mu, out=z), out=z), 1.0, mu, mu * mu
+            return np.exp(s, out=s), 1.0, mu, mu * mu
         if self.family == "polynomial":
             d = self.degree
-            u = np.divide(z, mu, out=z)
-            u += 1.0
-            return u ** (d - 2), u * u, (d / mu) * u, d * (d - 1) / (mu * mu)
-        return np.ones_like(z), z, 1.0, 0.0
+            return s ** (d - 2), s * s, (d / mu) * s, d * (d - 1) / (mu * mu)
+        return np.ones_like(s), s, 1.0, 0.0
 
     def _z(self, X, Y) -> np.ndarray:
-        """z[p, q] = rho (|X[p]|^2 + |Y[q]|^2) + beta X[p] . Y[q]."""
-        z = (self._beta * X) @ Y.T
-        if self._rho:  # skipped by the dot-product families: two passes over (P, Q)
-            z += self._rho * _rowdot(X, X)[:, None]
-            z += self._rho * _rowdot(Y, Y)
-        return z
+        """The profile's argument s[p, q] = a z + b (module docstring), from one _pair
+        product: z = X[p] . Y[q], or |X[p] - Y[q]|^2 for gaussian_rbf."""
+        a, b = self._arg
+        if not self._rho:
+            return _pair(a * X, Y, 0.0, b)
+        m = np.add.reduce(Y) / len(Y)  # measured from Y's mean, |X|^2 and |Y|^2 stay
+        X, Y = X - m, Y - m              # small and cancel less than about the origin
+        return _pair(X, Y, -0.5 * _rowdot(X, X), -0.5 * _rowdot(Y, Y), -2.0 * a)
 
     def _integrand_guard(self, name: str) -> None:
         if self.family == "linear":
@@ -298,41 +377,40 @@ class Kernel(_PointwiseKernel):
         """assemble_block for several weight vectors sharing one kernel pass.
 
         Vs is the term form or a dense array (module docstring). Each block of
-        samples stacks the terms g_j over, when rho != 0, their products with
-        X_{k_j}, and sums them against F in one (2R, P_c) @ (P_c, S) product
-        per weight vector. C[s, k_j] and the sum over each field's terms
+        samples stacks the table rows that some term uses and, when rho != 0,
+        the products x_k g that the table lacks, once each, and sums them
+        against F in one (rows, P_c) @ (P_c, S) product per weight vector.
+        The gather per term, C[s, k_j] and the sum over each field's terms
         enter once, after the last block.
         """
         X, C = _rows(X), _rows(C)
-        if not isinstance(Vs, tuple):  # dense (M, P, n): one term per (field, coordinate)
-            Vs = np.asarray(Vs, dtype=float)
-            if Vs.shape[1:] != X.shape:
-                raise ValueError(f"fields of shape {Vs.shape} do not match samples {X.shape}")
-            G = Vs.transpose(0, 2, 1).reshape(-1, len(X))
-            Vs = (G, *np.divmod(np.arange(len(G)), X.shape[1]), len(Vs))
-        G, fields, coords, M = Vs
+        G, t = _term_form(Vs, X)
         ws = [np.asarray(w, dtype=float) for w in ws]
-        P, R, S = X.shape[0], G.shape[0], C.shape[0]
+        P, S = X.shape[0], C.shape[0]
         if G.shape[1] != P or any(w.shape != (P,) for w in ws):
             raise ValueError(f"terms of shape {G.shape} and weights of shapes "
                              f"{[w.shape for w in ws]} do not match {P} samples")
         rho = self._rho
-        acc = [np.zeros((2 * R if rho else R, S)) for _ in ws]
-        rows = max(R, ENTRIES // max(1, S))  # no centers, no entries
+        stack = t.stack if rho else t.stack[:t.n_g]
+        acc = [np.zeros((len(stack), S)) for _ in ws]
+        rows = max(len(t.rows), ENTRIES // max(1, S))  # no centers, no entries
         with np.errstate(**_QUIET):
             for lo in range(0, P, rows):
                 hi = min(lo + rows, P)
-                Xc, Gc = X[lo:hi], G[:, lo:hi]
-                base, _, c1, _ = self._profile(self._z(Xc, C))
-                F, scale = (base * c1, self._beta) if np.ndim(c1) else (base, self._beta * c1)
-                if rho:
-                    Gc = np.concatenate([Gc, Gc * Xc.T[coords]])
+                base, _, c1, _ = self._profile(self._z(X[lo:hi], C))
+                F, scale = ((base * c1, self._beta) if isinstance(c1, np.ndarray)
+                            else (base, self._beta * c1))
+                Gc = G[stack, lo:hi]
+                if rho:  # the products the table lacks: x_k times their source row
+                    Gc[len(stack) - len(t.made):] *= X[lo:hi].T[t.made]
                 for j, w in enumerate(ws):
                     acc[j] += (Gc * (scale * w[lo:hi])) @ F
-            into = (fields[:, None] == np.arange(M)).astype(float)  # (R, M): term j -> field
-            out = [(a[:R] * C.T[coords]).T @ into for a in acc]
-            if rho:
-                out = [blk - rho * (a[R:].T @ into) for blk, a in zip(out, acc)]
+            out = []
+            for a in acc:  # C[s, k_j] (w g_j)^T F - rho (w x_{k_j} g_j)^T F, summed per field
+                terms = a[t.g_at] * C.T[t.coords]
+                if rho:
+                    terms -= rho * a[t.x_at]
+                out.append(terms.T @ t.into)
         return out
 
     def pre_inner_pairwise(self, X, Y, A, B) -> np.ndarray:

@@ -15,8 +15,9 @@ makes the estimates robust to measurement noise.
 A known part h is integrated like a basis function and moved to the right
 side. This module owns that convention for every route (direct, ILS, Gram,
 streaming): _fields gives every route the basis in the term form of the
-kernels module, scalar terms g_j on coordinate k_j of field f_j, with h as
-field M's n terms, and _known_split splits the direct rows, the ILS rows
+kernels module, table rows g_j on coordinate k_j of field f_j, with h's n
+coordinates as the table's last rows and field M's n terms (the basis's
+maps place them there), and _known_split splits the direct rows, the ILS rows
 and the stream's accumulator into the M parameter columns and h's column.
 _rank_cond is the one rank rule of every solver and report. Solvers operate
 on the stacked system: truncated-SVD least squares, ridge, and a two-stage
@@ -139,16 +140,12 @@ def _require_finite(kernel, *arrays) -> None:
 
 
 def _fields(basis: BasisSet, X):
-    """The term form (G, fields, coords, M') of the basis at X (kernels module
-    docstring), with the known part h as n more terms, field M, coords 0..n-1."""
+    """The term form (G, basis._maps) of the basis at X (kernels module docstring):
+    the basis's table with the known part h's n coordinates as its last rows,
+    whose terms are field M, coords 0..n-1."""
     G = basis.values(X, terms=True)
-    _, _, fields, coords = basis._terms
     kv = basis.known_values(X)
-    if kv is None:
-        return G, fields, coords, len(basis)
-    n = basis.dim
-    return (np.concatenate([G, kv.T]), np.append(fields, np.full(n, len(basis))),
-            np.append(coords, np.arange(n)), len(basis) + 1)
+    return (G if kv is None else np.concatenate([G, kv.T])), basis._maps
 
 
 def _known_split(a: np.ndarray, M: int):
@@ -343,9 +340,9 @@ def ils_assemble(trajs, basis: BasisSet, rule) -> ConstraintSystem:
     b = np.empty(N * n)
     for j, traj in enumerate(trajs):
         w = weights(rule, traj.n_intervals, traj.step)
-        G, fields, coords, Mp = _fields(basis, traj.samples)
-        ints = np.zeros((n, Mp))
-        ints[coords, fields] = G @ w  # each (coord, field) holds one term
+        G, t = _fields(basis, traj.samples)
+        ints = np.zeros((n, t.M))
+        ints[t.coords, t.fields] = (G @ w)[t.rows]  # each (coord, field) holds one term
         A[j * n : (j + 1) * n], known = _known_split(ints, M)
         b[j * n : (j + 1) * n] = traj.final - traj.initial - known
     return ConstraintSystem(A, b, n_trajectories=N, n_centers=n, labels=tuple(basis.labels))

@@ -100,8 +100,9 @@ class TestIdentify:
         assert run(lorenz + ["--out", str(tmp_path / "lorenz")]) == 0
         out = capsys.readouterr().out.splitlines()
         assert summary_floats(tmp_path / "lorenz" / "result.csv")["condition_number"] > 1e10
-        assert len(out) == 2 and out[1].startswith("note: condition_number ")
+        assert len(out) == 3 and out[1].startswith("note: condition_number ")
         assert "exceeds 1e+10; the fit is nearly singular" in out[1]
+        assert out[2].startswith("note: effective rank 56 is below the 60 parameters")
         assert "note" not in (tmp_path / "lorenz" / "result.csv").read_text()
         assert run(["identify", "--system", "system1", "--out", str(tmp_path / "s1")]) == 0
         assert summary_floats(tmp_path / "s1" / "result.csv")["condition_number"] < 1e10
@@ -225,6 +226,46 @@ class TestIdentify:
             f"error: config: basis term ({term[0]!r}, {term[1]!r}) is not 2 non-negative "
             "integer exponents and a target dim in 0..1")
         assert not out.exists()
+
+    @pytest.mark.parametrize("terms", [[[[1, 0], 0], [[1, 0], 0]],
+                                       [[[0, 1], 1], [[1, 0], 0], [[0, 1], 1]]],
+                             ids=["twice-in-a-row", "apart"])
+    def test_repeated_basis_term_is_config_error(self, tmp_path, capsys, terms):
+        # two equal columns were fitted at half the estimate each, with condition_number=1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"basis_terms": terms}))
+        out = tmp_path / "out"
+        assert run(_ID1 + ["--n-trajectories", "2", "--config", str(cfg),
+                           "--out", str(out)]) == 2
+        exps, k = terms[-1]
+        assert capsys.readouterr().err == (f"error: config: basis term ({exps!r}, {k!r}) "
+                                           "is listed twice in basis_terms\n")
+        assert not out.exists()
+
+    def test_rank_deficient_fit_prints_a_note(self, tmp_path, capsys):
+        # --rcond 0.5 keeps the singular values above half the largest only
+        argv = _ID1 + ["--n-trajectories", "2", "--out", str(tmp_path / "cut")]
+        assert run(argv + ["--rcond", "0.5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rank = cli.run_identify(cli.ExperimentConfig(
+            system="system1", h=1e-2, n_trajectories=2, rcond=0.5)).result.effective_rank
+        assert 0 < rank < 12
+        assert out[1:] == [f"note: effective rank {rank} is below the 12 parameters; the data "
+                           "do not determine every estimate, and condition_number covers the "
+                           "kept singular values only"]
+        assert "note" not in (tmp_path / "cut" / "result.csv").read_text()
+        assert run(argv[:-1] + [str(tmp_path / "full")]) == 0
+        assert "note" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["identify", "stream"])
+    def test_centers_of_another_dimension_are_config_error(self, tmp_path, monkeypatch, capsys,
+                                                           command):
+        argv = [command, "--system", "system1", "--centers=0:1:1,0:1:1,0:1:1",
+                "--out", str(tmp_path / "out")]
+        rows = "t,x1,x2\n" + "".join(f"{0.01 * i!r},0.5,-2.0\n" for i in range(5))
+        assert (run_stream(monkeypatch, argv, rows) if command == "stream" else run(argv)) == 2
+        assert capsys.readouterr().err == "error: config: centers have dimension 3, expected 2\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["identify", "stream"])
     def test_data_dimension_must_match_the_system(self, tmp_path, monkeypatch, capsys, command):

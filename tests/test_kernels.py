@@ -276,7 +276,9 @@ class TestValidation:
         elif case == "eight-samples-of-fields":
             Vs, named = rng.normal(size=(4, 8, 2)), "(4, 8, 2)"
         else:
-            Vs, named = (rng.normal(size=(3, 8)), np.arange(3), np.array([0, 1, 0]), 3), "(3, 8)"
+            Vs = (rng.normal(size=(3, 8)), kernels._term_maps(np.arange(3), np.arange(3),
+                                                              [0, 1, 0], 3))
+            named = "(3, 8)"
         for call in (lambda: kern.assemble_block_multi(X, C, Vs, [np.ones(5), w]),
                      lambda: kern.assemble_block(X, C, Vs, w)):
             with pytest.raises(ValueError, match=re.escape(named)) as exc:

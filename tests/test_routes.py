@@ -5,6 +5,8 @@ and hand every input it does not take to the generic route unchanged.
 """
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -608,3 +610,142 @@ def test_term_form_matches_the_dense_call(basis, family, rule):
         got = oc.stream_matrices(st)
         assert_close_to(got[0], A[0])
         assert_close_to(got[1], b[0])
+
+
+# -- distinct table rows vs the dense (M, P, n) call ---------------------------
+
+
+def _distinct_row_bases():
+    """(name, basis) for the distinct-row entries: every monomial library with
+    n = 1-4 and degree 0-4, a reordered select with a repeat, emps_form (known
+    part) and hand-built fields (no product map, known part)."""
+    libs = [(f"monomial-n{n}-d{d}", oc.monomial_basis(oc.MonomialSpec(n, d)))
+            for n in range(1, 5) for d in range(5)]
+    lorenz = oc.monomial_basis(oc.MonomialSpec(3, 3))
+    emps = oc.builtin_system("emps_form", control=lambda t: np.cos(3 * t))[2]
+    return libs + [("select", lorenz.select([45, 3, 19, 3, 0, 59, 21])), ("emps_form", emps),
+                   ("hand-built", _hand_fields())]
+
+
+@pytest.mark.parametrize("family", list(kernels.FAMILIES) + ["feature_map"])
+@pytest.mark.parametrize("basis", [pytest.param(b, id=name) for name, b in _distinct_row_bases()])
+def test_distinct_rows_match_the_dense_call(basis, family, monkeypatch):
+    """assemble_block_multi on the distinct table rows of sysid._fields against the
+    dense (M', P, n) call, for the weights of the three rules at once: in one block,
+    and in blocks of R samples (the R-term floor, ENTRIES = 1), a short last block
+    included."""
+    n = basis.dim
+    kernel = _term_kernel(family, n)
+    rng = np.random.default_rng(60 + n)
+    P = 301  # more samples than the 280 terms of the largest library
+    X = 0.8 * np.sin(rng.uniform(1, 3, n) * (0.01 * np.arange(P)[:, None]) + rng.uniform(0, 3, n))
+    C = rng.uniform(-1, 1, (4, n))
+    ws = [oc.weights(rule, P - 1, 0.01) for rule in ("rh", "trapezoid", "simpson")]
+    expect = kernel.assemble_block_multi(X, C, _dense(basis, X), ws)
+    for entries in (kernels.ENTRIES, 1):
+        monkeypatch.setattr(kernels, "ENTRIES", entries)
+        got = kernel.assemble_block_multi(X, C, sysid._fields(basis, X), ws)
+        for blk, e in zip(got, expect):
+            assert_close_to(blk, e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_map_is_exponent_arithmetic(n):
+    """Every (row, k) of a monomial library's product map names alpha_row + e_k: the
+    table row with those exponents, or, past the table, one number per monomial
+    of degree + 1. Selects and copies share the library's map."""
+    eye = np.eye(n, dtype=int)
+    for degree in range(6):
+        lib = oc.monomial_basis(oc.MonomialSpec(n, degree))
+        exps = oc.monomial_exponents(n, degree)
+        prod, T = lib._terms[0]._prod, len(exps)
+        assert prod.shape == (T, n)
+        past = {}  # number past the table -> its exponents
+        for r in range(T):
+            for k in range(n):
+                alpha, p = tuple(exps[r] + eye[k]), int(prod[r, k])
+                if p < T:
+                    assert tuple(exps[p]) == alpha
+                else:
+                    assert past.setdefault(p, alpha) == alpha
+        top = [tuple(e) for e in oc.monomial_exponents(n, degree + 1) if sum(e) == degree + 1]
+        assert sorted(past) == list(range(T, T + len(top)))
+        assert sorted(past.values()) == sorted(top)
+        for copy in (lib.select([len(lib) - 1, 0, 0]), dataclasses.replace(lib)):
+            assert copy._terms[0]._prod is prod
+
+
+@pytest.mark.parametrize("n, degree, gaussian, other", [(3, 3, 35, 20), (2, 2, 10, 6),
+                                                        (1, 0, 2, 1), (4, 2, 35, 15)])
+def test_each_block_stacks_one_row_per_distinct_function(n, degree, gaussian, other):
+    """A monomial library stacks its T table rows and, for gaussian_rbf, the
+    monomials of degree + 1: lorenz's degree-3 library 35 rows where its 60 terms
+    stacked 120, system1's 10 where its 12 stacked 24. Dense input stacks 2R."""
+    lib = oc.monomial_basis(oc.MonomialSpec(n, degree))
+    t = lib._maps
+    assert (len(t.stack), t.n_g) == (gaussian, other)
+    table_rows = t.stack[:len(t.stack) - len(t.made)].tolist()
+    assert len(set(table_rows)) == len(table_rows)  # no table row twice
+    X = np.random.default_rng(1).normal(size=(9, n))
+    dense = kernels._term_form(lib.values(X), X)[1]
+    R = len(lib) * n
+    assert (len(dense.stack), dense.n_g, len(dense.made)) == (2 * R, R, R)
+
+
+# -- Kernel.matrix's folded argument vs a per-pair reference --------------------
+
+
+def _matrix_reference(kernel, x, y):
+    """K(x, y) from the exact rational z, then one float math.exp or power."""
+    if kernel.family == "gaussian_rbf":
+        z = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y))
+        return math.exp(-float(z / Fraction(kernel.mu)))
+    z = sum(Fraction(a) * Fraction(b) for a, b in zip(x, y))
+    if kernel.family == "exp_dot":
+        s = float(z * Fraction(kernel.mu))
+        return math.exp(s) if s < 700 else math.inf
+    if kernel.family == "polynomial":
+        return float(1 + z / Fraction(kernel.mu)) ** kernel.degree
+    return float(z)
+
+
+@pytest.mark.parametrize("offset", [0.0, 30.0, 1e3, 1e5])
+@pytest.mark.parametrize("kernel", [oc.gaussian_rbf(10.0), oc.gaussian_rbf(400 / 3),
+                                    oc.gaussian_rbf(0.3), oc.exp_dot(0.04), oc.exp_dot(2.0),
+                                    oc.polynomial(3.0, 3), oc.polynomial(0.7, 4), oc.linear()],
+                         ids=lambda k: f"{k.family}-{k.mu:g}")
+def test_matrix_matches_the_per_pair_reference(kernel, offset):
+    """Kernel.matrix, whose argument a z + b comes from one GEMM, within a few
+    ulps of the per-pair reference, scaled by the magnitudes its rounding sees.
+
+    For gaussian_rbf those are the points' squared distances from their mean, not
+    from the origin: 1 + (|x - m|^2 + |y - m|^2) / mu. Points far from the origin
+    (offset) met a bound growing with offset^2 / mu before: 4e10 ulps at offset
+    1e5 and mu = 0.3, where the bound below is 4. The dot-product families have
+    no such shift; their points are scaled with the offset instead.
+    """
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(int(offset) % 97)
+    X = rng.normal(size=(25, 3))
+    Y = np.vstack([X[:5] + 1e-3 * rng.normal(size=(5, 3)), rng.normal(size=(15, 3))])
+    if kernel.family == "gaussian_rbf":
+        X, Y = X + offset, Y + offset
+    else:
+        X, Y = X * (1 + offset ** 0.25), Y * (1 + offset ** 0.25)
+    K = kernel.matrix(X, Y)
+    m = Y.mean(axis=0)
+    for p, x in enumerate(X):
+        for q, y in enumerate(Y):
+            ref = _matrix_reference(kernel, x, y)
+            if not 1e-250 < abs(ref) < 1e250:
+                continue
+            xy = np.abs(x) @ np.abs(y)
+            if kernel.family == "gaussian_rbf":
+                scale = 1 + (np.sum((x - m) ** 2) + np.sum((y - m) ** 2)) / kernel.mu
+            elif kernel.family == "exp_dot":
+                scale = 1 + kernel.mu * xy
+            elif kernel.family == "polynomial":
+                scale = kernel.degree * (1 + xy / kernel.mu) / abs(1 + (x @ y) / kernel.mu)
+            else:
+                scale = max(xy, 1e-300) / abs(ref)
+            assert abs(K[p, q] - ref) <= 4 * eps * scale * abs(ref)
