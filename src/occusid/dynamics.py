@@ -216,12 +216,15 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
     prod = np.array([[index.setdefault(tuple((e + step).tolist()), len(index))
                       for step in np.eye(spec.dim, dtype=int)] for e in exps])
 
+    # the table's exponent arrays and exponent columns, built once per basis
+    ks = [np.full(spec.dim, k) for k in range(2, spec.degree + 1)]
+    cols = list(exps.T.copy())
+
     def table(X):
-        powers = np.stack([np.ones_like(X), X] + [X ** np.full(spec.dim, k)
-                                                   for k in range(2, spec.degree + 1)])
-        mono = powers[exps[:, 0], :, 0]
+        powers = np.stack([np.ones_like(X), X] + [X ** p for p in ks])
+        mono = powers[cols[0], :, 0]
         for j in range(1, spec.dim):
-            mono = mono * powers[exps[:, j], :, j]
+            mono = mono * powers[cols[j], :, j]
         return mono
 
     table._prod = prod

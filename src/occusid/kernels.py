@@ -36,6 +36,20 @@ gaussian_rbf points are measured from the mean of the second argument's
 points first: z depends on x - y only, and the smaller squared norms cancel
 with less rounding than about the origin.
 
+The second argument's side of that product depends on its points alone, so
+a fixed point set is prepared once: Kernel._prepare(Y) keeps Y and the right
+operand [Y - m, 1, -|Y - m|^2 / 2] with m the mean of Y (gaussian_rbf), or
+[Y, 1, b] (the dot-product families). matrix, grad1_contract and
+assemble_block_multi take a prepared set wherever they take their second
+point set, and prepare raw points on the fly, with the same bits either way.
+A prepared set reads as its points (np.asarray, shape), and a kernel of
+another family, or another feature map, rejects it with a ValueError.
+StreamState prepares its centers once per stream, at construction;
+sysid.assemble_multi its centers once per call, for every trajectory;
+FeatureMapKernel its centers once, at construction (its own prepared set of
+Y holds the features of Y); quadrature.occupation_eval the estimate's
+samples once per call, for every block. The Gram route prepares nothing.
+
 Kernel and FeatureMapKernel share one pointwise API (eval, grad2,
 pre_inner_integrand, rhs_integrand, assemble_block): each is one entry of
 the vectorized method it wraps (matrix, grad1, pre_inner_pairwise,
@@ -114,6 +128,11 @@ def _as_point(x) -> np.ndarray:
     return x
 
 
+def _is_real(v) -> bool:
+    """Whether v is a real number and not a bool, the rule of Kernel's mu and degree."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _rows(X) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=float))
 
@@ -153,8 +172,19 @@ def _center_set(centers, dim: int | None = None) -> np.ndarray:
     return C
 
 
-def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
-    """c * (U[p] . W[q] + u[p] + w[q]), shape (P, Q), from one matrix product.
+def _operand(W, w=0.0) -> np.ndarray:
+    """[W, 1, w], the right operand of _pair for the points W and per-point terms w."""
+    Q, n = W.shape
+    Wa = np.empty((Q, n + 2))
+    Wa[:, :n] = W
+    Wa[:, n] = 1.0
+    Wa[:, n + 1] = w
+    return Wa
+
+
+def _pair(U, Wa, u=0.0, c=1.0) -> np.ndarray:
+    """c * (U[p] . W[q] + u[p] + w[q]) for Wa = _operand(W, w), shape (P, Q), from one
+    matrix product.
 
     u and w ride along as extra columns, and a scalar c scales the small left
     operand, so none of them costs a pass over the (P, Q) result; an array c
@@ -165,16 +195,36 @@ def _pair(U, W, u=0.0, w=0.0, c=1.0) -> np.ndarray:
     Ua[:, :n] = U
     Ua[:, n] = u
     Ua[:, n + 1] = 1.0
-    Wa = np.empty((W.shape[0], n + 2))
-    Wa[:, :n] = W
-    Wa[:, n] = 1.0
-    Wa[:, n + 1] = w
     if isinstance(c, np.ndarray):
         out = Ua @ Wa.T
         out *= c
         return out
     Ua *= c
     return Ua @ Wa.T
+
+
+class _Prepared:
+    """A fixed point set and its side of a kernel's pass, built by that kernel's _prepare.
+
+    points is the raw (Q, n) set, whose shape the set has and which
+    np.asarray gives. key is what made it, a Kernel's family or a
+    FeatureMapKernel itself; any other kernel rejects the set. For a Kernel,
+    shift is the point both arguments are measured from (gaussian_rbf: the
+    mean of points; else None) and side is _pair's right operand (module
+    docstring). For a FeatureMapKernel, side is the features of points.
+    """
+
+    __slots__ = ("points", "key", "shift", "side")
+
+    def __init__(self, points, key, shift, side):
+        self.points, self.key, self.shift, self.side = points, key, shift, side
+
+    @property
+    def shape(self) -> tuple:
+        return self.points.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
 
 
 class _Terms(NamedTuple):
@@ -282,9 +332,10 @@ class _PointwiseKernel:
 class Kernel(_PointwiseKernel):
     """A positive-definite kernel from one of the supported FAMILIES.
 
-    mu is the width/scale parameter (ignored by `linear`): positive, and its
-    square must neither underflow to 0 nor overflow. degree applies to
-    `polynomial` only and must be an integer >= 2.
+    mu is the width/scale parameter, a real number (not a bool). Except for
+    `linear`, which ignores it, it is positive and its square neither
+    underflows to 0 nor overflows. degree applies to `polynomial` only and
+    must be an integer >= 2 (not a bool).
     """
 
     family: str
@@ -294,18 +345,22 @@ class Kernel(_PointwiseKernel):
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family != "linear" and not (self.mu > 0 and 0 < self.mu * self.mu < np.inf):
-            raise ValueError(f"mu must be positive with a nonzero, finite square, got {self.mu}")
+        mu, d = self.mu, self.degree
+        if not _is_real(mu):
+            raise ValueError(f"mu must be a real number, got {mu!r}")
+        if self.family != "linear" and not (mu > 0 and 0 < mu * mu < np.inf):
+            raise ValueError(f"mu must be positive with a nonzero, finite square, got {mu}")
         if self.family == "polynomial":
-            d = self.degree
-            if not (isinstance(d, numbers.Real) and 2 <= d < np.inf and int(d) == d):
-                raise ValueError(f"polynomial degree must be an integer >= 2, got {self.degree}")
+            if not (_is_real(d) and 2 <= d < np.inf and int(d) == d):
+                raise ValueError(f"polynomial degree must be an integer >= 2, got {d}")
         radial = self.family == "gaussian_rbf"
         object.__setattr__(self, "_rho", 1.0 if radial else 0.0)
         object.__setattr__(self, "_beta", -2.0 if radial else 1.0)
-        arg = {"gaussian_rbf": (-1.0 / self.mu, 0.0), "exp_dot": (self.mu, 0.0),
-               "polynomial": (1.0 / self.mu, 1.0)}  # (a, b) of the argument s = a z + b
-        object.__setattr__(self, "_arg", arg.get(self.family, (1.0, 0.0)))
+        # (a, b) of the argument s = a z + b; linear ignores mu, which may be 0 there
+        arg = ((1.0, 0.0) if self.family == "linear" else
+               {"gaussian_rbf": (-1.0 / mu, 0.0), "exp_dot": (mu, 0.0),
+                "polynomial": (1.0 / mu, 1.0)}[self.family])
+        object.__setattr__(self, "_arg", arg)
 
     def _profile(self, s):
         """(base, c0, c1, c2) with f^(k)(z) = base * c_k, from one transcendental pass.
@@ -324,15 +379,30 @@ class Kernel(_PointwiseKernel):
             return s ** (d - 2), s * s, (d / mu) * s, d * (d - 1) / (mu * mu)
         return np.ones_like(s), s, 1.0, 0.0
 
+    def _prepare(self, Y) -> _Prepared:
+        """Y's side of _z: the raw points Y prepared, or Y itself when it is a set
+        prepared for this family (any other is a ValueError)."""
+        if isinstance(Y, _Prepared):
+            if Y.key != self.family:
+                raise ValueError(f"points prepared for another kernel given to {self.family}")
+            return Y
+        Y = _rows(Y)
+        if not self._rho:
+            return _Prepared(Y, self.family, None, _operand(Y, self._arg[1]))
+        m = np.add.reduce(Y) / len(Y)  # measured from Y's mean, |X|^2 and |Y|^2 stay
+        Yc = Y - m                       # small and cancel less than about the origin
+        return _Prepared(Y, self.family, m, _operand(Yc, -0.5 * _rowdot(Yc, Yc)))
+
     def _z(self, X, Y) -> np.ndarray:
         """The profile's argument s[p, q] = a z + b (module docstring), from one _pair
-        product: z = X[p] . Y[q], or |X[p] - Y[q]|^2 for gaussian_rbf."""
-        a, b = self._arg
+        product: z = X[p] . Y[q], or |X[p] - Y[q]|^2 for gaussian_rbf. Y is raw
+        points or a set _prepare'd for this family."""
+        Y = self._prepare(Y)
+        a = self._arg[0]
         if not self._rho:
-            return _pair(a * X, Y, 0.0, b)
-        m = np.add.reduce(Y) / len(Y)  # measured from Y's mean, |X|^2 and |Y|^2 stay
-        X, Y = X - m, Y - m              # small and cancel less than about the origin
-        return _pair(X, Y, -0.5 * _rowdot(X, X), -0.5 * _rowdot(Y, Y), -2.0 * a)
+            return _pair(a * X, Y.side)
+        X = X - Y.shift
+        return _pair(X, Y.side, -0.5 * _rowdot(X, X), -2.0 * a)
 
     def _integrand_guard(self, name: str) -> None:
         if self.family == "linear":
@@ -361,16 +431,16 @@ class Kernel(_PointwiseKernel):
     def matrix(self, X, Y) -> np.ndarray:
         """Kernel matrix [eval(X[p], Y[q])], shape (P, Q)."""
         with np.errstate(**_QUIET):
-            base, c0, _, _ = self._profile(self._z(_rows(X), _rows(Y)))
+            base, c0, _, _ = self._profile(self._z(_rows(X), Y))
             base *= c0
             return base
 
     def grad1_contract(self, X, C, V) -> np.ndarray:
         """Matrix of grad1(X[p], C[s]) . V[p], shape (P, S)."""
-        X, C, V = _rows(X), _rows(C), _rows(V)
+        X, C, V = _rows(X), self._prepare(C), _rows(V)
         with np.errstate(**_QUIET):
             base, _, c1, _ = self._profile(self._z(X, C))
-            base *= _pair(V, C, -self._rho * _rowdot(V, X), 0.0, self._beta * c1)
+            base *= _pair(V, _operand(C.points), -self._rho * _rowdot(V, X), self._beta * c1)
             return base
 
     def assemble_block_multi(self, X, C, Vs, ws) -> list[np.ndarray]:
@@ -383,10 +453,10 @@ class Kernel(_PointwiseKernel):
         The gather per term, C[s, k_j] and the sum over each field's terms
         enter once, after the last block.
         """
-        X, C = _rows(X), _rows(C)
+        X, C = _rows(X), self._prepare(C)
         G, t = _term_form(Vs, X)
         ws = [np.asarray(w, dtype=float) for w in ws]
-        P, S = X.shape[0], C.shape[0]
+        P, S = X.shape[0], C.points.shape[0]
         if G.shape[1] != P or any(w.shape != (P,) for w in ws):
             raise ValueError(f"terms of shape {G.shape} and weights of shapes "
                              f"{[w.shape for w in ws]} do not match {P} samples")
@@ -407,7 +477,7 @@ class Kernel(_PointwiseKernel):
                     acc[j] += (Gc * (scale * w[lo:hi])) @ F
             out = []
             for a in acc:  # C[s, k_j] (w g_j)^T F - rho (w x_{k_j} g_j)^T F, summed per field
-                terms = a[t.g_at] * C.T[t.coords]
+                terms = a[t.g_at] * C.points.T[t.coords]
                 if rho:
                     terms -= rho * a[t.x_at]
                 out.append(terms.T @ t.into)
@@ -433,9 +503,10 @@ class Kernel(_PointwiseKernel):
             # a[i, p, q] = beta^2 f'' A_i[p] . (y - rho x), b[p, j, q] = (x - rho y) . B_j[q]
             ax = np.einsum("kpd,pd->kp", A, X).reshape(-1)
             by = np.einsum("lqd,qd->lq", B, Y).reshape(-1)
-            a = _pair(A.reshape(k * P, n), Y, -rho * ax, 0.0, beta * beta * c2).reshape(k, P, Q)
+            a = _pair(A.reshape(k * P, n), _operand(Y), -rho * ax, beta * beta * c2)
+            a = a.reshape(k, P, Q)
             a *= base
-            b = _pair(X, B.reshape(l * Q, n), 0.0, -rho * by).reshape(P, l, Q)
+            b = _pair(X, _operand(B.reshape(l * Q, n), -rho * by)).reshape(P, l, Q)
             out = np.multiply(a[:, :, None, :], b)
             del a, b  # freed before the f' term's (P, Q) products
             base *= beta * c1  # beta f'
@@ -453,7 +524,8 @@ class FeatureMapKernel(_PointwiseKernel):
     The feature map is psi(x) = (k(x, c_1), ..., k(x, c_S)); all derivative
     operations reduce to derivatives of the base family, and Gram systems
     built from this kernel factor exactly through the center-constraint
-    matrix of the direct method.
+    matrix of the direct method. The base's side of the centers is prepared
+    once, here, and every feature evaluation uses it.
     """
 
     def __init__(self, base: Kernel, centers):
@@ -461,6 +533,7 @@ class FeatureMapKernel(_PointwiseKernel):
             raise ValueError("base must be a Kernel")
         self.base = base
         self.centers = _center_set(centers)
+        self._centers = base._prepare(self.centers)
 
     @property
     def family(self) -> str:
@@ -474,7 +547,17 @@ class FeatureMapKernel(_PointwiseKernel):
         )
 
     def features(self, X) -> np.ndarray:
-        return self.base.matrix(X, self.centers)
+        return self.base.matrix(X, self._centers)
+
+    def _prepare(self, Y) -> _Prepared:
+        """Y with its features: the raw points Y prepared, or Y itself when this
+        kernel prepared it (any other set is a ValueError)."""
+        if isinstance(Y, _Prepared):
+            if Y.key is not self:
+                raise ValueError("points prepared for another kernel given to a feature map")
+            return Y
+        Y = _rows(Y)
+        return _Prepared(Y, self, None, self.features(Y))
 
     def _grad_rows(self, x) -> np.ndarray:
         """Rows grad1_base(x, c_s), shape (S, n)."""
@@ -489,23 +572,23 @@ class FeatureMapKernel(_PointwiseKernel):
         return self._grad_rows(x).T @ self._grad_rows(y)
 
     def matrix(self, X, Y) -> np.ndarray:
-        return self.features(X) @ self.features(Y).T
+        return self.features(X) @ self._prepare(Y).side.T
 
     def grad1_contract(self, X, C, V) -> np.ndarray:
-        inner = self.base.grad1_contract(X, self.centers, V)  # (P, S)
-        return inner @ self.features(np.atleast_2d(np.asarray(C, dtype=float))).T
+        inner = self.base.grad1_contract(X, self._centers, V)  # (P, S)
+        return inner @ self._prepare(C).side.T
 
     def assemble_block_multi(self, X, C, Vs, ws) -> list[np.ndarray]:
-        blocks = self.base.assemble_block_multi(X, self.centers, Vs, ws)
-        phi_c = self.features(np.atleast_2d(np.asarray(C, dtype=float)))  # (|C|, S)
+        blocks = self.base.assemble_block_multi(X, self._centers, Vs, ws)
+        phi_c = self._prepare(C).side  # (|C|, S)
         return [phi_c @ blk for blk in blocks]
 
     def pre_inner_pairwise(self, X, Y, A, B) -> np.ndarray:
         """Kernel.pre_inner_pairwise's blocks as one (kP, S) @ (S, lQ) product."""
         X, Y, A, B, stacked = _field_stacks(X, Y, A, B)
         (k, P, n), (l, Q, _) = A.shape, B.shape
-        ga = self.base.grad1_contract(np.tile(X, (k, 1)), self.centers, A.reshape(k * P, n))
-        gb = self.base.grad1_contract(np.tile(Y, (l, 1)), self.centers, B.reshape(l * Q, n))
+        ga = self.base.grad1_contract(np.tile(X, (k, 1)), self._centers, A.reshape(k * P, n))
+        gb = self.base.grad1_contract(np.tile(Y, (l, 1)), self._centers, B.reshape(l * Q, n))
         return _unstack((ga @ gb.T).reshape(k, P, l, Q), stacked)
 
 

@@ -147,10 +147,11 @@ def occupation_eval(est: OccupationKernelEstimate, x):
     if not np.isfinite(pts).all():
         raise ValueError("points x must be finite")
     X = est.trajectory.samples
+    samples = est.kernel._prepare(X)  # the samples' side of the kernel, shared by every block
     rows = max(1, kernels.ENTRIES // X.shape[0])
     vals = np.empty(pts.shape[0])
     for lo in range(0, pts.shape[0], rows):
-        vals[lo : lo + rows] = est.kernel.matrix(pts[lo : lo + rows], X) @ est.weights
+        vals[lo : lo + rows] = est.kernel.matrix(pts[lo : lo + rows], samples) @ est.weights
     return float(vals[0]) if single else vals
 
 

@@ -19,6 +19,10 @@ The tracker itself is plain gradient descent on 1/2 ||A theta - b||^2, one
 step per push by convention; its default step size is 1/lambda_max(A^T A),
 recomputed after each push by one symmetric eigensolve of the M x M matrix.
 
+The kernel's side of the centers is prepared once, when the stream is made
+(kernels module docstring). Each sample then makes two kernel calls against
+it: its constraint rows (assemble_block_multi) and psi (Kernel.matrix).
+
 Streaming uses trapezoid panels only. A panel needs just the two bounding
 samples, arrives complete, and never has to be revised; the cost is dropping
 from O(h^4) to O(h^2) accuracy relative to a batch Simpson assembly, which
@@ -38,6 +42,10 @@ from .errors import DivergenceError
 from .kernels import _center_set
 from .sysid import _fields, _known_split, _require_finite, _svd_solve
 from .trajectory import GRID_RTOL, _freeze, off_grid
+
+
+# The one quadrature weight of a sample's rows: each panel applies h / 2 itself.
+_UNIT_WEIGHT = (_freeze(np.ones(1)),)
 
 
 class StreamState:
@@ -62,6 +70,7 @@ class StreamState:
         self.centers = centers
         self.basis = basis
         self.kernel = kernel
+        self._centers = kernel._prepare(centers)  # the centers' side of every kernel pass
         self.step = float(step)
         self.window = float(window)
         ratio = self.window / self.step  # keep 0 grows: window 0 or inf
@@ -138,9 +147,10 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
                     f"expected {float(t_expect)!r}"
                 )
         # grad1(x, c_s) against every basis field, and against the known part
-        [rows] = state.kernel.assemble_block_multi(x[None], state.centers,
-                                                   _fields(state.basis, x[None]), [np.ones(1)])
-        psi = state.kernel.matrix(x[None], state.centers)[0]
+        X = x[None]
+        [rows] = state.kernel.assemble_block_multi(X, state._centers, _fields(state.basis, X),
+                                                   _UNIT_WEIGHT)
+        psi = state.kernel.matrix(X, state._centers)[0]
         _require_finite(state.kernel, rows, psi)
         checked.append((rows, psi))
     for q, (rows, psi) in enumerate(checked):

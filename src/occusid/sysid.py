@@ -185,12 +185,13 @@ def assemble_multi(trajs, centers, basis: BasisSet, kernel, rules) -> list[Const
     """
     trajs = _checked_trajectories(trajs, basis)
     centers = _center_set(centers, trajs.dim)
+    prepared = kernel._prepare(centers)  # the centers' side of the kernel, for every trajectory
     rules = [as_rule(r) for r in rules]
     N, S, M = len(trajs), centers.shape[0], len(basis)
     As = [np.empty((N * S, M)) for _ in rules]
     bs = [np.empty(N * S) for _ in rules]
     for j, traj in enumerate(trajs):
-        per_rule = _block_for_trajectory(traj, centers, basis, kernel, rules)
+        per_rule = _block_for_trajectory(traj, prepared, basis, kernel, rules)
         for k, (A_blk, b_blk) in enumerate(per_rule):
             As[k][j * S : (j + 1) * S] = A_blk
             bs[k][j * S : (j + 1) * S] = b_blk

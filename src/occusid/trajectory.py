@@ -8,6 +8,7 @@ so they can be shared freely between threads and across assembled systems.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,26 +238,40 @@ def _parse_rows(lines, n: int, first_lineno: int):
 # whitespace and float() does not.
 _PARSERS_DIFFER = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
+_NOT_A_BREAK = re.compile("[^\n]")
 
-def _c_parsed(fh, text: str):
+
+def _lines(text: str):
+    """text.splitlines(), lazily: whole lines are split about 64k characters at
+    a time, so no list of every line is held."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + (1 << 16)) + 1 or len(text)
+        yield from text[lo:hi].splitlines()
+        lo = hi
+
+
+def _c_parsed(lines, text: str):
     """The (N, n + 1) rows of a trajectory CSV read by numpy's C parser, or None.
 
-    fh is open at the start of the file whose contents are text. None, for
-    _parse_rows to decide with its own messages, unless the text has none of
-    _PARSERS_DIFFER, a valid header and a body of at least 3 rows of n + 1
-    numbers. Both parsers read a cell with PyOS_string_to_double, so every
-    cell the C parser takes, float() takes to the same double; it rejects
-    some that float() takes (`1_0`, non-ASCII digits, whitespace-only
-    lines), and those files go to _parse_rows.
+    text is the file's contents and lines its lines, header first, in a form
+    np.loadtxt reads: load_csv passes _lines(text), so the file is read and
+    decoded once and its body is not copied. None, for _parse_rows to decide
+    with its own messages, unless the text has none of _PARSERS_DIFFER, a
+    valid header and a body of at least 3 rows of n + 1 numbers. Both
+    parsers read a cell with PyOS_string_to_double, so every cell the C
+    parser takes, float() takes to the same double; it rejects some that
+    float() takes (`1_0`, non-ASCII digits, whitespace-only lines), and
+    those files go to _parse_rows.
     """
-    header, _, body = text.partition("\n")
-    # an empty body would make loadtxt warn "input contained no data"
-    if any(c in text for c in _PARSERS_DIFFER) or not body.strip("\n"):
+    end = text.find("\n")
+    # a body of line breaks alone would make loadtxt warn "input contained no
+    # data"; the search stops at the body's first other character
+    if end < 0 or not _NOT_A_BREAK.search(text, end) or any(c in text for c in _PARSERS_DIFFER):
         return None
     try:
-        n = _parse_header(header)
-        fh.readline()
-        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        n = _parse_header(text[:end])
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
     except ValueError:  # TrajectoryParseError included
         return None
     return table if table.shape[0] >= 3 and table.shape[1] == n + 1 else None
@@ -282,8 +297,7 @@ def load_csv(path) -> Trajectory:
     """
     with open(path, "r") as fh:
         text = fh.read()
-        fh.seek(0)
-        table = _c_parsed(fh, text)
+    table = _c_parsed(_lines(text), text)
     if table is not None:
         t, states = table[:, 0], table[:, 1:]
     else:

@@ -293,6 +293,17 @@ class TestValidation:
             with pytest.raises(ValueError, match="^polynomial degree must be an integer >= 2"):
                 oc.Kernel("polynomial", mu=1.0, degree=degree)
 
+    def test_mu_is_a_real_number_not_a_bool(self):
+        # gaussian_rbf(True) was mu = 1, and mu="2" a bare TypeError from a comparison
+        for family in kernels.FAMILIES:
+            for mu in (True, False, np.True_, "2", None, [2.0], 2j):
+                with pytest.raises(ValueError, match="^mu must be a real number"):
+                    oc.Kernel(family, mu=mu)
+        with pytest.raises(ValueError, match="^mu must be a real number, got True"):
+            oc.gaussian_rbf(True)
+        assert oc.gaussian_rbf(np.float64(2.0)).matrix([[0.0]], [[1.0]]) == np.exp(-0.5)
+        assert oc.Kernel("linear", mu=0.0).eval([2.0], [3.0]) == 6.0  # linear ignores mu's value
+
     def test_from_name(self):
         assert oc.from_name("gaussian", mu=3.0).family == "gaussian_rbf"
         assert oc.from_name("expdot", mu=0.5).family == "exp_dot"

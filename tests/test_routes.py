@@ -749,3 +749,98 @@ def test_matrix_matches_the_per_pair_reference(kernel, offset):
             else:
                 scale = max(xy, 1e-300) / abs(ref)
             assert abs(K[p, q] - ref) <= 4 * eps * scale * abs(ref)
+
+
+# -- a prepared point set vs its raw points -------------------------------------
+
+
+def _spread(kernel, Y, offset):
+    """Y moved offset from the origin for gaussian_rbf and feature maps over it,
+    else scaled with the offset, as the matrix reference above does."""
+    if getattr(kernel, "base", kernel).family == "gaussian_rbf":
+        return Y + offset
+    return Y * (1 + offset ** 0.25)
+
+
+@pytest.mark.parametrize("offset", [0.0, 30.0, 1e3, 1e5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", list(kernels.FAMILIES) + ["feature_map"])
+def test_prepared_points_match_raw_points(family, n, offset, monkeypatch):
+    """matrix, grad1_contract and assemble_block_multi give the same bits with the
+    second point set prepared once as with its raw points, for the prepared set
+    used again and again: in one block, in blocks of the R-term floor (ENTRIES =
+    1), and at 13 samples a block, a short last block in each."""
+    kernel = _term_kernel(family, n)
+    basis = oc.monomial_basis(oc.MonomialSpec(n, 2))
+    rng = np.random.default_rng(70 + n)
+    X = _spread(kernel, rng.uniform(-1, 1, (49, n)), offset)
+    C = _spread(kernel, rng.uniform(-1, 1, (7, n)), offset)
+    V, ws = rng.normal(size=(49, n)), list(rng.uniform(0.1, 1, (2, 49)))
+    prepared = kernel._prepare(C)
+    assert_same_bits(np.asarray(prepared), C)
+    assert prepared.shape == C.shape and np.asarray(prepared, dtype=np.float32).dtype == np.float32
+    for entries in (kernels.ENTRIES, 1, 13 * len(C)):
+        monkeypatch.setattr(kernels, "ENTRIES", entries)
+        for lo, hi in ((0, 49), (0, 1), (17, 49)):
+            Xs, Vs, wss = X[lo:hi], V[lo:hi], [w[lo:hi] for w in ws]
+            fields = sysid._fields(basis, Xs)
+            for got, expect in zip(kernel.assemble_block_multi(Xs, prepared, fields, wss),
+                                   kernel.assemble_block_multi(Xs, C, fields, wss)):
+                assert_same_bits(got, expect)
+            assert_same_bits(kernel.matrix(Xs, prepared), kernel.matrix(Xs, C))
+            assert_same_bits(kernel.grad1_contract(Xs, prepared, Vs),
+                             kernel.grad1_contract(Xs, C, Vs))
+
+
+def test_prepared_points_are_rejected_by_another_kernel():
+    """A set prepared by one kernel is a ValueError in another family's or another
+    feature map's calls, where its side would give wrong entries; a kernel of the
+    same family with another mu takes it, since the side does not depend on mu."""
+    rng = np.random.default_rng(5)
+    X, C, V = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (4, 2)), rng.normal(size=(6, 2))
+    fields, w = sysid._fields(oc.monomial_basis(oc.MonomialSpec(2, 1)), X), np.ones(6)
+    gauss, expdot, poly = oc.gaussian_rbf(2.0), oc.exp_dot(0.5), oc.polynomial(2.0, 3)
+    fm = oc.FeatureMapKernel(gauss, C)
+    pairs = [(gauss, expdot), (expdot, gauss), (poly, expdot), (expdot, poly), (oc.linear(), poly),
+             (gauss, fm), (fm, gauss), (fm, oc.FeatureMapKernel(gauss, C))]
+    for maker, user in pairs:
+        prepared = maker._prepare(C)
+        for call in (lambda: user.matrix(X, prepared),
+                     lambda: user.grad1_contract(X, prepared, V),
+                     lambda: user.assemble_block_multi(X, prepared, fields, [w])):
+            with pytest.raises(ValueError, match="prepared for another kernel"):
+                call()
+    other_mu = oc.gaussian_rbf(7.0)
+    assert_same_bits(other_mu.matrix(X, gauss._prepare(C)), other_mu.matrix(X, C))
+
+
+@pytest.mark.parametrize("system", ["system1", "emps_form"])
+@pytest.mark.parametrize("family", ["gaussian_rbf", "exp_dot", "polynomial", "feature_map"])
+def test_stream_is_the_per_sample_formula_on_raw_centers(family, system):
+    """After every push and gradient step, the stream's (A, b, theta), built on its
+    centers prepared once, has the bits of the per-sample formula on the raw
+    centers: trapezoid panels (h / 2)(rows_k + rows_k+1) summed in order, b =
+    psi_last - psi_first - known column, and theta <- theta - alpha A^T (A theta - b)
+    with alpha = 1 / lambda_max(A^T A)."""
+    basis, tr, centers = _stream_case(system)
+    kernel = _term_kernel(family, basis.dim)
+    st = oc.new_stream(centers, basis, kernel, tr.step)
+    M, h = len(basis), tr.step
+    theta = np.zeros(M)
+    for k, x in enumerate(tr.samples):
+        oc.gradient_chase_step(oc.stream_push(st, x))
+        [rows] = kernel.assemble_block_multi(x[None], centers, sysid._fields(basis, x[None]),
+                                             [np.ones(1)])
+        psi = kernel.matrix(x[None], centers)[0]
+        if k == 0:
+            acc, psi0 = np.zeros_like(rows), psi
+        else:
+            acc += (h / 2.0) * (prev + rows)
+        prev = rows
+        A, known = sysid._known_split(acc, M)
+        lam = float(np.linalg.eigvalsh(A.T @ A)[-1])
+        A, b = A.copy(), psi - psi0 - known
+        theta = theta - (1.0 / lam if lam > 0 else 1.0) * (A.T @ (A @ theta - b))
+        for got, expect in zip((*oc.stream_matrices(st), st.theta), (A, b, theta)):
+            assert_same_bits(got, expect)
+    assert k == 100
