@@ -131,6 +131,8 @@ class ExperimentConfig:
                               "it does not apply to --trajectories files")
         from_name(self.kernel, mu=self.mu or 1.0, degree=self.degree)
         as_rule(self.rule)
+        if self.system is not None and self.system not in _SYSTEMS:
+            raise ConfigError(f"unknown system {self.system!r}; one of {sorted(_SYSTEMS)}")
         if self.solver not in _SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; one of {sorted(_SOLVERS)}")
         if self.target not in _TARGETS:
@@ -154,7 +156,8 @@ _WORDS = {str: "a string", int: "an integer", float: "a number", tuple: "a list"
 _AT_LEAST = {"noise_sigma": (0, "noise sigma"), "filter_window": (1, "filter window"),
              "segments": (1, "segments"), "jobs": (1, "jobs"),
              "basis_degree": (0, "basis degree"), "trials": (1, "trials"),
-             "n_trajectories": (1, "n_trajectories"), "print_every": (0, "print every"),
+             "n_trajectories": (1, "n_trajectories"), "max_refits": (1, "max_refits"),
+             "print_every": (0, "print every"),
              "settle_steps": (0, "settle steps"), "rcond": (0, "rcond"), "lam": (0, "lambda"),
              "threshold": (0, "threshold"), "window": (0, "window"), "alpha": (0, "alpha")}
 
@@ -246,15 +249,7 @@ def _builtin(cfg: ExperimentConfig):
     if cfg.system == "emps_form" and cfg.control_csv is None:
         raise ConfigError("emps_form needs --control-csv with the control signal")
     control = control_from_csv(cfg.control_csv) if cfg.control_csv else None
-    try:
-        return builtin_system(cfg.system, control=control)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _truth(cfg: ExperimentConfig):
-    """(theta_true, basis) of the named built-in system, or (None, None) without one."""
-    return (None, None) if cfg.system is None else _builtin(cfg)[1:]
+    return builtin_system(cfg.system, control=control)
 
 
 def _simulate_system(cfg: ExperimentConfig) -> list:
@@ -270,13 +265,27 @@ def _simulate_system(cfg: ExperimentConfig) -> list:
     return [integrate_rk4(field, x0, T, h) for x0 in x0s[: cfg.n_trajectories]]
 
 
-def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
-    """Noise (trajectory j drawn with seeds[j]) -> moving average -> segments.
+def _clean_base(cfg: ExperimentConfig) -> list:
+    """The loaded or simulated trajectories, before noise, filter and segments."""
+    if cfg.trajectories:
+        return [load_csv(path) for path in cfg.trajectories]
+    if cfg.system is not None:
+        return _simulate_system(cfg)
+    raise ConfigError("either --system or --trajectories is required")
 
+
+def _staged(cfg: ExperimentConfig, base, seeds=None) -> list:
+    """The clean base through noise -> moving average -> segments.
+
+    Only the first cfg.n_trajectories of base are kept (all when it is None), so
+    one base simulated for the largest count serves every smaller one.
+    Trajectory j's noise is drawn with seeds[j], by default cfg.seed + j.
     An unset stage (None) is skipped, as are sigma 0, window 1 and 1 segment.
     The filter keeps full windows only: the trailing average lags less while
     its window fills, so its first window - 1 rows would bias the estimate.
     """
+    trajs = base[: cfg.n_trajectories]
+    seeds = [cfg.seed + j for j in range(len(trajs))] if seeds is None else seeds
     if (cfg.noise_sigma or 0.0) > 0:
         trajs = [add_measurement_noise(t, cfg.noise_sigma, sd) for t, sd in zip(trajs, seeds)]
     w = cfg.filter_window or 1
@@ -291,39 +300,18 @@ def _noise_filter_segment(cfg: ExperimentConfig, trajs, seeds):
     return trajs
 
 
-def _clean_base(cfg: ExperimentConfig) -> list:
-    """The loaded or simulated trajectories as (samples, step) pairs, which pickle plainly."""
-    if cfg.trajectories:
-        trajs = [load_csv(path) for path in cfg.trajectories]
-    elif cfg.system is not None:
-        trajs = _simulate_system(cfg)
-    else:
-        raise ConfigError("either --system or --trajectories is required")
-    return [(t.samples, t.step) for t in trajs]
-
-
-def _staged(cfg: ExperimentConfig, base, seeds=None):
-    """(trajectories, theta_true, system basis): the clean base through noise, filter, segments.
-
-    Only the first cfg.n_trajectories of base are kept (all when it is None), so
-    one base simulated for the largest count serves every smaller one.
-    Trajectory j's noise is drawn with seeds[j], by default cfg.seed + j.
-    """
-    base = base[: cfg.n_trajectories]
-    seeds = [cfg.seed + j for j in range(len(base))] if seeds is None else seeds
-    trajs = _noise_filter_segment(cfg, [Trajectory(s, h) for s, h in base], seeds)
-    return (trajs, *_truth(cfg))
-
-
-def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
-    """The basis to identify over, plus theta_true on it.
+def _build_basis(cfg: ExperimentConfig, dim: int):
+    """The basis to identify over, plus the system's true terms on it.
 
     The system's nonzero true terms are placed by (label, target dim); the
-    targets are None when one of them is not in the basis.
+    targets are None without a system, or when one of them is not in the basis.
     """
-    if sys_basis is not None and sys_basis.dim != dim:
-        raise ConfigError(f"the data have dimension {dim}, "
-                          f"system {cfg.system} has dimension {sys_basis.dim}")
+    theta_true = None
+    if cfg.system is not None:
+        _, theta_true, sys_basis = _builtin(cfg)
+        if sys_basis.dim != dim:
+            raise ConfigError(f"the data have dimension {dim}, "
+                              f"system {cfg.system} has dimension {sys_basis.dim}")
     if cfg.system == "emps_form":
         return sys_basis, theta_true
     spec = MonomialSpec(dim, cfg.basis_degree if cfg.basis_degree is not None else 2)
@@ -337,10 +325,7 @@ def _build_basis(cfg: ExperimentConfig, dim: int, theta_true, sys_basis):
                 raise ConfigError(
                     "basis_terms entries must be [exponent list, target dim] pairs"
                 ) from None
-            try:
-                i = monomial_index(spec, exps, k)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            i = monomial_index(spec, exps, k)
             if i in idx:  # two equal columns: the fit could not tell them apart
                 raise ConfigError(f"basis term ({exps!r}, {k!r}) is listed twice in basis_terms")
             idx.append(i)
@@ -358,10 +343,7 @@ def _centers_for(cfg: ExperimentConfig, dim: int) -> np.ndarray:
         spec = _SYSTEMS.get(cfg.system, _NO_SYSTEM)["centers"]
     if spec is None:
         raise ConfigError("no default centers for this input; pass --centers lo:hi:width,...")
-    try:
-        return _center_set(parse_centers(spec), dim)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _center_set(parse_centers(spec), dim)
 
 
 @dataclass(frozen=True)
@@ -376,15 +358,16 @@ class IdentifyOutcome:
     max_error: float | None
 
 
-def run_identify(cfg: ExperimentConfig, data=None) -> IdentifyOutcome:
+def run_identify(cfg: ExperimentConfig, trajs=None) -> IdentifyOutcome:
     """The full estimation pipeline for one configuration.
 
-    data, when given, is the (trajectories, theta_true, system basis) triple
-    of `_staged`, already noised, filtered and segmented.
+    trajs, when given, are trajectories of `_staged`, already noised,
+    filtered and segmented.
     """
     start = time.perf_counter()
-    trajs, theta_true, sys_basis = _staged(cfg, _clean_base(cfg)) if data is None else data
-    basis, targets = _build_basis(cfg, trajs[0].dim, theta_true, sys_basis)
+    if trajs is None:
+        trajs = _staged(cfg, _clean_base(cfg))
+    basis, targets = _build_basis(cfg, trajs[0].dim)
     result = _SOLVERS[cfg.solver](trajs, basis, _kernel_for(cfg), cfg)
     l2 = max_err = None
     if targets is not None:
@@ -476,10 +459,8 @@ def _write_table(cfg: ExperimentConfig, name: str, header: str, rows, notes=()) 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.system is None:
         raise ConfigError("simulate requires --system")
-    trajs = _simulate_system(cfg)
     # Only the noise stage applies: the files hold whole, unfiltered paths.
-    noise_only = replace(cfg, filter_window=None, segments=None)
-    trajs = _noise_filter_segment(noise_only, trajs, [cfg.seed + j for j in range(len(trajs))])
+    trajs = _staged(replace(cfg, filter_window=None, segments=None), _simulate_system(cfg))
     for j, traj in enumerate(trajs):
         save_csv(traj, _out_path(cfg, f"traj_{j:03d}.csv"))
     print(f"wrote {len(trajs)} trajectory files to {cfg.out}")
@@ -573,10 +554,10 @@ def _mc_trial(args):
         seeds = [cfg.seed + trial]
     else:
         seeds = [(cfg.seed + trial) * 100_003 + j for j in range(len(base))]
-    data = _staged(cfg, base, seeds)
-    ok = run_identify(replace(cfg, solver="pinv"), data)
+    trajs = _staged(cfg, base, seeds)
+    ok = run_identify(replace(cfg, solver="pinv"), trajs)
     ok_error = _known_error(ok)
-    ils = run_identify(replace(cfg, solver="ils"), data)
+    ils = run_identify(replace(cfg, solver="ils"), trajs)
     return ok_error, _known_error(ils), ok.result.condition_number, ils.result.condition_number
 
 
@@ -657,7 +638,7 @@ def cmd_stream(cfg: ExperimentConfig) -> int:
         return 0  # empty input: nothing to do
     dim = _parse_header(header.rstrip("\r\n"))
 
-    basis, _ = _build_basis(cfg, dim, *_truth(cfg))
+    basis, _ = _build_basis(cfg, dim)
     kernel = _kernel_for(cfg)
     centers = _centers_for(cfg, dim)
 

@@ -12,7 +12,6 @@ functions evaluate vectorized: given points X of shape (P, n) they return
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .kernels import _term_maps
-from .trajectory import GRID_RTOL, Trajectory, _parse_rows
+from .trajectory import GRID_RTOL, Trajectory, _is_count, _parse_rows
 
 
 @dataclass(frozen=True)
@@ -153,10 +152,10 @@ class MonomialSpec:
     degree: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        if not _is_count(self.dim, 1):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not _is_count(self.degree):
+            raise ValueError(f"degree must be an integer >= 0, got {self.degree!r}")
 
 
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
@@ -234,18 +233,13 @@ def monomial_basis(spec: MonomialSpec) -> BasisSet:
                     np.tile(np.arange(T), spec.dim))
 
 
-def _is_count(v, stop=math.inf) -> bool:
-    """Whether v is an integer (bool excluded) in [0, stop)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and 0 <= v < stop
-
-
 def monomial_index(spec: MonomialSpec, exponents, k: int) -> int:
     """Position of x^exponents * e_k in the monomial_basis ordering.
 
     The key is spec.dim non-negative integer exponents and an integer target
     dim k in [0, spec.dim); any other key is a ValueError that names it.
     """
-    if not (_is_count(k, spec.dim) and isinstance(exponents, (list, tuple, np.ndarray))
+    if not (_is_count(k, stop=spec.dim) and isinstance(exponents, (list, tuple, np.ndarray))
             and len(exponents) == spec.dim and all(_is_count(e) for e in exponents)):
         raise ValueError(f"basis term ({exponents!r}, {k!r}) is not {spec.dim} non-negative "
                          f"integer exponents and a target dim in 0..{spec.dim - 1}")

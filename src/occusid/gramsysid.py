@@ -70,7 +70,7 @@ from .dynamics import BasisSet
 from .quadrature import as_rule, weights
 from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _fields,
                     _require_finite, _result, _svd_solve)
-from .trajectory import _freeze
+from .trajectory import _by_constructor, _freeze
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class GramSystem:
     target_norm_sq: float
     n_trajectories: int
     labels: tuple[str, ...] | None = None
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         G, r = _freeze(self.G), _freeze(self.r)

@@ -539,6 +539,9 @@ class FeatureMapKernel(_PointwiseKernel):
     def family(self) -> str:
         return "feature_map"
 
+    def __reduce__(self):  # rebuilt, so the centers come back frozen and prepared
+        return FeatureMapKernel, (self.base, self.centers)
+
     def __eq__(self, other):
         return (
             isinstance(other, FeatureMapKernel)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .trajectory import Trajectory, _freeze
+from .trajectory import Trajectory, _by_constructor, _freeze
 
 SCHEMES = ("right_hand", "trapezoid", "simpson")
 
@@ -121,6 +121,8 @@ class OccupationKernelEstimate:
     trajectory: Trajectory
     kernel: object
     rule: QuadratureRule
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         object.__setattr__(self, "rule", as_rule(self.rule))

@@ -41,7 +41,7 @@ from .dynamics import BasisSet
 from .errors import DivergenceError
 from .kernels import _center_set
 from .sysid import _fields, _known_split, _require_finite, _svd_solve
-from .trajectory import GRID_RTOL, _freeze, off_grid
+from .trajectory import GRID_RTOL, _by_constructor, _freeze, off_grid
 
 
 # The one quadrature weight of a sample's rows: each panel applies h / 2 itself.
@@ -216,6 +216,8 @@ class StreamSnapshot:
     A: np.ndarray
     b: np.ndarray
     theta: np.ndarray
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         for name in ("A", "b", "theta"):

@@ -38,7 +38,7 @@ from .dynamics import BasisSet
 from .errors import DivergenceError, IterationLimitError
 from .kernels import _center_set
 from .quadrature import as_rule, weights
-from .trajectory import _freeze, as_trajectory_set
+from .trajectory import _by_constructor, _freeze, _is_count, as_trajectory_set
 
 CD_TOL = 1e-10
 CD_MAX_SWEEPS = 100_000
@@ -57,6 +57,8 @@ class ConstraintSystem:
     n_trajectories: int
     n_centers: int
     labels: tuple[str, ...] | None = None
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         A, b = _freeze(self.A), _freeze(self.b)
@@ -109,6 +111,8 @@ class EstimationResult:
     effective_rank: int
     support: np.ndarray | None = None
     degenerate: bool = False
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         object.__setattr__(self, "theta_hat", _freeze(self.theta_hat))
@@ -302,8 +306,8 @@ def solve_sparse(
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if max_refits < 1:
-        raise ValueError(f"max_refits must be >= 1, got {max_refits}")
+    if not _is_count(max_refits, 1):
+        raise ValueError(f"max_refits must be an integer >= 1, got {max_refits!r}")
     col_norms = np.linalg.norm(sys.A, axis=0)
     if (col_norms == 0).any():
         dead = np.nonzero(col_norms == 0)[0]

@@ -8,8 +8,10 @@ so they can be shared freely between threads and across assembled systems.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,6 +39,19 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
+def _by_constructor(self):
+    """A value type's __reduce__: pickle and copy rebuild it through its constructor.
+
+    The constructor freezes each kept array again; numpy unpickles arrays writable.
+    """
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _is_count(v, least=0, stop=math.inf) -> bool:
+    """Whether v is an integer (bool excluded) in [least, stop): the one integer rule."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and least <= v < stop
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Samples of one path: `samples[k]` is the state at time k*step.
@@ -47,6 +62,8 @@ class Trajectory:
 
     samples: np.ndarray
     step: float
+
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         samples = _freeze(self.samples)
@@ -134,8 +151,8 @@ def segment(traj: Trajectory, parts: int) -> TrajectorySet:
     remainder). Every segment must keep at least 2 intervals so that it is a
     valid Trajectory on its own.
     """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
+    if not _is_count(parts, 1):
+        raise ValueError(f"parts must be an integer >= 1, got {parts!r}")
     F = traj.n_intervals
     base, rem = divmod(F, parts)
     if base < 2:
@@ -169,8 +186,8 @@ def moving_average(traj: Trajectory, window: int) -> Trajectory:
     The window shrinks at the start of the record so the output has the same
     length and grid as the input; the filter is causal.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if not _is_count(window, 1):
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
     x = traj.samples
     if window == 1:
         return traj
@@ -332,8 +349,8 @@ def load_csv(path) -> Trajectory:
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:
     """Keep every stride-th sample. Requires stride to divide the interval count."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    if not _is_count(stride, 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     if traj.n_intervals % stride != 0:
         raise ValueError(
             f"stride {stride} does not divide {traj.n_intervals} intervals"

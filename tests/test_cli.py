@@ -670,9 +670,11 @@ def test_extreme_finite_setting_is_config_error(tmp_path, capsys, monkeypatch, a
          "n_trajectories must be >= 1, got 0"),
         (["identify", "--system", "system1", "--h", "1e-2", "--filter-window", "100"],
          "filter window 100 keeps fewer than 3 of a trajectory's 101 samples"),
+        (["identify", "--system", "system1", "--solver", "sparse", "--lambda", "0.1",
+          "--threshold", "0.1", "--max-refits", "0"], "max_refits must be >= 1, got 0"),
     ],
     ids=["stream-h", "simulate-T", "settle-steps", "print-every", "n-trajectories",
-         "filter-window"],
+         "filter-window", "max-refits"],
 )
 def test_out_of_range_setting_names_itself(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stream_rows(20)))
@@ -715,6 +717,48 @@ def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, 
     assert run(["identify", "--system", "system1", "--out", str(out)] + argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# error lines that no other test reaches; each command exits 2 before writing --out
+@pytest.mark.parametrize("argv, message", [
+    (["convergence", "--system", "system1", "--h-values", "a,b,c"],
+     "could not parse --h-values 'a,b,c'"),
+    (["identify", "--system", "emps_form"],
+     "emps_form needs --control-csv with the control signal"),
+    (["identify", "--system", "lorenz", "--n-trajectories", "2"],
+     "n_trajectories must be in 1..1 for lorenz, got 2"),
+    (["identify"], "either --system or --trajectories is required"),
+    (["identify", "--system", "system1", "--h", "1e-2", "--config", "terms.json"],
+     "basis_terms entries must be [exponent list, target dim] pairs"),
+    (["identify", "--trajectories", "f.csv"],
+     "no default centers for this input; pass --centers lo:hi:width,..."),
+    (["sweep", "--trajectories", "f.csv", "--centers=-1:3:1", "--param", "seed",
+      "--values", "1,2"], "errors need a built-in system whose true terms are all in the basis"),
+    (["montecarlo", "--trajectories", "f.csv"],
+     "montecarlo requires --system (or the default lorenz setup)"),
+    (["convergence", "--system", "system1"], "convergence requires --h-values h1,h2,..."),
+    (["convergence", "--target", "occupation", "--h-values", "0.02,0.01,0.005"],
+     "occupation convergence requires --system"),
+    (["convergence", "--target", "occupation", "--system", "system1",
+      "--h-values", "0.064,0.032,0.02"],
+     "h=0.064 is not an exact multiple of the fine grid 0.0003125"),
+    (["identify", "--config", "list.json"], "config file must hold a JSON object"),
+    (["identify", "--trajectories", "empty.csv", "--centers=-1:3:1"], "line 1: empty file"),
+    (["identify", "--trajectories", "zero_step.csv", "--centers=-1:3:1"],
+     "line 3: time step must be positive, got 0.0"),
+], ids=["h-values-text", "emps-form-control", "lorenz-count", "no-data", "basis-term-not-pair",
+        "no-default-centers", "sweep-without-system", "montecarlo-without-system",
+        "convergence-h-values", "occupation-without-system", "occupation-grid",
+        "config-not-object", "empty-file", "zero-step"])
+def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    files = {"f.csv": stream_rows(20), "terms.json": '{"basis_terms": [5]}',
+             "list.json": "[1, 2]", "empty.csv": "", "zero_step.csv": "t,x1\n0,1\n0,2\n0,3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestMonteCarlo:
@@ -837,6 +881,21 @@ class TestStream:
         rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], "")
         assert rc == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["", "t,x1\n0,1\n0.01,1\n"],
+                             ids=["empty", "rows"])
+    def test_unknown_system_rejected_before_input_is_read(self, monkeypatch, capsys, text):
+        stdin = io.StringIO(text)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert run(["stream", "--system", "vanderpol"]) == 2
+        assert capsys.readouterr().err == ("error: config: unknown system 'vanderpol'; "
+                                           "one of ['emps_form', 'lorenz', 'system1']\n")
+        assert stdin.tell() == 0
+
+    def test_header_and_one_row_print_nothing(self, monkeypatch, capsys):
+        rc = run_stream(monkeypatch, ["stream", "--centers=-1:3:1"], "t,x1\n0,1\n")
+        assert rc == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_prints_progress_and_final(self, monkeypatch, capsys):
         rc = run_stream(

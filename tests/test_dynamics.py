@@ -66,6 +66,13 @@ class TestMonomials:
         with pytest.raises(ValueError, match=key):
             monomial_index(MonomialSpec(2, 2), exponents, k)
 
+    @pytest.mark.parametrize("dim, degree, message", [
+        (2, 2.5, "degree must be an integer >= 0, got 2.5"),
+        (True, 1, "dim must be an integer >= 1, got True")], ids=["degree", "dim"])
+    def test_spec_takes_integer_counts(self, dim, degree, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MonomialSpec(dim, degree)
+
     def test_combination_reconstructs_field(self, system1):
         field, theta_true, basis = system1
         x = np.array([[0.4, -1.7]])

@@ -258,6 +258,11 @@ class TestSolveSparse:
         with pytest.raises(ValueError, match=name):
             oc.solve_sparse(oc.ConstraintSystem(np.eye(2), np.ones(2), 1, 2), lam, threshold)
 
+    def test_fractional_max_refits_rejected(self):
+        with pytest.raises(ValueError, match="^max_refits must be an integer >= 1, got 2.5$"):
+            oc.solve_sparse(oc.ConstraintSystem(np.eye(2), np.ones(2), 1, 2), 0.1, 0.0,
+                            max_refits=2.5)
+
     def test_orthonormal_soft_threshold(self):
         # With A = I the lasso stage is exact soft-thresholding of b; entries
         # surviving |.| >= threshold are then refit without penalty.

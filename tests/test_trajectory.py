@@ -172,6 +172,20 @@ class TestSubsample:
             oc.subsample(ramp(11), 3)  # 10 intervals, stride 3
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda tr: oc.segment(tr, 2.5), "parts must be an integer >= 1, got 2.5"),
+    (lambda tr: oc.segment(tr, True), "parts must be an integer >= 1, got True"),
+    (lambda tr: oc.moving_average(tr, 2.5), "window must be an integer >= 1, got 2.5"),
+    (lambda tr: oc.moving_average(tr, True), "window must be an integer >= 1, got True"),
+    (lambda tr: oc.subsample(tr, 2.5), "stride must be an integer >= 1, got 2.5"),
+    (lambda tr: oc.subsample(tr, True), "stride must be an integer >= 1, got True"),
+], ids=["segment-fraction", "segment-bool", "moving-average-fraction", "moving-average-bool",
+        "subsample-fraction", "subsample-bool"])
+def test_count_argument_is_an_integer_not_a_bool(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(ramp(11))
+
+
 class TestCsv:
     def test_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -2,9 +2,13 @@
 
 Each case builds one object from views of a writable base array and names
 the arrays it keeps. The arrays handed in must stay writable, the kept ones
-must be read-only, and a later write to the base must not reach them.
+must be read-only, and a later write to the base must not reach them. A
+pickled or deep-copied value keeps its arrays read-only too (StreamState,
+mutable by design, is not a value and is not copied through its constructor).
 """
 
+import copy
+import pickle
 from operator import attrgetter
 
 import numpy as np
@@ -61,3 +65,17 @@ def test_keeps_a_private_read_only_copy(name):
     views.base[...] = -7.0
     for k, old in zip(kept, before):
         np.testing.assert_array_equal(k, old)
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name != "StreamState"])
+@pytest.mark.parametrize("clone", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copies_keep_read_only_arrays(name, clone):
+    build, attrs = CASES[name]
+    obj = build(Views())
+    copied = clone(obj)
+    assert type(copied) is type(obj)
+    for attr in attrs:
+        kept = attrgetter(attr)(copied)
+        assert not kept.flags.writeable
+        np.testing.assert_array_equal(kept, attrgetter(attr)(obj))
