@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, pairwise
 from typing import Callable
 
 import numpy as np
@@ -64,8 +64,8 @@ class BasisSet:
     emps_form, a select or a copy of either), the basis shares that table;
     otherwise the table holds its functions' n coordinates. A table may
     carry a product map (monomial_basis): which row, or which monomial past
-    the table, is x_k times row r. The maps then stack each product once,
-    and the basis's selects and copies share the map with the table.
+    the table, is x_k times row r. The map also builds the table, the maps
+    stack each product once, and selects and copies share it with the table.
     """
 
     dim: int
@@ -204,30 +204,30 @@ def _on_library(basis: BasisSet, terms: dict):
 def monomial_basis(spec: MonomialSpec) -> BasisSet:
     """All monomials x^alpha e_k, |alpha| <= degree, ordered by (k, graded-lex alpha).
 
-    Size is dim * C(dim + degree, degree). The term table takes the powers
-    1, X, then X ** k by pow with an integer exponent array (a scalar 2 would
-    take numpy's square path, 1 ulp off), and multiplies one power column per
-    coordinate in coordinate order.
+    Size is dim * C(dim + degree, degree). The table is its product map read
+    backwards: row r > 0 is one multiply, its parent row times x_k with k the
+    last nonzero coordinate of alpha_r, so a degree-g monomial is g - 1
+    roundings, its factors taken in coordinate order (1 * x_k is exact).
     """
     exps = monomial_exponents(spec.dim, spec.degree)
     # x_k times row r is the monomial alpha_r + e_k: a table row, or one numbered past the table
     index = {tuple(e): r for r, e in enumerate(exps.tolist())}
     prod = np.array([[index.setdefault(tuple((e + step).tolist()), len(index))
                       for step in np.eye(spec.dim, dtype=int)] for e in exps])
-
-    # the table's exponent arrays and exponent columns, built once per basis
-    ks = [np.full(spec.dim, k) for k in range(2, spec.degree + 1)]
-    cols = list(exps.T.copy())
+    # row r = prod[p, k] from the (p, k) with the largest k, written last; a layer per degree
+    T = exps.shape[0]
+    parent = {r: (p, k) for (k, p), r in np.ndenumerate(prod.T) if r < T}
+    layers = [(slice(a, b), *np.transpose([parent[r] for r in range(a, b)]))
+              for a, b in pairwise(math.comb(spec.dim + g, g) for g in range(spec.degree + 1))]
 
     def table(X):
-        powers = np.stack([np.ones_like(X), X] + [X ** p for p in ks])
-        mono = powers[cols[0], :, 0]
-        for j in range(1, spec.dim):
-            mono = mono * powers[cols[j], :, j]
+        mono = np.empty((T, X.shape[0]))
+        mono[0] = 1.0
+        for rows, p, k in layers:
+            np.multiply(mono[p], X.T[k], out=mono[rows])
         return mono
 
     table._prod = prod
-    T = exps.shape[0]
     return _library(spec.dim, [monomial_label(e) for e in exps] * spec.dim,
                     [k for k in range(spec.dim) for _ in range(T)], table,
                     np.tile(np.arange(T), spec.dim))
@@ -429,10 +429,8 @@ def builtin_system(name: str, control=None, theta=None):
         return VectorField(dim=dim, func=f), _on_library(basis, terms), basis
     if name == "emps_form":
         if control is None:
-            raise ValueError(
-                "emps_form takes its control signal as data; pass control= "
-                "(see control_from_csv)"
-            )
+            raise ValueError("emps_form takes its control signal as data; "
+                             "pass control= (see control_from_csv)")
         theta_true = EMPS_DEFAULT_THETA.copy() if theta is None else np.asarray(theta, dtype=float)
         if theta_true.shape != (4,):
             raise ValueError("emps_form theta must have 4 entries")

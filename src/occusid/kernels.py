@@ -79,11 +79,11 @@ the rows as one formula:
 Each acc row is one distinct function, stacked once per block of samples:
 the table rows that some term uses and, when rho != 0, each product
 x_k g_j. A product is a table row when the table's product map says so
-(monomial_basis: x_k x^alpha = x^(alpha + e_k)), and is made from X_k and
-row r_j otherwise, once per distinct product. The degree-3 monomial
-library in 3-D stacks 35 rows (20 monomials and 15 of degree 4) for its 60
-terms, where one row per term and product took 120. After the last block
-each term gathers its two rows.
+(monomial_basis: x_k x^alpha = x^(alpha + e_k), read backwards to build the
+table), and is made from X_k and row r_j otherwise, once per distinct
+product. The degree-3 monomial library in 3-D stacks 35 rows (20 monomials
+and 15 of degree 4) for its 60 terms, where one row per term and product
+took 120. After the last block each term gathers its two rows.
 
 FeatureMapKernel composes a base family with a finite center set to give the
 separable kernel K(x, y) = sum_s k(x, c_s) k(y, c_s), whose Gram systems

@@ -116,6 +116,8 @@ class EstimationResult:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_hat", _freeze(self.theta_hat))
+        if self.support is not None:  # integer indices stay integers
+            object.__setattr__(self, "support", _freeze(self.support, dtype=None))
 
     @property
     def n_parameters(self) -> int:

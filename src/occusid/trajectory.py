@@ -32,9 +32,9 @@ def off_grid(t, t_grid, h):
     return ~(np.abs(t - t_grid) <= GRID_RTOL * h + 4.0 * np.spacing(np.abs(t_grid)))
 
 
-def _freeze(a) -> np.ndarray:
-    """A read-only float copy of a: how every value type keeps an array it is given."""
-    a = np.array(a, dtype=float)
+def _freeze(a, dtype=float) -> np.ndarray:
+    """A read-only copy of a (floats; dtype=None keeps a's): how every value type keeps an array."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 

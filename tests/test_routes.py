@@ -1,7 +1,9 @@
 """Fast paths against the generic paths they stand in for.
 
 Each fast route must give the generic route's bits on every input it takes,
-and hand every input it does not take to the generic route unchanged.
+and hand every input it does not take to the generic route unchanged. The
+monomial table, whose recipe rounds differently from a ** reference, is held
+with that reference to a stated rounding bound of the exact product.
 """
 
 import dataclasses
@@ -24,9 +26,11 @@ from occusid.errors import TrajectoryParseError, UnsupportedKernelError
 COORDS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0),
                    st.floats(-1e75, 1e75), st.sampled_from([-1e75, 1e-80, -5e-324, 1e40]))
 
+U, ETA = Fraction(1, 2 ** 53), Fraction(1, 2 ** 1075)  # unit roundoff, half the least subnormal
+
 
 def monomial_reference(dim, degree, idx, X):
-    """Functions idx of the monomial library at X, each x^e e_k by its own np.prod."""
+    """Functions idx of the monomial library at X, each x^e e_k by its own np.prod of pows."""
     exps = oc.monomial_exponents(dim, degree)
     out = np.zeros((len(idx), X.shape[0], dim))
     for j, i in enumerate(idx):
@@ -40,9 +44,59 @@ def assert_same_bits(got, expect):
     assert got.tobytes() == expect.tobytes()  # zero signs included
 
 
+def exact_monomial(x, e):
+    """x^e exactly, the product of its factors above 1 in size, and whether
+    a zero product is -0 (an odd count of factors with the sign bit)."""
+    value = math.prod((Fraction(v) ** int(p) for v, p in zip(x, e)), start=Fraction(1))
+    big = math.prod((abs(Fraction(v)) ** int(p) for v, p in zip(x, e) if abs(v) > 1),
+                    start=Fraction(1))
+    negative = sum(int(p) for v, p in zip(x, e) if math.copysign(1.0, v) < 0) % 2 == 1
+    return value, big, negative
+
+
+def rounding_ratios(dim, degree, idx, X, got, u=U, eta=ETA):
+    """|got - x^e| / bound for each entry of functions idx at X, after checking
+    that every entry is finite, inside the bound of its degree g = |e|,
+    zeros signed by their factors' sign bits, and +0 off the target coordinate.
+
+    Each rounding obeys the standard model with underflow, fl(a b) =
+    a b (1 + d) + h with |d| <= u and |h| <= eta (2^-1075), and a product of
+    g factors takes at most g - 1 roundings (the table's parent chain; a
+    pow counts as one). Multiplying out, the relative errors give
+    ((1 + u)^(g-1) - 1) |x^e|, and each h is carried through at most g - 2
+    later roundings and the later factors, whose product is at most that of
+    the factors above 1 in size.
+    """
+    exps = oc.monomial_exponents(dim, degree)
+    assert got.shape == (len(idx), X.shape[0], dim)
+    ratios, exact = [], {}
+    for j, i in enumerate(idx):
+        k, row = divmod(i, len(exps))
+        off = np.delete(got[j], k, axis=1)
+        assert not off.any() and not np.signbit(off).any()
+        g = int(exps[row].sum())
+        for p in range(X.shape[0]):
+            if (row, p) not in exact:
+                exact[row, p] = exact_monomial(X[p], exps[row])
+            value, big, negative = exact[row, p]
+            bound = 0 if g < 2 else (((1 + u) ** (g - 1) - 1) * abs(value)
+                                     + (g - 1) * eta * (1 + u) ** (g - 2) * big)
+            entry = got[j, p, k]
+            assert np.isfinite(entry)
+            err = abs(Fraction(entry) - value)
+            assert err <= bound, (X[p], exps[row], entry)
+            if entry == 0:
+                assert bool(np.signbit(entry)) == negative, (X[p], exps[row])
+            ratios.append(err / bound if bound else Fraction(0))
+    return ratios
+
+
 @settings(max_examples=200)
 @given(dim=st.integers(1, 4), degree=st.integers(0, 4), data=st.data())
 def test_monomial_table_matches_term_formulas(dim, degree, data):
+    """The table and a ** reference both sit within the per-degree rounding
+    bound of the exact product (rounding_ratios); the functions give the
+    values' bits."""
     basis = oc.monomial_basis(oc.MonomialSpec(dim, degree))
     idx = list(range(len(basis)))
     if data.draw(st.booleans(), label="select"):
@@ -51,9 +105,12 @@ def test_monomial_table_matches_term_formulas(dim, degree, data):
         basis = basis.select(idx)
     P = data.draw(st.sampled_from([1, 2, 7, 40]), label="P")
     X = data.draw(arrays(np.float64, (P, dim), elements=COORDS), label="X")
-    expect = monomial_reference(dim, degree, idx, X)
-    assert_same_bits(basis.values(X), expect)
-    assert_same_bits(np.stack([f(X) for f in basis.functions]), expect)
+    got = basis.values(X)
+    rounding_ratios(dim, degree, idx, X, got)
+    # numpy's vectorized pow need not round correctly (one was measured
+    # 1.09 u off), so each of the reference's roundings gets one ulp: 2u
+    rounding_ratios(dim, degree, idx, X, monomial_reference(dim, degree, idx, X), 2 * U, 2 * ETA)
+    assert_same_bits(np.stack([f(X) for f in basis.functions]), got)
 
 
 @pytest.mark.parametrize("control", [lambda t: np.cos(3.0 * t), lambda t: 0.5],
@@ -81,6 +138,27 @@ def test_monomial_libraries_take_the_table():
         assert copy._terms[0] is basis._terms[0]  # the library's table, shared
     for copy in copies[1:]:
         assert_same_bits(copy.values(X), basis.values(X))
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("dim", range(1, 5))
+def test_monomial_table_is_its_product_map(dim, degree):
+    """Row r > 0 is row p < r times x_k, k the last nonzero coordinate of
+    alpha_r, alpha_p + e_k = alpha_r and prod[p, k] == r: one multiply, the
+    same bits. Selects and copies share the table and its map."""
+    basis = oc.monomial_basis(oc.MonomialSpec(dim, degree))
+    table, exps = basis._terms[0], oc.monomial_exponents(dim, degree)
+    X = np.random.default_rng(dim * 10 + degree).normal(size=(50, dim)) * 3
+    X[::7] = -0.0
+    values = table(X)
+    assert_same_bits(values[0], np.ones(50))
+    for r in range(1, len(exps)):
+        k = np.flatnonzero(exps[r])[-1]
+        (p,) = np.flatnonzero((exps + np.eye(dim, dtype=int)[k] == exps[r]).all(axis=1))
+        assert p < r and table._prod[p, k] == r
+        assert_same_bits(values[r], values[p] * X[:, k])
+    for copy in (basis.select([len(basis) - 1, 0]), dataclasses.replace(basis)):
+        assert copy._terms[0] is table and copy._terms[0]._prod is table._prod
 
 
 def _hand_fields():
@@ -267,6 +345,7 @@ def csv_dir(tmp_path_factory):
 @given(text=csv_texts())
 def test_loadtxt_route_matches_row_parser(csv_dir, text):
     path = csv_dir / "traj.csv"
+    path.unlink(missing_ok=True)  # a new file each example: rewriting one in place waits on writeback
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trajectory, "_c_parsed", lambda fh, text: None)
