@@ -15,9 +15,10 @@ the config converts each one to its field's type and checks its range or
 name, before any data is read. Every command is deterministic for a fixed
 config and seed, apart from the runtime_seconds token in the identify
 summary. Each command computes its results before it creates --out, so a
-failed command writes nothing. Exit codes: 0 success, 2 configuration or
-input errors (unreadable paths included), 3 numerical failures; error lines
-go to standard error as `error: <category>: <message>`.
+failed command writes nothing. Every file goes through trajectory._write_csv,
+and stdout's numbers through its FMT and _cell. Exit codes: 0 success, 2
+configuration or input errors (unreadable paths included), 3 numerical
+failures; error lines go to standard error as `error: <category>: <message>`.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ from .quadrature import as_rule, empirical_order, norm_distance_squared, occupat
 from .streaming import gradient_chase_step, new_stream, stream_matrices, stream_push
 from .sysid import EstimationResult, assemble, ils_solve, solve_pinv, solve_ridge, solve_sparse
 from .trajectory import (
+    FMT,
     Trajectory,
+    _cell,
     _parse_header,
     _parse_rows,
+    _write_csv,
     add_measurement_noise,
     load_csv,
     moving_average,
@@ -64,8 +68,6 @@ from .trajectory import (
     segment,
     subsample,
 )
-
-FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,9 @@ class ExperimentConfig:
             parse_centers(self.centers)
         if self.h_values is not None:
             _h_ladder(self.h_values)
-        if self.trajectories and self.n_trajectories is not None:
-            raise ConfigError("n_trajectories counts simulated start states; "
-                              "it does not apply to --trajectories files")
+        for name, what in _SIMULATION.items():
+            if self.trajectories and getattr(self, name) is not None:
+                raise ConfigError(f"{name} {what}; it does not apply to --trajectories files")
         from_name(self.kernel, mu=self.mu or 1.0, degree=self.degree)
         as_rule(self.rule)
         if self.system is not None and self.system not in _SYSTEMS:
@@ -152,6 +154,9 @@ def _field_type(hint) -> tuple:
 _FIELD_TYPES = {name: _field_type(hint)
                 for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 _WORDS = {str: "a string", int: "an integer", float: "a number", tuple: "a list"}
+# the fields that set up a simulation, which --trajectories files replace
+_SIMULATION = {"n_trajectories": "counts simulated start states", "T": "is the simulated span",
+               "h": "is the simulation step", "h_values": "lists simulation steps"}
 # field -> (least allowed value, its name in the error message); None passes
 _AT_LEAST = {"noise_sigma": (0, "noise sigma"), "filter_window": (1, "filter window"),
              "segments": (1, "segments"), "jobs": (1, "jobs"),
@@ -409,48 +414,23 @@ def _known_error(outcome: IdentifyOutcome) -> float:
     return outcome.l2_error
 
 
-def _fmt(v) -> str:
-    return "" if v is None else FMT % v
-
-
 def write_result_csv(path, outcome: IdentifyOutcome) -> None:
     result, basis, targets = outcome.result, outcome.basis, outcome.targets
-    with open(path, "w", newline="\n") as fh:
-        fh.write("param_index,monomial,dim,target,estimate,abs_error\n")
-        for i, (label, d, est) in enumerate(zip(basis.labels, basis.target_dims,
-                                                result.theta_hat)):
-            dim_cell = "" if d is None else str(d + 1)
-            if targets is None:
-                target_cell = err_cell = ""
-            else:
-                target_cell = _fmt(targets[i])
-                err_cell = _fmt(abs(est - targets[i]))
-            fh.write(f"{i},{label},{dim_cell},{target_cell},{_fmt(est)},{err_cell}\n")
-        fh.write(
-            "# summary: "
-            f"l2_error={_fmt(outcome.l2_error)},"
-            f"max_error={_fmt(outcome.max_error)},"
-            f"condition_number={_fmt(result.condition_number)},"
-            f"runtime_seconds={_fmt(outcome.runtime_seconds)}\n"
-        )
+    rows = []
+    for i, (label, d, est) in enumerate(zip(basis.labels, basis.target_dims, result.theta_hat)):
+        target, err = (None, None) if targets is None else (targets[i], abs(est - targets[i]))
+        rows.append((i, label, None if d is None else d + 1, target, est, err))
+    summary = dict(l2_error=outcome.l2_error, max_error=outcome.max_error,
+                   condition_number=result.condition_number,
+                   runtime_seconds=outcome.runtime_seconds)
+    _write_csv(path, "param_index,monomial,dim,target,estimate,abs_error", rows,
+               ["summary: " + ",".join(f"{key}={_cell(v)}" for key, v in summary.items())])
 
 
 def _out_path(cfg: ExperimentConfig, name: str) -> str:
     """Path of file `name` in --out, creating the directory; call once results exist."""
     os.makedirs(cfg.out, exist_ok=True)
     return os.path.join(cfg.out, name)
-
-
-def _write_table(cfg: ExperimentConfig, name: str, header: str, rows, notes=()) -> str:
-    """Write `name` in --out: the header, FMT-formatted rows, then `# ` note lines."""
-    path = _out_path(cfg, name)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(FMT % v for v in row) + "\n")
-        for note in notes:
-            fh.write(f"# {note}\n")
-    return path
 
 
 # -- commands -----------------------------------------------------------------
@@ -478,8 +458,8 @@ def cmd_identify(cfg: ExperimentConfig) -> int:
     write_result_csv(path, outcome)
     print(
         f"wrote {path} "
-        f"(l2_error={_fmt(outcome.l2_error)}, max_error={_fmt(outcome.max_error)}, "
-        f"condition_number={_fmt(cond)})"
+        f"(l2_error={_cell(outcome.l2_error)}, max_error={_cell(outcome.max_error)}, "
+        f"condition_number={_cell(cond)})"
     )
     if cond > NEAR_SINGULAR_COND:
         print(f"note: condition_number {cond:.2g} exceeds "
@@ -518,7 +498,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     # One load or simulation for every point: each keeps its own n_trajectories prefix.
     base = _clean_base(max(points, key=lambda p: p.n_trajectories or math.inf))
     errors = _run_tasks(_identify_error, [(point, base) for point in points], cfg)
-    path = _write_table(cfg, "sweep.csv", "value,error", zip(values, errors))
+    path = _out_path(cfg, "sweep.csv")
+    _write_csv(path, "value,error", zip(values, errors))
     print(f"wrote {path}")
     return 0
 
@@ -571,8 +552,9 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
     rows = _run_tasks(_mc_trial, tasks, cfg)
     floor = cfg.noise_sigma == 0
     notes = ["note: sigma=0; both errors sit at the numerical floor"] if floor else []
-    path = _write_table(cfg, "montecarlo.csv", "trial,ok_error,ils_error,ok_cond,ils_cond",
-                        [(trial, *row) for trial, row in enumerate(rows)], notes)
+    path = _out_path(cfg, "montecarlo.csv")
+    _write_csv(path, "trial,ok_error,ils_error,ok_cond,ils_cond",
+               [(trial, *row) for trial, row in enumerate(rows)], notes)
     ok_med = float(np.median([r[0] for r in rows]))
     ils_med = float(np.median([r[1] for r in rows]))
     print(f"wrote {path} (median ok_error={FMT % ok_med}, median ils_error={FMT % ils_med})")
@@ -595,7 +577,8 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             notes.append("note: errors do not decrease as h decreases, so the order is not "
                          "meaningful: they sit at the roundoff floor or outside the "
                          "asymptotic range")
-    path = _write_table(cfg, "convergence.csv", "h,error", zip(hs, errors), notes)
+    path = _out_path(cfg, "convergence.csv")
+    _write_csv(path, "h,error", zip(hs, errors), notes)
     print(f"wrote {path} ({summary})")
     return 0
 
@@ -680,8 +663,7 @@ def _stream_rows(lines, dim: int):
 def _print_stream_line(state) -> None:
     A, b = stream_matrices(state)
     residual = float(np.linalg.norm(A @ state.theta - b))
-    theta_cells = ",".join(FMT % v for v in state.theta)
-    print(f"{FMT % state.time},{theta_cells},{FMT % residual}")
+    print(",".join(map(_cell, (state.time, *state.theta, residual))))
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -38,7 +38,7 @@ from .dynamics import BasisSet
 from .errors import DivergenceError, IterationLimitError
 from .kernels import _center_set
 from .quadrature import as_rule, weights
-from .trajectory import _by_constructor, _freeze, _is_count, as_trajectory_set
+from .trajectory import _by_constructor, _freeze, _is_count, _write_csv, as_trajectory_set
 
 CD_TOL = 1e-10
 CD_MAX_SWEEPS = 100_000
@@ -88,13 +88,10 @@ class ConstraintSystem:
     def save_csv(self, path) -> None:
         """Write A and b with row labels traj{j}:center{s} and column labels."""
         labels = self.labels or tuple(f"p{i}" for i in range(self.n_parameters))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("row," + ",".join(labels) + ",b\n")
-            for j in range(self.n_trajectories):
-                for s in range(self.n_centers):
-                    r = self.row_index(j, s)
-                    cells = ",".join(f"{v:.17g}" for v in self.A[r])
-                    fh.write(f"traj{j}:center{s},{cells},{self.b[r]:.17g}\n")
+        rows = map(np.ndarray.tolist, np.column_stack([self.A, self.b]))
+        names = (f"traj{j}:center{s}" for j in range(self.n_trajectories)
+                 for s in range(self.n_centers))
+        _write_csv(path, "row," + ",".join(labels) + ",b", ([n, *r] for n, r in zip(names, rows)))
 
 
 @dataclass(frozen=True)

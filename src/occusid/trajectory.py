@@ -4,6 +4,10 @@ A trajectory is the raw material of every identification routine here:
 samples of a single continuous path on a uniform time grid. Instances are
 immutable after construction (their samples are a private read-only copy),
 so they can be shared freely between threads and across assembled systems.
+
+The module owns the package's CSV format: load_csv reads it, and _write_csv
+writes every file the package writes, each number as FMT (17 significant
+digits), so a written trajectory reads back to the same doubles.
 """
 
 from __future__ import annotations
@@ -203,12 +207,29 @@ def moving_average(traj: Trajectory, window: int) -> Trajectory:
     return Trajectory(out, traj.step)
 
 
-def save_csv(traj: Trajectory, path) -> None:
-    """Write `t,x1,...,xn` rows with full float precision (17 significant digits)."""
-    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
+FMT = "%.17g"
+
+
+def _cell(v) -> str:
+    """One output cell: a string as is, None as an empty cell, a number as FMT."""
+    return v if isinstance(v, str) else "" if v is None else FMT % v
+
+
+def _write_csv(path, header: str, rows, notes=()) -> None:
+    """Write the header, a line of comma-joined _cell cells per row, then `# ` notes."""
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([traj.times(), traj.samples]), fmt="%.17g",
-                   delimiter=",", header=header, comments="")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+        for note in notes:
+            fh.write(f"# {note}\n")
+
+
+def save_csv(traj: Trajectory, path) -> None:
+    """Write `t,x1,...,xn` rows, which load_csv reads back to the same doubles."""
+    header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
+    # row by row: tolist() of the whole table holds 32 bytes per value at once
+    _write_csv(path, header, map(np.ndarray.tolist, np.column_stack([traj.times(), traj.samples])))
 
 
 def _parse_header(line: str) -> int:

@@ -746,10 +746,19 @@ def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, 
     (["identify", "--trajectories", "empty.csv", "--centers=-1:3:1"], "line 1: empty file"),
     (["identify", "--trajectories", "zero_step.csv", "--centers=-1:3:1"],
      "line 3: time step must be positive, got 0.0"),
+    # the files replace the simulation, so its settings would be ignored
+    (["identify", "--trajectories", "f.csv", "--centers=-1:3:1", "--h", "0.5"],
+     "h is the simulation step; it does not apply to --trajectories files"),
+    (["identify", "--trajectories", "f.csv", "--centers=-1:3:1", "--T", "0.5"],
+     "T is the simulated span; it does not apply to --trajectories files"),
+    (["convergence", "--trajectories", "f.csv,f.csv", "--centers=-1:3:1",
+      "--h-values", "0.01,0.005,0.0025"],
+     "h_values lists simulation steps; it does not apply to --trajectories files"),
 ], ids=["h-values-text", "emps-form-control", "lorenz-count", "no-data", "basis-term-not-pair",
         "no-default-centers", "sweep-without-system", "montecarlo-without-system",
         "convergence-h-values", "occupation-without-system", "occupation-grid",
-        "config-not-object", "empty-file", "zero-step"])
+        "config-not-object", "empty-file", "zero-step", "files-with-h", "files-with-T",
+        "files-with-h-values"])
 def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     files = {"f.csv": stream_rows(20), "terms.json": '{"basis_terms": [5]}',

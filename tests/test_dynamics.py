@@ -105,6 +105,8 @@ class TestLattice:
     def test_bad_width(self):
         with pytest.raises(ValueError):
             oc.lattice_centers([(0, 1)], 0.0)
+        with pytest.raises(ValueError, match="^one width per dimension required$"):
+            oc.lattice_centers([(0, 1), (0, 1)], [0.5])
 
     @pytest.mark.parametrize("bounds, width", [([(0, np.inf)], 1.0), ([(0, 1)], np.inf),
                                                ([(np.nan, 1)], 1.0), ([(0, 1)], np.nan),
@@ -151,12 +153,13 @@ class TestIntegrateRk4:
         ({"T": 1e300, "h": 1e-300}, "T/h"),
         ({"process_noise": (np.nan, 7)}, "process_noise"),
         ({"process_noise": (np.inf, 7)}, "process_noise"),
+        ({"x0": np.ones((1, 1))}, "x0"),
     ])
     def test_non_finite_argument_is_named(self, kw, name):
         field = oc.VectorField(1, lambda x: -x)
-        args = {"T": 1.0, "h": 0.1, **kw}
+        args = {"x0": np.array([1.0]), "T": 1.0, "h": 0.1, **kw}
         with pytest.raises(ValueError, match=f"^{name} "):
-            oc.integrate_rk4(field, np.array([1.0]), **args)
+            oc.integrate_rk4(field, **args)
 
     def test_divergence_raises_with_time(self):
         field = oc.VectorField(1, lambda x: x * x)
@@ -190,6 +193,7 @@ class TestBuiltinSystems:
         x = np.array([1.0, 3.0])
         # x1' = 2 x1 - x1 x2, x2' = 2 x1^2 - x2
         assert np.allclose(field.func(x), [2.0 - 3.0, 2.0 - 3.0])
+        assert np.array_equal(field(x), field.func(x))
         assert len(basis.functions) == 12
 
     def test_lorenz_field_values(self):
@@ -210,6 +214,8 @@ class TestBuiltinSystems:
     def test_emps_requires_control(self):
         with pytest.raises(ValueError):
             oc.builtin_system("emps_form")
+        with pytest.raises(ValueError, match="^emps_form theta must have 4 entries$"):
+            oc.builtin_system("emps_form", control=np.cos, theta=np.ones(3))
 
     def test_emps_known_part_and_basis(self):
         tau = lambda t: np.full_like(np.asarray(t, dtype=float), 2.0)
@@ -283,6 +289,12 @@ class TestControlCsv:
         with pytest.raises(ValueError):
             oc.control_from_csv(path)
 
+    def test_two_rows_required(self, tmp_path):
+        path = tmp_path / "u.csv"
+        path.write_text("t,tau\n0,1\n")
+        with pytest.raises(ValueError, match="^control CSV needs at least 2 rows$"):
+            oc.control_from_csv(path)
+
     def test_strictly_increasing(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text("t,tau\n0,1\n0,3\n")
@@ -330,6 +342,18 @@ class TestBasisSet:
             with pytest.raises(ValueError, match=rf"{re.escape(str(np.atleast_2d(X).shape))}.*"
                                                  rf"dimension {basis.dim}"):
                 call(X)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: oc.BasisSet(2, (), ()), "BasisSet needs at least one function"),
+        (lambda: oc.BasisSet(2, (np.square,), ("a", "b")), "labels and functions must align"),
+        (lambda: oc.BasisSet(2, (np.square,), ("a",), (0, 1)),
+         "target_dims and functions must align"),
+        (lambda: oc.monomial_basis(MonomialSpec(2, 1)).combination(np.ones(5), np.ones((1, 2))),
+         "theta must have length 6"),
+    ], ids=["empty", "labels", "target-dims", "theta"])
+    def test_malformed_library_or_theta_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
     def test_known_part_defaults_to_none(self, system1):
         # combination must then be the pure weighted sum

@@ -285,6 +285,10 @@ class TestValidation:
                 call()
             assert "5" in str(exc.value)
 
+    def test_point_arguments_are_single_points(self):
+        with pytest.raises(ValueError, match=r"^expected a single point, got shape \(1, 2\)$"):
+            oc.gaussian_rbf(2.0).eval(np.zeros((1, 2)), np.zeros(2))
+
     def test_poly_degree_integer_ge_two(self):
         with pytest.raises(ValueError):
             oc.polynomial(1.0, 1)
@@ -343,6 +347,10 @@ class TestFeatureMapKernel:
         assert self.fm.pre_inner_integrand(x, y, a, b) == pytest.approx(direct, rel=1e-10)
         rhs = (self.fm.grad1(x, y) - self.fm.grad1(x, x)) @ a
         assert self.fm.rhs_integrand(x, (x, y), a) == pytest.approx(rhs, rel=1e-10)
+
+    def test_base_must_be_a_kernel(self):
+        with pytest.raises(ValueError, match="^base must be a Kernel$"):
+            FeatureMapKernel("gaussian_rbf", self.centers)
 
     def test_family_and_eq(self):
         assert self.fm.family == "feature_map"

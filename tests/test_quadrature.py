@@ -19,6 +19,8 @@ class TestWeights:
         assert as_rule(oc.QuadratureRule("trapezoid")).scheme == "trapezoid"
         with pytest.raises(ValueError):
             as_rule("midpoint")
+        with pytest.raises(ValueError, match="^unknown quadrature scheme 'trap'$"):
+            oc.QuadratureRule("trap")  # an alias is not a scheme
 
     def test_right_hand_weights(self):
         w = oc.weights("right_hand", 4, 0.5)
@@ -156,6 +158,12 @@ class TestOccupation:
         with pytest.raises(ValueError, match="^points x must be finite$"):
             oc.occupation_eval(est, x)
 
+    def test_eval_point_must_match_the_dimension(self):
+        est = oc.occupation_estimate(constant_traj([0.5, -1.0]), oc.gaussian_rbf(2.0), "simpson")
+        with pytest.raises(ValueError, match="^point dimension 3 does not match trajectory "
+                                             "dimension 2$"):
+            oc.occupation_eval(est, [0.0, 0.0, 0.0])
+
     def test_eval_batch(self):
         tr = constant_traj([1.0])
         est = oc.occupation_estimate(tr, oc.gaussian_rbf(1.0), "simpson")
@@ -268,8 +276,11 @@ class TestHomotopy:
     def test_grid_mismatch(self):
         ts = np.linspace(0.0, 1.0, 41)
         other = Trajectory(np.stack([ts, ts], axis=1), ts[1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^homotopy endpoints must share the sample grid"):
             oc.homotopy_distance(self.g0, other, 0.1, 0.2, self.kern, "simpson")
+        slower = Trajectory(self.g1.samples, 2 * self.g1.step)
+        with pytest.raises(ValueError, match="^homotopy endpoints must share the time step$"):
+            oc.homotopy_distance(self.g0, slower, 0.1, 0.2, self.kern, "simpson")
 
     def test_shrinks_with_stage_gap(self):
         ds = [

@@ -7,6 +7,7 @@ with that reference to a stated rounding bound of the exact product.
 """
 
 import dataclasses
+import io
 import math
 from fractions import Fraction
 
@@ -375,6 +376,52 @@ def test_short_body_falls_back_without_a_warning(tmp_path, text, line):
     with pytest.raises(TrajectoryParseError, match="need at least 3 data rows") as info:
         oc.load_csv(path)
     assert info.value.line == line
+
+
+# -- the one CSV writer vs numpy's --------------------------------------------
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),  # subnormals included
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]))
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 4), data=st.data())
+def test_save_csv_writes_savetxt_bytes(csv_dir, n, data):
+    samples = data.draw(arrays(float, (data.draw(st.integers(3, 12)), n), elements=FINITE))
+    traj = oc.Trajectory(samples, data.draw(st.floats(1e-3, 10.0)))
+    path = csv_dir / "written.csv"
+    path.unlink(missing_ok=True)
+    oc.save_csv(traj, path)
+    ref = io.StringIO()
+    np.savetxt(ref, np.column_stack([traj.times(), samples]), fmt="%.17g", delimiter=",",
+               header="t," + ",".join(f"x{i + 1}" for i in range(n)), comments="")
+    assert path.read_bytes() == ref.getvalue().encode()
+    back = oc.load_csv(path)
+    assert back.samples.tobytes() == samples.tobytes()
+    assert back.step == traj.step
+
+
+@settings(max_examples=50)
+@given(n_traj=st.integers(1, 3), n_centers=st.integers(1, 4), n_params=st.integers(1, 3),
+       data=st.data())
+def test_constraint_system_csv_reads_back_in_row_index_order(csv_dir, n_traj, n_centers,
+                                                              n_params, data):
+    A = data.draw(arrays(float, (n_traj * n_centers, n_params), elements=FINITE))
+    b = data.draw(arrays(float, n_traj * n_centers, elements=FINITE))
+    system = sysid.ConstraintSystem(A, b, n_traj, n_centers)
+    path = csv_dir / "system.csv"
+    path.unlink(missing_ok=True)
+    system.save_csv(path)
+    header, *lines = path.read_text().splitlines()
+    assert header == "row," + ",".join(f"p{i}" for i in range(n_params)) + ",b"
+    assert len(lines) == A.shape[0]
+    names = [line.split(",", 1)[0] for line in lines]
+    for j in range(n_traj):
+        for s in range(n_centers):
+            assert names[system.row_index(j, s)] == f"traj{j}:center{s}"
+    table = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+    assert table[:, :-1].tobytes() == A.tobytes()
+    assert table[:, -1].tobytes() == b.tobytes()
 
 
 # -- direct vs stream under the trapezoid rule ------------------------------

@@ -33,6 +33,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.zeros((5, 1)), 0.0)
 
+    @pytest.mark.parametrize("samples, message", [
+        (np.zeros(5), r"samples must be 2-D, got shape \(5,\)"),
+        (np.array([[0.0], [np.inf], [1.0]]), "trajectory samples must be finite"),
+    ], ids=["1-D", "infinite"])
+    def test_malformed_samples_are_named(self, samples, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Trajectory(samples, 0.1)
+
     def test_samples_read_only(self):
         tr = ramp()
         with pytest.raises(ValueError):
@@ -55,6 +63,15 @@ class TestSegment:
         tr = ramp(11)
         parts = oc.segment(tr, 3)
         assert [p.n_intervals for p in parts] == [4, 3, 3]
+
+    @pytest.mark.parametrize("pieces, message", [
+        (lambda tr: [], "nothing to concatenate"),
+        (lambda tr: [tr, Trajectory(tr.samples, 2 * tr.step)], "segments have mismatched steps"),
+        (lambda tr: [tr, tr], "segments do not share boundary samples"),
+    ], ids=["empty", "steps", "boundary"])
+    def test_concatenate_needs_contiguous_segments(self, pieces, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oc.concatenate(pieces(ramp(5)))
 
     def test_each_segment_at_least_two_intervals(self):
         tr = ramp(7)  # 6 intervals
@@ -226,6 +243,14 @@ class TestCsv:
         with pytest.raises(TrajectoryParseError):
             oc.load_csv(path)
 
+    def test_state_columns_must_be_x1_to_xn(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,x2,x1\n0,1,2\n0.1,2,3\n0.2,3,4\n")
+        with pytest.raises(TrajectoryParseError,
+                           match="state columns must be x1,x2, got x2,x1$") as exc:
+            oc.load_csv(path)
+        assert exc.value.line == 1
+
     def test_bad_float_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x1\n0,1\n0.1,oops\n0.2,3\n")
@@ -372,6 +397,12 @@ class TestTrajectorySet:
         assert len(ts.trajectories) == 2
         same = oc.as_trajectory_set(ts)
         assert same is ts
+        one = oc.as_trajectory_set(trs[0])
+        assert len(one) == 1 and one[0] is trs[0]
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^TrajectorySet cannot be empty$"):
+            oc.as_trajectory_set([])
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
