@@ -437,6 +437,8 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    if cfg.trajectories:
+        raise ConfigError("simulate writes trajectories; it does not read --trajectories")
     if cfg.system is None:
         raise ConfigError("simulate requires --system")
     # Only the noise stage applies: the files hold whole, unfiltered paths.
@@ -615,6 +617,8 @@ _TARGETS = {
 
 
 def cmd_stream(cfg: ExperimentConfig) -> int:
+    if cfg.trajectories:
+        raise ConfigError("stream reads its trajectory from stdin, not from --trajectories")
     lines = sys.stdin
     header = lines.readline()
     if header == "":

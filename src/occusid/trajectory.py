@@ -215,12 +215,28 @@ def _cell(v) -> str:
     return v if isinstance(v, str) else "" if v is None else FMT % v
 
 
+# rows of a float table per % of the repeated row format. A block's floats and
+# text are held at once, never the whole file's; 256 rows write as fast as
+# 4096, whose 1 MB per block raised the peak RSS of `simulate` by 0.5 MB.
+_BLOCK = 256
+
+
 def _write_csv(path, header: str, rows, notes=()) -> None:
-    """Write the header, a line of comma-joined _cell cells per row, then `# ` notes."""
+    """Write the header, a line of comma-joined _cell cells per row, then `# ` notes.
+
+    rows is an iterable of rows, or a 2-D float ndarray, whose lines are the
+    same text formatted _BLOCK rows at a time.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join([FMT] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _BLOCK):
+                block = rows[start:start + _BLOCK]
+                fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))
+        else:
+            for row in rows:
+                fh.write(",".join(map(_cell, row)) + "\n")
         for note in notes:
             fh.write(f"# {note}\n")
 
@@ -228,8 +244,7 @@ def _write_csv(path, header: str, rows, notes=()) -> None:
 def save_csv(traj: Trajectory, path) -> None:
     """Write `t,x1,...,xn` rows, which load_csv reads back to the same doubles."""
     header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
-    # row by row: tolist() of the whole table holds 32 bytes per value at once
-    _write_csv(path, header, map(np.ndarray.tolist, np.column_stack([traj.times(), traj.samples])))
+    _write_csv(path, header, np.column_stack([traj.times(), traj.samples]))
 
 
 def _parse_header(line: str) -> int:

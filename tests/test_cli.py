@@ -754,13 +754,19 @@ def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, 
     (["convergence", "--trajectories", "f.csv,f.csv", "--centers=-1:3:1",
       "--h-values", "0.01,0.005,0.0025"],
      "h_values lists simulation steps; it does not apply to --trajectories files"),
+    # neither command reads the files, so they would be ignored
+    (["simulate", "--system", "system1", "--trajectories", "f.csv"],
+     "simulate writes trajectories; it does not read --trajectories"),
+    (["stream", "--system", "system1", "--trajectories", "f.csv"],
+     "stream reads its trajectory from stdin, not from --trajectories"),
 ], ids=["h-values-text", "emps-form-control", "lorenz-count", "no-data", "basis-term-not-pair",
         "no-default-centers", "sweep-without-system", "montecarlo-without-system",
         "convergence-h-values", "occupation-without-system", "occupation-grid",
         "config-not-object", "empty-file", "zero-step", "files-with-h", "files-with-T",
-        "files-with-h-values"])
+        "files-with-h-values", "simulate-with-files", "stream-with-files"])
 def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream_rows(20)))
     files = {"f.csv": stream_rows(20), "terms.json": '{"basis_terms": [5]}',
              "list.json": "[1, 2]", "empty.csv": "", "zero_step.csv": "t,x1\n0,1\n0,2\n0,3\n"}
     for name, text in files.items():

@@ -161,6 +161,13 @@ class TestIntegrateRk4:
         with pytest.raises(ValueError, match=f"^{name} "):
             oc.integrate_rk4(field, **args)
 
+    @pytest.mark.parametrize("value", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+    def test_field_value_of_another_length_is_rejected(self, value):
+        # numpy arithmetic would broadcast a (1,) value over both coordinates
+        field = oc.VectorField(2, lambda x: np.array(value))
+        with pytest.raises(ValueError):
+            oc.integrate_rk4(field, np.array([0.0, 0.0]), 1.0, 0.1)
+
     def test_divergence_raises_with_time(self):
         field = oc.VectorField(1, lambda x: x * x)
         with pytest.raises(DivergenceError) as exc:

@@ -9,6 +9,7 @@ with that reference to a stated rounding bound of the exact product.
 import dataclasses
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 import occusid as oc
 from occusid import dynamics, kernels, sysid, trajectory
-from occusid.errors import TrajectoryParseError, UnsupportedKernelError
+from occusid.errors import DivergenceError, TrajectoryParseError, UnsupportedKernelError
 
 # -- term tables vs the term formulas ---------------------------------------
 
@@ -274,6 +275,44 @@ def test_rk4_keeps_negative_zero_states():
     assert_same_bits(tr.samples, rk4_reference(field.func, [-0.0, -0.0], 2, 0.05, None))
 
 
+# -- the float Lorenz field vs its numpy-scalar expression ------------------
+
+LORENZ_STATES = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e200, -1e200, math.nan]))
+
+
+def lorenz_reference(x):
+    """The Lorenz right-hand side on numpy float64 scalars."""
+    return np.array([10.0 * (x[1] - x[0]), x[0] * (28.0 - x[2]) - x[1],
+                     x[0] * x[1] - 8.0 / 3.0 * x[2]])
+
+
+@settings(max_examples=300)
+@given(x=arrays(float, 3, elements=LORENZ_STATES))
+def test_lorenz_field_matches_numpy_scalars(x):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = lorenz_reference(x)
+    got = _FIELDS[3](x)
+    # Where two NaNs of different sign or payload meet, IEEE 754 leaves open
+    # which one an operation returns, and numpy's scalar code and Python's
+    # float code pick differently; every other entry, -0.0 and inf included,
+    # has the reference's bits.
+    nan = np.isnan(expect)
+    assert np.array_equal(np.isnan(got), nan)
+    assert_same_bits(got[~nan], expect[~nan])
+
+
+@pytest.mark.parametrize("x0", [[1e200, 1e200, 1e200], [1e154, -1e154, 0.0], [0.0, 0.0, 1e308]])
+def test_lorenz_divergence_is_a_divergence_error(x0):
+    field = oc.builtin_system("lorenz")[0]
+    with pytest.raises(DivergenceError) as info:
+        oc.integrate_rk4(field, np.array(x0), 1.0, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = rk4_reference(lorenz_reference, x0, 10, 0.1, None)
+    first_bad = int(np.argmin(np.isfinite(expect).all(axis=1)))
+    assert first_bad > 0
+    assert info.value.time_reached == first_bad * 0.1
+
+
 # -- np.loadtxt route vs _parse_rows route ----------------------------------
 
 NOISE = ["", " ", "\t", "\xa0", "#", "# note", "_", "1_0", "nan", "-inf", "+inf", "\uff11",
@@ -422,6 +461,35 @@ def test_constraint_system_csv_reads_back_in_row_index_order(csv_dir, n_traj, n_
     table = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
     assert table[:, :-1].tobytes() == A.tobytes()
     assert table[:, -1].tobytes() == b.tobytes()
+
+
+# One short block, a short last block, whole blocks and one row past them.
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 10_001])
+def test_block_writer_matches_row_by_row_cells(csv_dir, rows):
+    assert 4096 % trajectory._BLOCK == 0
+    specials = np.array([-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, math.inf, math.nan])
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 4)) * 10.0 ** rng.integers(-300, 300, size=(rows, 4))
+    table.flat[rng.permutation(table.size)[:len(specials)]] = specials[:table.size]
+    paths = csv_dir / "blocks.csv", csv_dir / "cells.csv"
+    for path, body in zip(paths, (table, map(np.ndarray.tolist, table))):
+        path.unlink(missing_ok=True)
+        trajectory._write_csv(path, "t,x1,x2,x3", body, notes=["a note"])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_save_csv_holds_a_block_not_the_file(tmp_path, lorenz_traj):
+    path = tmp_path / "lorenz.csv"
+    tracemalloc.start()
+    try:
+        oc.save_csv(lorenz_traj, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert lorenz_traj.samples.shape == (100_001, 3) and size > 7e6
+    # the (t, x) table (3.2 MB) and one block's floats and text, not 7.5 MB of text
+    assert peak < 0.75 * size
 
 
 # -- direct vs stream under the trapezoid rule ------------------------------
