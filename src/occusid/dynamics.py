@@ -12,15 +12,17 @@ functions evaluate vectorized: given points X of shape (P, n) they return
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, pairwise
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .errors import DivergenceError
 from .kernels import _term_maps
-from .trajectory import GRID_RTOL, Trajectory, _is_count, _parse_rows
+from .trajectory import GRID_RTOL, Trajectory, _is_count, _is_real, _parse_rows
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,13 @@ class VectorField:
 
     time_augmented marks systems whose last coordinate is time itself
     (x_n' = 1), the device used to handle explicit control inputs.
+
+    func takes an (n,) ndarray and returns n values. A func may carry a
+    float form as its `_float` attribute: g(list of n floats) -> list of n
+    floats, with func(x) = np.array(g(x as floats)). integrate_rk4 calls g
+    on its float state directly and wraps any other func as
+    func(np.array(xs)).tolist(). The built-in polynomial systems are
+    written once as float forms (_POLYNOMIAL_SYSTEMS).
     """
 
     dim: int
@@ -299,63 +308,75 @@ def integrate_rk4(
     drawn uniformly from [-eps, eps]^n up front as one (steps, n) array, the
     same bits as one draw per step from default_rng(seed).
     Raises DivergenceError with the time reached if the state leaves the
-    finite floats, and ValueError if a field value does not have n entries.
+    finite floats, and ValueError if a field value or a callable's eta does
+    not have n entries.
 
-    Cost: one numpy call per field evaluation (the field takes and returns
-    an ndarray); between them the state is a list of Python floats, and the
-    stage points and the update are float arithmetic in the order
-    x + (h/6)(((k1 + 2k2) + 2k3) + k4), which gives numpy's bits. On a
-    3-coordinate state a numpy call costs about ten times the arithmetic it
-    does, so this wins for small n and loses as n grows. Median us per step
-    for the field -x, a numpy state -> this float state, on a 2-vCPU AMD EPYC
-    (Python 3.11, numpy 2.4): n = 3: 5.4 -> 4.1; n = 10: 5.6 -> 5.8;
-    n = 30: 5.6 -> 10.3; n = 100: 5.7 -> 25.5. Every system the CLI
-    simulates has n <= 3.
+    Cost: the state is a list of Python floats. The stage points and the
+    update are float arithmetic in the order x + (h/6)(((k1 + 2k2) + 2k3) + k4),
+    which gives numpy's bits, and each state is appended to one array of
+    doubles. A field whose func carries a float form (VectorField) is called
+    on the floats with no numpy call; any other func costs one numpy round
+    trip, np.array then tolist, per evaluation. Median us per step on a
+    2-vCPU Xeon (Python 3.11, numpy 2.4): float forms, system1 3.4 and
+    lorenz 3.7 (5.8 with the (eps, seed) disturbance); the wrapped field -x,
+    n = 3: 6.6, n = 10: 10.1, n = 30: 18.7, n = 100: 51 (10.0 at n = 3 with a
+    callable disturbance). The float arithmetic grows with n, so past
+    n = 10 numpy arithmetic on an ndarray state would be faster; every
+    system the CLI simulates has n <= 3.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (field.dim,):
-        raise ValueError(f"x0 must have shape ({field.dim},), got {x0.shape}")
+    n = field.dim
+    if x0.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
     for name, value in (("T", T), ("h", h)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (_is_real(value) and 0 < value < np.inf):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     ratio = T / h
     steps = int(round(ratio)) if ratio < np.inf else 0
     if abs(ratio - steps) > GRID_RTOL * max(steps, 1) or steps < 2:
         raise ValueError(f"T/h = {ratio} does not give a usable whole number of steps")
 
-    f = field.func
-
-    def plus(eta):  # f with one step's disturbance added
-        return lambda y: f(y) + eta
+    f = getattr(field.func, "_float", None)
+    if f is None:  # an ndarray func: one numpy round trip per stage
+        def f(xs, _func=field.func):
+            return _func(np.array(xs)).tolist()
 
     if process_noise is None:
-        def step_field(k, x):
-            return f
+        eta_at = None
     elif callable(process_noise):
-        def step_field(k, x):
-            return plus(np.asarray(process_noise(x), dtype=float))
+        def eta_at(k, x):
+            eta = np.asarray(process_noise(np.array(x)), dtype=float)
+            if eta.shape != (n,):
+                raise ValueError(f"process_noise must give {n} values, got shape {eta.shape}")
+            return eta.tolist()
     else:
         eps, seed = process_noise
-        if not 0 <= eps < np.inf:
-            raise ValueError(f"process_noise amplitude must be finite and >= 0, got {eps}")
-        noise = np.random.default_rng(seed).uniform(-float(eps), float(eps),
-                                                    size=(steps, field.dim))
+        if not (_is_real(eps) and 0 <= eps < np.inf):
+            raise ValueError(f"process_noise amplitude must be finite and >= 0, got {eps!r}")
+        noise = np.random.default_rng(seed).uniform(-float(eps), float(eps), size=(steps, n))
 
-        def step_field(k, x):
-            return plus(noise[k])
+        def eta_at(k, x):
+            return noise[k].tolist()
 
-    samples = np.empty((steps + 1, field.dim))
-    samples[0] = x0
+    def plus(eta):  # f with one step's disturbance added
+        def g(xs):
+            value = f(xs)
+            if len(value) != n:  # map would stop at n
+                raise ValueError(f"the field gave {len(value)} values, not {n}")
+            return list(map(add, value, eta))
+
+        return g
+
     x = x0.tolist()
+    samples = array("d", x)  # row after row: fromlist of a short list is a fraction of a row store
     half, sixth = 0.5 * h, h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            y = np.array(x)
-            g = step_field(k, y)  # the right-hand side over step k's four stages
-            k1 = g(y).tolist()
-            k2 = g(np.array([a + half * b for a, b in zip(x, k1)])).tolist()
-            k3 = g(np.array([a + half * b for a, b in zip(x, k2)])).tolist()
-            k4 = g(np.array([a + h * b for a, b in zip(x, k3)])).tolist()
+            g = f if eta_at is None else plus(eta_at(k, x))  # over step k's four stages
+            k1 = g(x)
+            k2 = g([a + half * b for a, b in zip(x, k1)])
+            k3 = g([a + half * b for a, b in zip(x, k2)])
+            k4 = g([a + h * b for a, b in zip(x, k3)])
             x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                  for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4, strict=True)]
             if not all(map(math.isfinite, x)):
@@ -363,8 +384,8 @@ def integrate_rk4(
                     f"state became non-finite at t = {(k + 1) * h:.6g}",
                     time_reached=(k + 1) * h,
                 )
-            samples[k + 1] = x
-    return Trajectory(samples, h)
+            samples.fromlist(x)
+    return Trajectory(np.frombuffer(samples).reshape(steps + 1, n), h)
 
 
 def control_from_csv(path) -> Callable[[np.ndarray], np.ndarray]:
@@ -412,18 +433,35 @@ def _emps_basis(control) -> BasisSet:
                     known_part=known)
 
 
-def _lorenz(x: np.ndarray) -> np.ndarray:
-    # Float arithmetic with numpy's bits: only +, - and *, which overflow to inf
-    # and never raise. system1's x1 ** 2 stays numpy, since float ** raises
-    # OverflowError where numpy gives inf, and x1 * x1 is not pow's bits.
-    x1, x2, x3 = x.tolist()
-    return np.array([10.0 * (x2 - x1), x1 * (28.0 - x3) - x2, x1 * x2 - 8.0 / 3.0 * x3])
+def _system1(x):
+    x1, x2 = x
+    try:  # libm pow, the bits of numpy's scalar **; x1 * x1 rounds differently at some x1
+        square = x1 ** 2
+    except OverflowError:  # where numpy's ** gives inf
+        square = math.inf
+    return [2.0 * x1 - x1 * x2, 2.0 * square - x2]
 
 
-# Dimension, right-hand side and true terms, keyed by (monomial label, output
+def _lorenz(x):
+    x1, x2, x3 = x
+    return [10.0 * (x2 - x1), x1 * (28.0 - x3) - x2, x1 * x2 - 8.0 / 3.0 * x3]
+
+
+def _on_ndarray(g):
+    """The ndarray func of the float form g, which it carries as `_float`."""
+    def func(x):
+        return np.array(g(np.asarray(x, dtype=float).tolist()))
+
+    func._float = g
+    return func
+
+
+# Dimension, float form and true terms, keyed by (monomial label, output
 # coordinate), of the systems identified over a degree-2 monomial library.
+# Each float form is numpy's arithmetic on float64 scalars done in Python
+# floats, + - * and ** only, so it gives numpy's bits and overflows to inf.
 _POLYNOMIAL_SYSTEMS = {
-    "system1": (2, lambda x: np.array([2.0 * x[0] - x[0] * x[1], 2.0 * x[0] ** 2 - x[1]]),
+    "system1": (2, _system1,
                 {("x1", 0): 2.0, ("x1*x2", 0): -1.0, ("x1^2", 1): 2.0, ("x2", 1): -1.0}),
     "lorenz": (3, _lorenz,
                {("x1", 0): -10.0, ("x2", 0): 10.0, ("x1", 1): 28.0, ("x2", 1): -1.0,
@@ -444,9 +482,9 @@ def builtin_system(name: str, control=None, theta=None):
                 known part h(x) = (x2, 0, 1) is carried on the basis.
     """
     if name in _POLYNOMIAL_SYSTEMS:
-        dim, f, terms = _POLYNOMIAL_SYSTEMS[name]
+        dim, g, terms = _POLYNOMIAL_SYSTEMS[name]
         basis = monomial_basis(MonomialSpec(dim=dim, degree=2))
-        return VectorField(dim=dim, func=f), _on_library(basis, terms), basis
+        return VectorField(dim=dim, func=_on_ndarray(g)), _on_library(basis, terms), basis
     if name == "emps_form":
         if control is None:
             raise ValueError("emps_form takes its control signal as data; "

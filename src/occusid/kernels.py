@@ -104,14 +104,13 @@ non-finite entries without a warning; the assembly layers check for them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UnsupportedKernelError
-from .trajectory import _freeze
+from .trajectory import _freeze, _is_real
 
 FAMILIES = ("gaussian_rbf", "exp_dot", "polynomial", "linear")
 
@@ -126,11 +125,6 @@ def _as_point(x) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"expected a single point, got shape {x.shape}")
     return x
-
-
-def _is_real(v) -> bool:
-    """Whether v is a real number and not a bool, the rule of Kernel's mu and degree."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _rows(X) -> np.ndarray:

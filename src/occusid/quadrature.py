@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .trajectory import Trajectory, _by_constructor, _freeze
+from .trajectory import Trajectory, _by_constructor, _freeze, _is_real
 
 SCHEMES = ("right_hand", "trapezoid", "simpson")
 
@@ -72,10 +72,10 @@ def weights(rule, n_intervals: int, h: float) -> np.ndarray:
     which keeps the O(h^4) order.
     """
     rule = as_rule(rule)
-    if not 0 < h < np.inf:
-        raise ValueError(f"h must be finite and positive, got {h}")
-    if not (float(n_intervals).is_integer() and n_intervals >= 1):
-        raise ValueError(f"n_intervals must be a whole number >= 1, got {n_intervals}")
+    if not (_is_real(h) and 0 < h < np.inf):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+    if not (_is_real(n_intervals) and float(n_intervals).is_integer() and n_intervals >= 1):
+        raise ValueError(f"n_intervals must be a whole number >= 1, got {n_intervals!r}")
     F = int(n_intervals)
     if rule.scheme == "right_hand":
         w = np.full(F + 1, h)

@@ -56,6 +56,11 @@ def _is_count(v, least=0, stop=math.inf) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and least <= v < stop
 
 
+def _is_real(v) -> bool:
+    """Whether v is a real number (bool excluded): the one number rule."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Samples of one path: `samples[k]` is the state at time k*step.
@@ -175,8 +180,8 @@ def segment(traj: Trajectory, parts: int) -> TrajectorySet:
 
 def add_measurement_noise(traj: Trajectory, sigma: float, seed: int) -> Trajectory:
     """Corrupt every sample with i.i.d. N(0, sigma^2) noise per coordinate."""
-    if not 0 <= sigma < np.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not (_is_real(sigma) and 0 <= sigma < np.inf):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     if sigma == 0:
         return traj
     rng = np.random.default_rng(seed)

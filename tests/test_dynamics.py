@@ -168,6 +168,14 @@ class TestIntegrateRk4:
         with pytest.raises(ValueError):
             oc.integrate_rk4(field, np.array([0.0, 0.0]), 1.0, 0.1)
 
+    @pytest.mark.parametrize("noise", [(0.1, 3), lambda x: np.full(2, 0.1)],
+                             ids=["bulk", "callable"])
+    @pytest.mark.parametrize("value", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+    def test_field_value_of_another_length_is_rejected_under_noise(self, value, noise):
+        field = oc.VectorField(2, lambda x: np.array(value))
+        with pytest.raises(ValueError):
+            oc.integrate_rk4(field, np.array([0.0, 0.0]), 1.0, 0.1, process_noise=noise)
+
     def test_divergence_raises_with_time(self):
         field = oc.VectorField(1, lambda x: x * x)
         with pytest.raises(DivergenceError) as exc:
@@ -187,6 +195,24 @@ class TestIntegrateRk4:
         noisy = oc.integrate_rk4(field, np.array([1.0]), 1.0, 0.01, process_noise=(eps, 7))
         # disturbance is bounded by eps, so paths deviate by at most ~eps * T * e^(LT)
         assert np.max(np.abs(noisy.samples - clean.samples)) < 10 * eps
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"process_noise": (True, 3)}, "process_noise"), ({"T": True}, "T"), ({"h": True}, "h")])
+    def test_bool_is_not_a_number(self, kw, name):
+        # True would be taken as 1
+        field = oc.VectorField(1, lambda x: -x)
+        args = {"x0": np.array([1.0]), "T": 2.0, "h": 0.1, **kw}
+        with pytest.raises(ValueError, match=f"^{name} .*got True$"):
+            oc.integrate_rk4(field, **args)
+
+    @pytest.mark.parametrize("eta", [lambda x: np.array([0.1]), lambda x: 0.1,
+                                     lambda x: np.full((3, 1), 0.1), lambda x: np.zeros(4)],
+                             ids=["one", "scalar", "column", "long"])
+    def test_callable_disturbance_gives_n_values(self, eta):
+        # numpy would broadcast one value over every coordinate
+        field = oc.builtin_system("lorenz")[0]
+        with pytest.raises(ValueError, match=r"^process_noise must give 3 values, got shape"):
+            oc.integrate_rk4(field, np.array([1.0, 1.0, 1.0]), 0.01, 1e-3, process_noise=eta)
 
     def test_callable_disturbance(self):
         field = oc.VectorField(1, lambda x: np.zeros(1))

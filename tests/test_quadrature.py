@@ -68,6 +68,12 @@ class TestWeights:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             oc.weights("simpson", F, h)
 
+    @pytest.mark.parametrize("F, h, name", [(True, 0.1, "n_intervals"), (4, True, "h")])
+    def test_bool_is_not_a_number(self, F, h, name):
+        # True would be taken as 1 interval or a step of 1
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            oc.weights("trapezoid", F, h)
+
 
 class TestIntegrate:
     @pytest.mark.parametrize("rule", RULES)

@@ -313,6 +313,80 @@ def test_lorenz_divergence_is_a_divergence_error(x0):
     assert info.value.time_reached == first_bad * 0.1
 
 
+# -- each built-in float form vs its numpy-scalar expression ---------------
+
+# system1 squares x1: from |x1| = 1.4e154 on, float ** raises OverflowError
+# where numpy's ** gives inf.
+SYSTEM1_STATES = st.one_of(LORENZ_STATES, st.floats(1.3e154, 1.5e154), st.floats(-1e160, -1.4e154),
+                           st.sampled_from([1.3407807929942596e154, 1.4e154, -1.4e154]))
+
+
+def system1_reference(x):
+    """system1's right-hand side on numpy float64 scalars."""
+    return np.array([2.0 * x[0] - x[0] * x[1], 2.0 * x[0] ** 2 - x[1]])
+
+
+_REFERENCES = {"system1": (system1_reference, SYSTEM1_STATES),
+               "lorenz": (lorenz_reference, LORENZ_STATES)}
+
+
+def assert_form_matches_reference(name, x):
+    field = oc.builtin_system(name)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = _REFERENCES[name][0](x)
+    form = field.func._float(x.tolist())
+    assert type(form) is list and all(type(v) is float for v in form)
+    # The NaN-placement rule of test_lorenz_field_matches_numpy_scalars.
+    nan = np.isnan(expect)
+    for got in (np.array(form), field(x)):
+        assert np.array_equal(np.isnan(got), nan)
+        assert_same_bits(got[~nan], expect[~nan])
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_float_form_and_its_ndarray_func_match_numpy_scalars(name, data):
+    x = data.draw(arrays(float, 2 if name == "system1" else 3, elements=_REFERENCES[name][1]))
+    assert_form_matches_reference(name, x)
+
+
+# At the first two, glibc 2.36's pow(x1, 2) is one ulp from x1 * x1, so a
+# form that squares by a product fails here; the rest overflow the square or
+# carry NaN.
+@pytest.mark.parametrize("x", [[2.3480084736201086, 1.0], [-6.410639413088091, -0.0],
+                               [1.4e154, 1.0], [-1e300, -1e300], [math.nan, 2.0]])
+def test_system1_square_is_numpy_scalar_pow(x):
+    assert_form_matches_reference("system1", np.array(x))
+
+
+@pytest.mark.parametrize("noise", [None, "bulk", "callable"])
+@pytest.mark.parametrize("name", sorted(_REFERENCES))
+def test_builtin_field_integrates_as_the_reference(name, noise):
+    field = oc.builtin_system(name)[0]
+    x0 = _STARTS[field.dim]
+    rng = np.random.default_rng(5)
+    process_noise, eta_at = {
+        None: (None, None),
+        "bulk": ((1e-2, 5), lambda x: rng.uniform(-1e-2, 1e-2, size=field.dim)),
+        "callable": ((lambda x: 0.1 * np.cos(x)),) * 2}[noise]
+    tr = oc.integrate_rk4(field, np.array(x0), 0.5, 1e-3, process_noise=process_noise)
+    assert_same_bits(tr.samples, rk4_reference(field.func, x0, 500, 1e-3, eta_at))
+
+
+@pytest.mark.parametrize("x0", [[1.4e154, 0.0], [-1e160, 1.0], [1e100, 0.0], [1e10, 0.0],
+                                [50.0, -50.0]])
+def test_system1_square_overflow_is_a_divergence_error(x0):
+    field = oc.builtin_system("system1")[0]
+    with pytest.raises(DivergenceError) as info:
+        oc.integrate_rk4(field, np.array(x0), 1.0, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = rk4_reference(system1_reference, x0, 10, 0.1, None)
+    first_bad = int(np.argmin(np.isfinite(expect).all(axis=1)))
+    assert first_bad > 0
+    assert info.value.time_reached == first_bad * 0.1
+
+
 # -- np.loadtxt route vs _parse_rows route ----------------------------------
 
 NOISE = ["", " ", "\t", "\xa0", "#", "# note", "_", "1_0", "nan", "-inf", "+inf", "\uff11",

@@ -127,6 +127,11 @@ class TestNoise:
         with pytest.raises(ValueError, match="^sigma must be finite"):
             oc.add_measurement_noise(ramp(), sigma, 0)
 
+    def test_bool_sigma_is_not_a_number(self):
+        # True would be taken as sigma = 1
+        with pytest.raises(ValueError, match="^sigma must be finite and >= 0, got True$"):
+            oc.add_measurement_noise(ramp(), True, 1)
+
 
 class TestMovingAverage:
     def test_window_one_identity(self):
