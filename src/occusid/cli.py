@@ -468,10 +468,14 @@ def cmd_identify(cfg: ExperimentConfig) -> int:
               f"{NEAR_SINGULAR_COND:g}; the fit is nearly singular, so the estimates "
               "may be far from the true parameters")
     result = outcome.result
-    if result.rank_deficient:
-        print(f"note: effective rank {result.effective_rank} is below the "
-              f"{result.n_parameters} parameters; the data do not determine every estimate, "
-              "and condition_number covers the kept singular values only")
+    if result.degenerate:  # a zero system, or an empty sparse support
+        print("note: effective rank 0; no parameter is fitted, and every estimate is 0")
+    elif result.rank_deficient:
+        fitted = (f"{result.n_parameters} parameters" if result.support is None
+                  else f"{result.support.size} parameters of the sparse support")
+        print(f"note: effective rank {result.effective_rank} is below the {fitted}; the data "
+              "do not determine every estimate, and condition_number covers the kept "
+              "singular values only")
     return 0
 
 

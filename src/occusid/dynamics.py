@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .kernels import _term_maps
-from .trajectory import GRID_RTOL, Trajectory, _is_count, _is_real, _parse_rows
+from .trajectory import GRID_RTOL, Trajectory, _count, _is_count, _parse_rows, _real
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,8 @@ class MonomialSpec:
     degree: int
 
     def __post_init__(self):
-        if not _is_count(self.dim, 1):
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
-        if not _is_count(self.degree):
-            raise ValueError(f"degree must be an integer >= 0, got {self.degree!r}")
+        _count(self.dim, "dim", 1)
+        _count(self.degree, "degree")
 
 
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
@@ -266,22 +264,18 @@ def lattice_centers(bounds, width) -> np.ndarray:
     width  : lattice spacing; a scalar applies to every dimension, a sequence
              gives one spacing per dimension.
     Points are ordered lexicographically by dimension index (first dimension
-    varies slowest). Raises ValueError unless every lo <= hi and every width
-    > 0, all finite, with a finite point count.
+    varies slowest). Raises ValueError unless every bound and width is a
+    finite real number, every lo <= hi and width > 0, and the point count is finite.
     """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    n = len(bounds)
-    if np.isscalar(width):
-        widths = [float(width)] * n
-    else:
-        widths = [float(w) for w in width]
-        if len(widths) != n:
-            raise ValueError("one width per dimension required")
+    bounds = [(_real(lo, "bounds"), _real(hi, "bounds")) for lo, hi in bounds]
+    widths = [_real(w, "width", "finite and positive")
+              for w in ([width] * len(bounds) if np.ndim(width) == 0 else width)]
+    if len(widths) != len(bounds):
+        raise ValueError("one width per dimension required")
     axes = []
     for (lo, hi), w in zip(bounds, widths):
-        if not (math.isfinite(hi - lo) and 0 < w < math.inf and lo <= hi):
-            raise ValueError(f"bound ({lo}, {hi}) with width {w}: need finite lo <= hi "
-                             "and a finite width > 0")
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise ValueError(f"bound ({lo}, {hi}): need lo <= hi with a finite hi - lo")
         if not math.isfinite((hi - lo) / w):
             raise ValueError(f"bound ({lo}, {hi}) with width {w}: (hi - lo) / width "
                              "overflows, so the point count is not finite")
@@ -328,9 +322,7 @@ def integrate_rk4(
     n = field.dim
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},), got {x0.shape}")
-    for name, value in (("T", T), ("h", h)):
-        if not (_is_real(value) and 0 < value < np.inf):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    T, h = _real(T, "T", "finite and positive"), _real(h, "h", "finite and positive")
     ratio = T / h
     steps = int(round(ratio)) if ratio < np.inf else 0
     if abs(ratio - steps) > GRID_RTOL * max(steps, 1) or steps < 2:
@@ -351,9 +343,8 @@ def integrate_rk4(
             return eta.tolist()
     else:
         eps, seed = process_noise
-        if not (_is_real(eps) and 0 <= eps < np.inf):
-            raise ValueError(f"process_noise amplitude must be finite and >= 0, got {eps!r}")
-        noise = np.random.default_rng(seed).uniform(-float(eps), float(eps), size=(steps, n))
+        eps = _real(eps, "process_noise amplitude", "finite and >= 0")
+        noise = np.random.default_rng(seed).uniform(-eps, eps, size=(steps, n))
 
         def eta_at(k, x):
             return noise[k].tolist()

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Errors that callers are expected to branch on get their own class; plain
-argument validation raises ValueError directly at the call site.
+Errors that callers are expected to branch on get their own class. Argument
+checks raise ValueError through the trajectory module's owners, _real (scalars),
+_count (counts) and _finite (arrays); the CLI's ExperimentConfig checks its flags.
 """
 
 from __future__ import annotations

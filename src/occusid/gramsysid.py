@@ -70,7 +70,7 @@ from .dynamics import BasisSet
 from .quadrature import as_rule, weights
 from .sysid import (ConstraintSystem, EstimationResult, _checked_trajectories, _fields,
                     _require_finite, _result, _svd_solve)
-from .trajectory import _by_constructor, _freeze
+from .trajectory import _by_constructor, _finite, _freeze
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ class GramSystem:
         G, r = _freeze(self.G), _freeze(self.r)
         if G.ndim != 2 or G.shape[0] != G.shape[1] or r.shape != (G.shape[0],):
             raise ValueError(f"inconsistent Gram shapes {G.shape} and {r.shape}")
-        if not (np.isfinite(G).all() and np.isfinite(r).all()):
-            raise ValueError("Gram system entries must be finite")
+        _finite("Gram system entries", G, r)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "r", r)
 

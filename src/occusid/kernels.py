@@ -110,7 +110,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedKernelError
-from .trajectory import _freeze, _is_real
+from .trajectory import _finite, _freeze, _is_real
 
 FAMILIES = ("gaussian_rbf", "exp_dot", "polynomial", "linear")
 
@@ -161,8 +161,7 @@ def _center_set(centers, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"centers must be a non-empty (S, n) array, got shape {C.shape}")
     if dim is not None and C.shape[1] != dim:
         raise ValueError(f"centers have dimension {C.shape[1]}, expected {dim}")
-    if not np.isfinite(C).all():
-        raise ValueError("centers must be finite")
+    _finite("centers", C)
     return C
 
 

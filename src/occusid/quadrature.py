@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .trajectory import Trajectory, _by_constructor, _freeze, _is_real
+from .trajectory import GRID_RTOL, Trajectory, _by_constructor, _finite, _freeze, _is_real, _real
 
 SCHEMES = ("right_hand", "trapezoid", "simpson")
 
@@ -72,8 +72,7 @@ def weights(rule, n_intervals: int, h: float) -> np.ndarray:
     which keeps the O(h^4) order.
     """
     rule = as_rule(rule)
-    if not (_is_real(h) and 0 < h < np.inf):
-        raise ValueError(f"h must be finite and positive, got {h!r}")
+    h = _real(h, "h", "finite and positive")
     if not (_is_real(n_intervals) and float(n_intervals).is_integer() and n_intervals >= 1):
         raise ValueError(f"n_intervals must be a whole number >= 1, got {n_intervals!r}")
     F = int(n_intervals)
@@ -146,8 +145,7 @@ def occupation_eval(est: OccupationKernelEstimate, x):
         raise ValueError(
             f"point dimension {pts.shape[1]} does not match trajectory dimension {est.trajectory.dim}"
         )
-    if not np.isfinite(pts).all():
-        raise ValueError("points x must be finite")
+    _finite("points x", pts)
     X = est.trajectory.samples
     samples = est.kernel._prepare(X)  # the samples' side of the kernel, shared by every block
     rows = max(1, kernels.ENTRIES // X.shape[0])
@@ -203,13 +201,10 @@ def homotopy_distance(traj0: Trajectory, traj1: Trajectory, s1: float, s2: float
     """
     if traj0.n_samples != traj1.n_samples or traj0.dim != traj1.dim:
         raise ValueError("homotopy endpoints must share the sample grid and dimension")
-    if abs(traj0.step - traj1.step) > 1e-9 * traj0.step:
+    if abs(traj0.step - traj1.step) > GRID_RTOL * traj0.step:
         raise ValueError("homotopy endpoints must share the time step")
-    for s in (s1, s2):
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"homotopy parameter must be in [0, 1], got {s}")
     mid = []
-    for s in (s1, s2):
+    for s in (_real(s1, "s1", "in [0, 1]"), _real(s2, "s2", "in [0, 1]")):
         samples = (1.0 - s) * traj0.samples + s * traj1.samples
         mid.append(OccupationKernelEstimate(Trajectory(samples, traj0.step), kernel, rule))
     return max(norm_distance_squared(mid[0], mid[1]), 0.0)

@@ -41,7 +41,7 @@ from .dynamics import BasisSet
 from .errors import DivergenceError
 from .kernels import _center_set
 from .sysid import _fields, _known_split, _require_finite, _svd_solve
-from .trajectory import GRID_RTOL, _by_constructor, _freeze, off_grid
+from .trajectory import GRID_RTOL, _by_constructor, _finite, _freeze, _real, off_grid
 
 
 # The one quadrature weight of a sample's rows: each panel applies h / 2 itself.
@@ -60,28 +60,20 @@ class StreamState:
 
     def __init__(self, centers, basis: BasisSet, kernel, step: float, window: float = 0.0,
                  alpha: float | None = None, theta0=None):
-        centers = _center_set(centers, basis.dim)
-        if not 0 < step < np.inf:
-            raise ValueError(f"step must be finite and positive, got {step}")
-        if not window >= 0:
-            raise ValueError(f"window must be >= 0 (0 means growing), got {window}")
-        if alpha is not None and not 0 <= alpha < np.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-        self.centers = centers
+        self.centers = _center_set(centers, basis.dim)
+        self.step = _real(step, "step", "finite and positive")
+        self.window = _real(window, "window", ">= 0")
+        self.alpha = None if alpha is None else _real(alpha, "alpha", "finite and >= 0")
         self.basis = basis
         self.kernel = kernel
-        self._centers = kernel._prepare(centers)  # the centers' side of every kernel pass
-        self.step = float(step)
-        self.window = float(window)
+        self._centers = kernel._prepare(self.centers)  # the centers' side of every kernel pass
         ratio = self.window / self.step  # keep 0 grows: window 0 or inf
         self._keep = max(1, int(np.ceil(ratio - GRID_RTOL))) if 0 < ratio < np.inf else 0
-        self.alpha = None if alpha is None else float(alpha)
-        M, S = len(basis), centers.shape[0]
+        M, S = len(basis), self.centers.shape[0]
         self.theta = np.zeros(M) if theta0 is None else np.asarray(theta0, dtype=float).copy()
         if self.theta.shape != (M,):
             raise ValueError(f"theta0 must have shape ({M},)")
-        if not np.isfinite(self.theta).all():
-            raise ValueError("theta0 must be finite")
+        _finite("theta0", self.theta)
         self.time = 0.0
         self.t0 = None
         self.n_samples = 0
@@ -128,14 +120,12 @@ def stream_push(state: StreamState, samples, times=None) -> StreamState:
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != state.basis.dim:
         raise ValueError(f"samples have dimension {samples.shape[1]}, expected {state.basis.dim}")
-    if not np.isfinite(samples).all():
-        raise ValueError("samples must be finite")
+    _finite("samples", samples)
     if times is not None:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if times.shape != (samples.shape[0],):
             raise ValueError("one time per sample required")
-        if not np.isfinite(times).all():
-            raise ValueError("times must be finite")
+        _finite("times", times)
     h = state.step
     checked = []  # (rows, psi) per sample
     for q, x in enumerate(samples):

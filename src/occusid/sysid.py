@@ -38,7 +38,8 @@ from .dynamics import BasisSet
 from .errors import DivergenceError, IterationLimitError
 from .kernels import _center_set
 from .quadrature import as_rule, weights
-from .trajectory import _by_constructor, _freeze, _is_count, _write_csv, as_trajectory_set
+from .trajectory import (_by_constructor, _count, _finite, _freeze, _real, _write_csv,
+                         as_trajectory_set)
 
 CD_TOL = 1e-10
 CD_MAX_SWEEPS = 100_000
@@ -69,8 +70,7 @@ class ConstraintSystem:
                 f"{A.shape[0]} rows do not match {self.n_trajectories} trajectories "
                 f"x {self.n_centers} centers"
             )
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ValueError("constraint system entries must be finite")
+        _finite("constraint system entries", A, b)
         if self.labels is not None and len(self.labels) != A.shape[1]:
             raise ValueError("one label per column required")
         object.__setattr__(self, "A", A)
@@ -122,7 +122,10 @@ class EstimationResult:
 
     @property
     def rank_deficient(self) -> bool:
-        return self.effective_rank < self.n_parameters
+        """Whether the solve kept fewer singular values than the parameters it fit,
+        the support's when one is set; a degenerate solve is."""
+        fitted = self.n_parameters if self.support is None else self.support.size
+        return self.degenerate or self.effective_rank < fitted
 
 
 class Diagnostics(NamedTuple):
@@ -209,8 +212,7 @@ def _rank_cond(s: np.ndarray, rcond: float):
 
     An empty or all-zero spectrum, or a cut above s[0], gives (0, inf).
     """
-    if not rcond >= 0:
-        raise ValueError(f"rcond must be >= 0, got {rcond}")
+    rcond = _real(rcond, "rcond", ">= 0")
     if s.size == 0 or s[0] <= 0.0:
         return 0, np.inf
     rank = int(np.count_nonzero(s > rcond * s[0]))
@@ -248,8 +250,7 @@ def solve_pinv(sys: ConstraintSystem, rcond: float = 1e-12) -> EstimationResult:
 
 def solve_ridge(sys: ConstraintSystem, lam: float, rcond: float = 1e-12) -> EstimationResult:
     """Minimizer of ||A theta - b||^2 + lam ||theta||^2 through the SVD."""
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    lam = _real(lam, "lambda", ">= 0")
     U, s, Vt = np.linalg.svd(sys.A, full_matrices=False)
     rank, cond = _rank_cond(s, rcond)
     if not s.any():
@@ -299,14 +300,11 @@ def solve_sparse(
     coefficients are mapped back to parameter units before any thresholding
     so `threshold` is comparable to theta itself. Stage 2 drops entries below
     threshold, refits unpenalized least squares on the surviving support, and
-    repeats until the support is stable (or max_refits is hit).
+    repeats until the support is stable or max_refits refits have run; the
+    result reports the support, rank and condition of the last refit.
     """
-    if not lam >= 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    if not _is_count(max_refits, 1):
-        raise ValueError(f"max_refits must be an integer >= 1, got {max_refits!r}")
+    lam, threshold = _real(lam, "lambda", ">= 0"), _real(threshold, "threshold", ">= 0")
+    _count(max_refits, "max_refits", 1)
     col_norms = np.linalg.norm(sys.A, axis=0)
     if (col_norms == 0).any():
         dead = np.nonzero(col_norms == 0)[0]
@@ -317,17 +315,15 @@ def solve_sparse(
 
     support = np.nonzero(np.abs(theta) >= threshold)[0]
     theta_full = np.zeros(sys.n_parameters)
-    cond, rank = np.inf, 0
-    for _ in range(max_refits):
+    for refit in range(max_refits):
         if support.size == 0:
             return _result(sys.A, sys.b, theta_full, np.inf, 0, support=support, degenerate=True)
-        sub, cond, rank, degenerate = _svd_solve(sys.A[:, support], sys.b, rcond)
-        theta_full = np.zeros(sys.n_parameters)
-        theta_full[support] = sub
-        new_support = support[np.abs(sub) >= threshold]
-        if new_support.size == support.size:
+        sub, cond, rank, _ = _svd_solve(sys.A[:, support], sys.b, rcond)
+        kept = np.abs(sub) >= threshold
+        if kept.all() or refit == max_refits - 1:  # at the cap, the support sub was fit on
             break
-        support = new_support
+        support = support[kept]
+    theta_full[support] = sub
     return _result(sys.A, sys.b, theta_full, cond, rank, support=support)
 
 

@@ -56,9 +56,38 @@ def _is_count(v, least=0, stop=math.inf) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and least <= v < stop
 
 
+def _count(v, name: str, least: int = 0) -> None:
+    """A ValueError naming the argument unless _is_count(v, least)."""
+    if not _is_count(v, least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
 def _is_real(v) -> bool:
     """Whether v is a real number (bool excluded): the one number rule."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+_BIG = float(np.finfo(float).max)
+# The ranges _real checks, keyed by the words its errors use: each is a closed
+# interval [least, most] of doubles; positive starts at the smallest positive double.
+_RANGES = {"finite": (-_BIG, _BIG), "finite and positive": (5e-324, _BIG),
+           "finite and >= 0": (0.0, _BIG), ">= 0": (0.0, math.inf), "in [0, 1]": (0.0, 1.0)}
+
+
+def _real(v, name: str, within: str = "finite") -> float:
+    """v as a float, when it is a real number (_is_real, written out so that a
+    check is one call) in the range _RANGES[within]; else a ValueError naming it."""
+    least, most = _RANGES[within]
+    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and least <= float(v) <= most):
+        raise ValueError(f"{name} must be {within}, got {v!r}")
+    return float(v)
+
+
+def _finite(what: str, *arrays) -> None:
+    """A ValueError, "{what} must be finite", unless every entry of the arrays is."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,7 +95,7 @@ class Trajectory:
     """Samples of one path: `samples[k]` is the state at time k*step.
 
     samples : (F+1, n) array, F >= 2, all entries finite.
-    step    : positive sample spacing in time.
+    step    : finite, positive sample spacing in time, kept as a float.
     """
 
     samples: np.ndarray
@@ -82,10 +111,8 @@ class Trajectory:
             raise ValueError(
                 f"trajectory needs at least 3 samples (2 intervals), got {samples.shape[0]}"
             )
-        if not np.isfinite(samples).all():
-            raise ValueError("trajectory samples must be finite")
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive, got {self.step}")
+        _finite("trajectory samples", samples)
+        object.__setattr__(self, "step", _real(self.step, "step", "finite and positive"))
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -160,8 +187,7 @@ def segment(traj: Trajectory, parts: int) -> TrajectorySet:
     remainder). Every segment must keep at least 2 intervals so that it is a
     valid Trajectory on its own.
     """
-    if not _is_count(parts, 1):
-        raise ValueError(f"parts must be an integer >= 1, got {parts!r}")
+    _count(parts, "parts", 1)
     F = traj.n_intervals
     base, rem = divmod(F, parts)
     if base < 2:
@@ -180,9 +206,7 @@ def segment(traj: Trajectory, parts: int) -> TrajectorySet:
 
 def add_measurement_noise(traj: Trajectory, sigma: float, seed: int) -> Trajectory:
     """Corrupt every sample with i.i.d. N(0, sigma^2) noise per coordinate."""
-    if not (_is_real(sigma) and 0 <= sigma < np.inf):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if sigma == 0:
+    if _real(sigma, "sigma", "finite and >= 0") == 0:
         return traj
     rng = np.random.default_rng(seed)
     noisy = traj.samples + rng.normal(0.0, sigma, size=traj.samples.shape)
@@ -195,8 +219,7 @@ def moving_average(traj: Trajectory, window: int) -> Trajectory:
     The window shrinks at the start of the record so the output has the same
     length and grid as the input; the filter is causal.
     """
-    if not _is_count(window, 1):
-        raise ValueError(f"window must be an integer >= 1, got {window!r}")
+    _count(window, "window", 1)
     x = traj.samples
     if window == 1:
         return traj
@@ -390,8 +413,7 @@ def load_csv(path) -> Trajectory:
 
 def subsample(traj: Trajectory, stride: int) -> Trajectory:
     """Keep every stride-th sample. Requires stride to divide the interval count."""
-    if not _is_count(stride, 1):
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    _count(stride, "stride", 1)
     if traj.n_intervals % stride != 0:
         raise ValueError(
             f"stride {stride} does not divide {traj.n_intervals} intervals"

@@ -257,6 +257,21 @@ class TestIdentify:
         assert run(argv[:-1] + [str(tmp_path / "full")]) == 0
         assert "note" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, note", [
+        ([], None),  # the 4-term refit has full rank; it was compared with all 12 parameters
+        (["--rcond", "0.5"], "note: effective rank 2 is below the 4 parameters of the sparse "
+         "support; the data do not determine every estimate, and condition_number covers the "
+         "kept singular values only"),
+        (["--threshold", "100"],
+         "note: effective rank 0; no parameter is fitted, and every estimate is 0"),
+    ], ids=["full-rank", "cut", "empty-support"])
+    def test_sparse_rank_note_counts_the_support(self, tmp_path, capsys, argv, note):
+        sparse = ["identify", "--system", "system1", "--h", "1e-2", "--solver", "sparse",
+                  "--lambda", "1e-6", "--threshold", "1e-3"]
+        assert run(sparse + argv + ["--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "effective rank" in line] == ([note] if note else [])
+
     @pytest.mark.parametrize("command", ["identify", "stream"])
     def test_centers_of_another_dimension_are_config_error(self, tmp_path, monkeypatch, capsys,
                                                            command):
@@ -445,7 +460,7 @@ def test_every_flag_is_in_readme():
         ({}, ["identify", "--rule", "midpoint"], "unknown quadrature rule 'midpoint'"),
         ({}, ["convergence", "--target", "order"], "unknown convergence target 'order'"),
         ({"centers": "0:1:inf,0:1:1"}, ["identify"],
-         "centers: bound (0.0, 1.0) with width inf: need finite lo <= hi and a finite width > 0"),
+         "centers: width must be finite and positive, got inf"),
         ({"h_values": "0.1,nan,0.01"}, ["convergence"],
          "all h values must be finite and positive, got '0.1,nan,0.01'"),
     ],
@@ -604,20 +619,20 @@ def test_bad_jobs_rejected_before_simulation(tmp_path, capsys, monkeypatch, argv
 
 _ID1 = ["identify", "--system", "system1", "--h", "1e-2"]
 _OCC = ["convergence", "--system", "system1", "--target", "occupation", "--h-values"]
-_NEED = ": need finite lo <= hi and a finite width > 0"
+_SPAN = ": need lo <= hi with a finite hi - lo"
+_WIDTH = "centers: width must be finite and positive, got "
 _H_BAD = "all h values must be finite and positive, got "
 
 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (_ID1 + ["--centers=0:inf:1,0:1:1"], "centers: bound (0.0, inf) with width 1.0" + _NEED),
-        (_ID1 + ["--centers=0:1:inf,0:1:1"], "centers: bound (0.0, 1.0) with width inf" + _NEED),
-        (_ID1 + ["--centers=0:1:nan,0:1:1"], "centers: bound (0.0, 1.0) with width nan" + _NEED),
-        (_ID1 + ["--centers=-1e308:1e308:1,0:1:1"],
-         "centers: bound (-1e+308, 1e+308) with width 1.0" + _NEED),
-        (_ID1 + ["--centers=0:1:0,0:1:1"], "centers: bound (0.0, 1.0) with width 0.0" + _NEED),
-        (_ID1 + ["--centers=1:0:1,0:1:1"], "centers: bound (1.0, 0.0) with width 1.0" + _NEED),
+        (_ID1 + ["--centers=0:inf:1,0:1:1"], "centers: bounds must be finite, got inf"),
+        (_ID1 + ["--centers=0:1:inf,0:1:1"], _WIDTH + "inf"),
+        (_ID1 + ["--centers=0:1:nan,0:1:1"], _WIDTH + "nan"),
+        (_ID1 + ["--centers=-1e308:1e308:1,0:1:1"], "centers: bound (-1e+308, 1e+308)" + _SPAN),
+        (_ID1 + ["--centers=0:1:0,0:1:1"], _WIDTH + "0.0"),
+        (_ID1 + ["--centers=1:0:1,0:1:1"], "centers: bound (1.0, 0.0)" + _SPAN),
         (["identify", "--system", "lorenz", "--centers=abc"],
          "center spec 'abc' is not lo:hi:width"),
         (["sweep", "--system", "system1", "--param", "mu", "--values", "1,10",

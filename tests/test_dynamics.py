@@ -108,11 +108,15 @@ class TestLattice:
         with pytest.raises(ValueError, match="^one width per dimension required$"):
             oc.lattice_centers([(0, 1), (0, 1)], [0.5])
 
-    @pytest.mark.parametrize("bounds, width", [([(0, np.inf)], 1.0), ([(0, 1)], np.inf),
-                                               ([(np.nan, 1)], 1.0), ([(0, 1)], np.nan),
-                                               ([(-1e308, 1e308)], 1.0)])
-    def test_non_finite_bounds_or_width(self, bounds, width):
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="need finite lo <= hi"):
+    @pytest.mark.parametrize("bounds, width, match", [
+        ([(0, np.inf)], 1.0, "^bounds must be finite, got inf$"),
+        ([(0, 1)], np.inf, "^width must be finite and positive, got inf$"),
+        ([(np.nan, 1)], 1.0, "^bounds must be finite, got nan$"),
+        ([(0, 1)], np.nan, "^width must be finite and positive, got nan$"),
+        ([(-1e308, 1e308)], 1.0, "need lo <= hi with a finite hi - lo$"),
+    ], ids=["bounds0-1.0", "bounds1-inf", "bounds2-1.0", "bounds3-nan", "bounds4-1.0"])
+    def test_non_finite_bounds_or_width(self, bounds, width, match):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=match):
             oc.lattice_centers(bounds, width)
 
     @pytest.mark.parametrize("bounds, width", [([(0, 1e300)], 1e-300), ([(0, 1)], 5e-324)])

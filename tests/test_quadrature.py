@@ -30,6 +30,10 @@ class TestWeights:
         w = oc.weights("trapezoid", 4, 0.5)
         assert np.allclose(w, [0.25, 0.5, 0.5, 0.5, 0.25])
 
+    def test_an_integer_step_gives_float_weights(self):
+        # an integer h made an integer array that truncated the h / 2 end weights to 0
+        assert np.array_equal(oc.weights("trapezoid", 4, 1), [0.5, 1.0, 1.0, 1.0, 0.5])
+
     def test_simpson_even_weights(self):
         w = oc.weights("simpson", 4, 0.3)
         assert np.allclose(w, np.array([1, 4, 2, 4, 1]) * 0.1)

@@ -263,6 +263,22 @@ class TestSolveSparse:
             oc.solve_sparse(oc.ConstraintSystem(np.eye(2), np.ones(2), 1, 2), 0.1, 0.0,
                             max_refits=2.5)
 
+    def test_the_refit_cap_reports_the_support_theta_was_fit_on(self):
+        # col 2 nearly repeats col 1: the lasso keeps [0, 1, 2], and the one refit
+        # puts theta[2] = 0.059 below the threshold, which only a second refit drops
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(30, 6))
+        A[:, 2] = A[:, 1] + 0.3 * rng.normal(size=30)
+        b = A @ np.array([1.0, 0.5, 0.08, 0.04, 0.0, 0.0]) + 0.05 * rng.normal(size=30)
+        sys = oc.ConstraintSystem(A, b, 1, 30)
+        r = oc.solve_sparse(sys, lam=0.0, threshold=0.07, max_refits=1)
+        assert r.support.tolist() == np.flatnonzero(r.theta_hat).tolist() == [0, 1, 2]
+        fit = oc.solve_pinv(oc.ConstraintSystem(A[:, :3], b, 1, 30))
+        assert np.array_equal(r.theta_hat[:3], fit.theta_hat)
+        assert (r.effective_rank, r.condition_number) == (3, fit.condition_number)
+        # the second refit drops it, and refits on [0, 1]
+        assert oc.solve_sparse(sys, 0.0, 0.07, max_refits=2).support.tolist() == [0, 1]
+
     def test_orthonormal_soft_threshold(self):
         # With A = I the lasso stage is exact soft-thresholding of b; entries
         # surviving |.| >= threshold are then refit without penalty.
