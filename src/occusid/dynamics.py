@@ -11,11 +11,11 @@ functions evaluate vectorized: given points X of shape (P, n) they return
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, pairwise
-from operator import add
 from typing import Callable
 
 import numpy as np
@@ -33,9 +33,9 @@ class VectorField:
     (x_n' = 1), the device used to handle explicit control inputs.
 
     func takes an (n,) ndarray and returns n values. A func may carry a
-    float form as its `_float` attribute: g(list of n floats) -> list of n
-    floats, with func(x) = np.array(g(x as floats)). integrate_rk4 calls g
-    on its float state directly and wraps any other func as
+    float form as its `_float` attribute: g(sequence of n floats) -> list of
+    n floats, with func(x) = np.array(g(x as floats)). integrate_rk4 calls g
+    on a tuple of its float state directly and wraps any other func as
     func(np.array(xs)).tolist(). The built-in polynomial systems are
     written once as float forms (_POLYNOMIAL_SYSTEMS).
     """
@@ -285,6 +285,44 @@ def lattice_centers(bounds, width) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+@functools.cache
+def _stepper(n: int, disturbed: bool):
+    """The RK4 loop of state dimension n, generated once per (n, disturbed).
+
+    loop(f, x, h, steps, samples, eta) steps the n floats x from f's values
+    (sequences of n floats), appends each state to samples (an array of
+    doubles), and returns the index of the first non-finite state, or None.
+    Its source is built from n alone and compiled here, as dataclasses
+    builds __init__: the state is n locals, and each stage point, the update
+    x + (h/6)(((k1 + 2k2) + 2k3) + k4) and the isfinite check are written out
+    per coordinate. When disturbed, eta(k, x) gives step k's n disturbances,
+    added to each stage's values.
+    """
+    def row(form):  # form for each coordinate i, as the items of a tuple
+        return " ".join(form.format(i=i) + "," for i in range(n))
+
+    lines = ["def loop(f, x, h, steps, samples, eta, isfinite=isfinite):",
+             f"    {row('x{i}')} = x",
+             "    half, sixth = 0.5 * h, h / 6.0",
+             "    store = samples.fromlist",
+             "    for k in range(steps):"]
+    if disturbed:
+        lines.append(f"        {row('e{i}')} = eta(k, ({row('x{i}')}))")
+    for stage, point in zip("abcd", ("x{i}", "x{i} + half * a{i}", "x{i} + half * b{i}",
+                                     "x{i} + h * c{i}")):
+        lines.append(f"        {row(stage + '{i}')} = f(({row(point)}))")
+        if disturbed:
+            lines += [f"        {stage}{i} += e{i}" for i in range(n)]
+    lines += [f"        x{i} += sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})"
+              for i in range(n)]
+    lines += ["        if not (" + " and ".join(f"isfinite(x{i})" for i in range(n)) + "):",
+              "            return k + 1",
+              f"        store([{row('x{i}')}])"]
+    namespace = {"isfinite": math.isfinite}
+    exec("\n".join(lines), namespace)
+    return namespace["loop"]
+
+
 def integrate_rk4(
     field: VectorField,
     x0,
@@ -305,18 +343,20 @@ def integrate_rk4(
     finite floats, and ValueError if a field value or a callable's eta does
     not have n entries.
 
-    Cost: the state is a list of Python floats. The stage points and the
-    update are float arithmetic in the order x + (h/6)(((k1 + 2k2) + 2k3) + k4),
-    which gives numpy's bits, and each state is appended to one array of
-    doubles. A field whose func carries a float form (VectorField) is called
-    on the floats with no numpy call; any other func costs one numpy round
-    trip, np.array then tolist, per evaluation. Median us per step on a
-    2-vCPU Xeon (Python 3.11, numpy 2.4): float forms, system1 3.4 and
-    lorenz 3.7 (5.8 with the (eps, seed) disturbance); the wrapped field -x,
-    n = 3: 6.6, n = 10: 10.1, n = 30: 18.7, n = 100: 51 (10.0 at n = 3 with a
-    callable disturbance). The float arithmetic grows with n, so past
-    n = 10 numpy arithmetic on an ndarray state would be faster; every
-    system the CLI simulates has n <= 3.
+    Cost: the state is n Python floats in the loop _stepper generates for
+    n. The stage points and the update are float arithmetic in the order
+    x + (h/6)(((k1 + 2k2) + 2k3) + k4), which gives numpy's bits, and each
+    state is appended to one array of doubles. A field whose func carries a
+    float form (VectorField) is called on the floats with no numpy call; any
+    other func costs one numpy round trip, np.array then tolist, per
+    evaluation. Median us per step over 20,000 steps, ranges over three runs
+    on a 2-vCPU Xeon (Python 3.11, numpy 2.4): float forms, system1 1.2-1.3
+    and lorenz 1.3-1.5 (1.8-1.9 with the (eps, seed) disturbance); the
+    wrapped field -x, n = 3: 4.1-6.0, n = 10: 6.8-7.6, n = 30: 15-18,
+    n = 100: 48-52 (7-13 at n = 3 with a callable disturbance). Generating
+    and compiling a loop takes 0.2-0.3 ms at n = 3 and 4-6 ms at n = 100,
+    once per process. The float arithmetic grows with n; every system the
+    CLI simulates has n <= 3.
     """
     x0 = np.asarray(x0, dtype=float)
     n = field.dim
@@ -334,48 +374,31 @@ def integrate_rk4(
             return _func(np.array(xs)).tolist()
 
     if process_noise is None:
-        eta_at = None
+        eta = None
     elif callable(process_noise):
-        def eta_at(k, x):
-            eta = np.asarray(process_noise(np.array(x)), dtype=float)
-            if eta.shape != (n,):
-                raise ValueError(f"process_noise must give {n} values, got shape {eta.shape}")
-            return eta.tolist()
+        def eta(k, x):
+            value = np.asarray(process_noise(np.array(x)), dtype=float)
+            if value.shape != (n,):
+                raise ValueError(f"process_noise must give {n} values, got shape {value.shape}")
+            return value.tolist()
     else:
         eps, seed = process_noise
         eps = _real(eps, "process_noise amplitude", "finite and >= 0")
         noise = np.random.default_rng(seed).uniform(-eps, eps, size=(steps, n))
 
-        def eta_at(k, x):
+        def eta(k, x):
             return noise[k].tolist()
-
-    def plus(eta):  # f with one step's disturbance added
-        def g(xs):
-            value = f(xs)
-            if len(value) != n:  # map would stop at n
-                raise ValueError(f"the field gave {len(value)} values, not {n}")
-            return list(map(add, value, eta))
-
-        return g
 
     x = x0.tolist()
     samples = array("d", x)  # row after row: fromlist of a short list is a fraction of a row store
-    half, sixth = 0.5 * h, h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            g = f if eta_at is None else plus(eta_at(k, x))  # over step k's four stages
-            k1 = g(x)
-            k2 = g([a + half * b for a, b in zip(x, k1)])
-            k3 = g([a + half * b for a, b in zip(x, k2)])
-            k4 = g([a + h * b for a, b in zip(x, k3)])
-            x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4, strict=True)]
-            if not all(map(math.isfinite, x)):
-                raise DivergenceError(
-                    f"state became non-finite at t = {(k + 1) * h:.6g}",
-                    time_reached=(k + 1) * h,
-                )
-            samples.fromlist(x)
+        value = f(tuple(x))
+        if len(value) != n:  # the loop would unpack it with another message
+            raise ValueError(f"the field gave {len(value)} values, not {n}")
+        bad = _stepper(n, eta is not None)(f, x, h, steps, samples, eta)
+    if bad is not None:
+        raise DivergenceError(f"state became non-finite at t = {bad * h:.6g}",
+                              time_reached=bad * h)
     return Trajectory(np.frombuffer(samples).reshape(steps + 1, n), h)
 
 

@@ -110,7 +110,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UnsupportedKernelError
-from .trajectory import _finite, _freeze, _is_real
+from .trajectory import _finite, _freeze, _is_real, _real
 
 FAMILIES = ("gaussian_rbf", "exp_dot", "polynomial", "linear")
 
@@ -325,10 +325,11 @@ class _PointwiseKernel:
 class Kernel(_PointwiseKernel):
     """A positive-definite kernel from one of the supported FAMILIES.
 
-    mu is the width/scale parameter, a real number (not a bool). Except for
-    `linear`, which ignores it, it is positive and its square neither
-    underflows to 0 nor overflows. degree applies to `polynomial` only and
-    must be an integer >= 2 (not a bool).
+    mu is the width/scale parameter, a real number (not a bool). For
+    `linear`, which ignores its value, it is finite (0 included); otherwise
+    it is positive and its square neither underflows to 0 nor overflows.
+    degree applies to `polynomial` only and must be an integer >= 2 (not a
+    bool).
     """
 
     family: str
@@ -341,7 +342,9 @@ class Kernel(_PointwiseKernel):
         mu, d = self.mu, self.degree
         if not _is_real(mu):
             raise ValueError(f"mu must be a real number, got {mu!r}")
-        if self.family != "linear" and not (mu > 0 and 0 < mu * mu < np.inf):
+        if self.family == "linear":
+            _real(mu, "mu")
+        elif not (mu > 0 and 0 < mu * mu < np.inf):
             raise ValueError(f"mu must be positive with a nonzero, finite square, got {mu}")
         if self.family == "polynomial":
             if not (_is_real(d) and 2 <= d < np.inf and int(d) == d):

@@ -179,9 +179,9 @@ def empirical_order(errors) -> float:
     """Least-squares slope of log(err) against log(h).
 
     errors is a sequence of (h, err) pairs; at least 3 are required and all
-    values must be positive.
+    values must be finite, positive real numbers.
     """
-    pts = [(float(h), float(e)) for h, e in errors]
+    pts = [(_real(h, "h"), _real(e, "err")) for h, e in errors]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 (h, err) points, got {len(pts)}")
     hs = np.array([p[0] for p in pts])

@@ -305,6 +305,7 @@ def solve_sparse(
     """
     lam, threshold = _real(lam, "lambda", ">= 0"), _real(threshold, "threshold", ">= 0")
     _count(max_refits, "max_refits", 1)
+    _real(rcond, "rcond", ">= 0")  # here too: an emptied support returns before any refit
     col_norms = np.linalg.norm(sys.A, axis=0)
     if (col_norms == 0).any():
         dead = np.nonzero(col_norms == 0)[0]

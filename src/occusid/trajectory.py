@@ -12,6 +12,7 @@ digits), so a written trajectory reads back to the same doubles.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 import re
@@ -321,46 +322,67 @@ _PARSERS_DIFFER = "\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 _NOT_A_BREAK = re.compile("[^\n]")
 
-
-def _lines(text: str):
-    """text.splitlines(), lazily: whole lines are split about 64k characters at
-    a time, so no list of every line is held."""
-    lo = 0
-    while lo < len(text):
-        hi = text.find("\n", lo + (1 << 16)) + 1 or len(text)
-        yield from text[lo:hi].splitlines()
-        lo = hi
+# characters per block when a file is scanned or split into lines
+_SCAN = 1 << 14
 
 
-def _c_parsed(lines, text: str):
+def _blocks(fh):
+    """fh's text from its position on, _SCAN characters at a time."""
+    return iter(lambda: fh.read(_SCAN), "")
+
+
+def _block_lines(fh):
+    """fh's lines from its position on, without their breaks, split a block at a time."""
+    rest = ""
+    for block in _blocks(fh):
+        lines = (rest + block).split("\n")
+        rest = lines.pop()
+        yield from lines
+    if rest:
+        yield rest
+
+
+def _c_parsed(fh):
     """The (N, n + 1) rows of a trajectory CSV read by numpy's C parser, or None.
 
-    text is the file's contents and lines its lines, header first, in a form
-    np.loadtxt reads: load_csv passes _lines(text), so the file is read and
-    decoded once and its body is not copied. None, for _parse_rows to decide
-    with its own messages, unless the text has none of _PARSERS_DIFFER, a
-    valid header and a body of at least 3 rows of n + 1 numbers. Both
-    parsers read a cell with PyOS_string_to_double, so every cell the C
-    parser takes, float() takes to the same double; it rejects some that
-    float() takes (`1_0`, non-ASCII digits, whitespace-only lines), and
-    those files go to _parse_rows.
+    fh is the file, open as text and seekable. It is scanned a block at a
+    time, then np.loadtxt reads its lines from _block_lines, so the file's
+    text is never held whole. np.loadtxt is given neither the path (numpy
+    would decompress a file named *.gz, *.bz2 or *.xz) nor fh (reading fh
+    line by line in every op of a 30 s system1_gram bench run raised the
+    process's peak RSS by 1.3 MB). None, for _parse_rows to decide with its
+    own messages, unless the file has none of _PARSERS_DIFFER, a valid
+    header and a body of at least 3 rows of n + 1 numbers. Both parsers read
+    a cell with PyOS_string_to_double, so every cell the C parser takes,
+    float() takes to the same double; it rejects some that float() takes
+    (`1_0`, non-ASCII digits, whitespace-only lines), and those files go to
+    _parse_rows.
     """
-    end = text.find("\n")
-    # a body of line breaks alone would make loadtxt warn "input contained no
-    # data"; the search stops at the body's first other character
-    if end < 0 or not _NOT_A_BREAK.search(text, end) or any(c in text for c in _PARSERS_DIFFER):
+    header = fh.readline()
+    if not header.endswith("\n") or any(c in header for c in _PARSERS_DIFFER):
+        return None
+    # a body of line breaks alone would make loadtxt warn "input contained no data"
+    body = False
+    for block in _blocks(fh):
+        if any(c in block for c in _PARSERS_DIFFER):
+            return None
+        body = body or _NOT_A_BREAK.search(block) is not None
+    if not body:
         return None
     try:
-        n = _parse_header(text[:end])
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
+        n = _parse_header(header[:-1])
+        fh.seek(0)
+        table = np.loadtxt(_block_lines(fh), delimiter=",", comments=None, ndmin=2, skiprows=1)
     except ValueError:  # TrajectoryParseError included
         return None
     return table if table.shape[0] >= 3 and table.shape[1] == n + 1 else None
 
 
-def _data_line(text: str, j: int) -> int:
-    """1-based file line of data row j; both parsers skip blank lines."""
-    return [i for i, raw in enumerate(text.splitlines()[1:], start=2) if raw.strip()][j]
+def _data_line(fh, j: int) -> int:
+    """1-based file line of data row j of the seekable file fh; both parsers skip blank lines."""
+    fh.seek(0)
+    lines = fh.read().splitlines()
+    return [i for i, raw in enumerate(lines[1:], start=2) if raw.strip()][j]
 
 
 def load_csv(path) -> Trajectory:
@@ -375,39 +397,44 @@ def load_csv(path) -> Trajectory:
     The body is read by numpy's C parser (np.loadtxt); a file it does not
     read as at least 3 rows of n + 1 numbers is parsed row by row with
     float() instead, which accepts the same files and names the line at fault.
+    Only that fallback, the errors and a file that cannot seek (a pipe) are
+    read as one whole text.
     """
     with open(path, "r") as fh:
-        text = fh.read()
-    table = _c_parsed(_lines(text), text)
-    if table is not None:
-        t, states = table[:, 0], table[:, 1:]
-    else:
-        lines = text.splitlines()
-        if not lines:
-            raise TrajectoryParseError("empty file", line=1)
-        times, states = _parse_rows(lines[1:], _parse_header(lines[0]), 2)
-        if len(states) < 3:
-            raise TrajectoryParseError(
-                f"need at least 3 data rows, got {len(states)}", line=len(lines)
-            )
-        t, states = np.array(times), np.array(states)
-    h = t[1] - t[0]
-    if h <= 0:
-        raise TrajectoryParseError(f"time step must be positive, got {h}", line=_data_line(text, 1))
-    k = np.arange(len(t))
-    bad = np.nonzero(off_grid(t, t[0] + h * k, h))[0]
-    # Far from the origin t[1] - t[0] carries the rounding of both times, so its
-    # grid drifts; the step fitted over all rows does not.
-    h_fit = (t[-1] - t[0]) / (len(t) - 1)
-    if bad.size and off_grid(t, t[0] + h_fit * k, h_fit).any():
-        j = int(bad[0])
-        raise TrajectoryParseError(f"time {float(t[j])!r} deviates from the uniform grid "
-                                   f"value {float(t[0] + h * j)!r}", line=_data_line(text, j))
-    rows, cols = np.nonzero(~np.isfinite(states))
-    if rows.size:
-        j, c = int(rows[0]), int(cols[0])
-        raise TrajectoryParseError(f"x{c + 1} must be finite, got {float(states[j, c])!r}",
-                                   line=_data_line(text, j))
+        if not fh.seekable():  # a pipe can be read once: hold its text
+            fh = io.StringIO(fh.read())
+        table = _c_parsed(fh)
+        if table is not None:
+            t, states = table[:, 0], table[:, 1:]
+        else:
+            fh.seek(0)
+            lines = fh.read().splitlines()
+            if not lines:
+                raise TrajectoryParseError("empty file", line=1)
+            times, states = _parse_rows(lines[1:], _parse_header(lines[0]), 2)
+            if len(states) < 3:
+                raise TrajectoryParseError(
+                    f"need at least 3 data rows, got {len(states)}", line=len(lines)
+                )
+            t, states = np.array(times), np.array(states)
+        h = t[1] - t[0]
+        if h <= 0:
+            raise TrajectoryParseError(f"time step must be positive, got {h}",
+                                       line=_data_line(fh, 1))
+        k = np.arange(len(t))
+        bad = np.nonzero(off_grid(t, t[0] + h * k, h))[0]
+        # Far from the origin t[1] - t[0] carries the rounding of both times, so its
+        # grid drifts; the step fitted over all rows does not.
+        h_fit = (t[-1] - t[0]) / (len(t) - 1)
+        if bad.size and off_grid(t, t[0] + h_fit * k, h_fit).any():
+            j = int(bad[0])
+            raise TrajectoryParseError(f"time {float(t[j])!r} deviates from the uniform grid "
+                                       f"value {float(t[0] + h * j)!r}", line=_data_line(fh, j))
+        rows, cols = np.nonzero(~np.isfinite(states))
+        if rows.size:
+            j, c = int(rows[0]), int(cols[0])
+            raise TrajectoryParseError(f"x{c + 1} must be finite, got {float(states[j, c])!r}",
+                                       line=_data_line(fh, j))
     return Trajectory(states, float(h_fit if bad.size else h))
 
 

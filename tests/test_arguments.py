@@ -57,6 +57,13 @@ CASES = [
      lambda v: oc.solve_sparse(SYS, 0.0, v), (0.1, np.inf)),
     ("solve_sparse:max_refits", "max_refits",
      lambda v: oc.solve_sparse(SYS, 0.1, 0.0, max_refits=v), (2,)),
+    # threshold 10 empties the support, so no refit reads rcond
+    ("solve_sparse:rcond", "rcond",
+     lambda v: oc.solve_sparse(SYS, 0.1, 10.0, rcond=v), (1e-12, np.inf)),
+    ("empirical_order:h", "h",
+     lambda v: oc.empirical_order([(v, 1.0), (0.5, 0.5), (0.25, 0.25)]), (1.0,)),
+    ("empirical_order:err", "err",
+     lambda v: oc.empirical_order([(1.0, v), (0.5, 0.5), (0.25, 0.25)]), (1.0,)),
 ]
 
 

@@ -77,22 +77,28 @@ def test_no_unreferenced_private_names():
     assert unreferenced_private_names(sources) == []
 
 
+def outside_owner(sources: dict, token: str, owner: str, function: str) -> list[str]:
+    """`module:line` of each line holding token in sources, outside the
+    module-level function `function` of the module `owner`."""
+    found = []
+    for module, source in sorted(sources.items()):
+        allowed = set()
+        if module == owner:
+            for node in ast.parse(source).body:
+                if isinstance(node, ast.FunctionDef) and node.name == function:
+                    allowed = set(range(node.lineno, node.end_lineno + 1))
+        found += [f"{module}:{i}" for i, line in enumerate(source.splitlines(), start=1)
+                  if token in line and i not in allowed]
+    return found
+
+
 def setflags_outside_freeze(sources: dict) -> list[str]:
     """`module:line` of each `setflags(` in sources outside trajectory._freeze.
 
     _freeze is the one place an array is made read-only: every value type
     stores _freeze of the arrays it keeps, so none freezes an array it shares.
     """
-    found = []
-    for module, source in sorted(sources.items()):
-        allowed = set()
-        if module == "trajectory.py":
-            for node in ast.parse(source).body:
-                if isinstance(node, ast.FunctionDef) and node.name == "_freeze":
-                    allowed = set(range(node.lineno, node.end_lineno + 1))
-        found += [f"{module}:{i}" for i, line in enumerate(source.splitlines(), start=1)
-                  if "setflags(" in line and i not in allowed]
-    return found
+    return outside_owner(sources, "setflags(", "trajectory.py", "_freeze")
 
 
 def test_checker_finds_setflags_outside_freeze():
@@ -106,6 +112,28 @@ def test_checker_finds_setflags_outside_freeze():
 
 def test_only_freeze_calls_setflags():
     assert setflags_outside_freeze({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def exec_outside_stepper(sources: dict) -> list[str]:
+    """`module:line` of each `exec(` in sources outside dynamics._stepper.
+
+    _stepper is the one place code is generated: it compiles the RK4 loop of
+    one state dimension from source built out of integers alone.
+    """
+    return outside_owner(sources, "exec(", "dynamics.py", "_stepper")
+
+
+def test_checker_finds_exec_outside_stepper():
+    sources = {
+        "dynamics.py": "import functools\n@functools.cache\ndef _stepper(n):\n"
+                       "    exec(f'x = {n}', {})\ndef integrate():\n    exec('y = 1')\n",
+        "cli.py": "def main(text):\n    return exec(text)\n",
+    }
+    assert exec_outside_stepper(sources) == ["cli.py:2", "dynamics.py:6"]
+
+
+def test_only_stepper_calls_exec():
+    assert exec_outside_stepper({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
 
 
 def test_readme_minimal_example_runs(capsys):

@@ -308,6 +308,12 @@ class TestValidation:
         assert oc.gaussian_rbf(np.float64(2.0)).matrix([[0.0]], [[1.0]]) == np.exp(-0.5)
         assert oc.Kernel("linear", mu=0.0).eval([2.0], [3.0]) == 6.0  # linear ignores mu's value
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_linear_mu_is_finite(self, mu):
+        # a NaN mu made a kernel unequal to itself
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {mu}$"):
+            oc.Kernel("linear", mu=mu)
+
     def test_from_name(self):
         assert oc.from_name("gaussian", mu=3.0).family == "gaussian_rbf"
         assert oc.from_name("expdot", mu=0.5).family == "exp_dot"

@@ -215,12 +215,21 @@ def test_library_copies_evaluate_the_shared_table_once():
         assert calls == [(6, 2)]
 
 
-# -- one RK4 loop vs a disturbance drawn step by step -----------------------
+# -- the generated RK4 loop vs numpy RK4 --------------------------------------
+
+
+def lorenz96(x):
+    """The Lorenz-96 field with forcing 8, for n >= 4."""
+    return (np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + 8.0
+
 
 _FIELDS = {1: lambda x: np.array([-0.5 * x[0] + np.sin(x[0])]),
            2: oc.builtin_system("system1")[0].func,
-           3: oc.builtin_system("lorenz")[0].func}
-_STARTS = {1: [0.7], 2: [0.3, -2.0], 3: [-8.0, 7.0, 27.0]}
+           3: oc.builtin_system("lorenz")[0].func,
+           4: lorenz96, 5: lorenz96, 6: lorenz96}
+_STARTS = {1: [0.7], 2: [0.3, -2.0], 3: [-8.0, 7.0, 27.0], 4: [8.01, 8.0, 7.5, -1.0],
+           5: [1.0, 8.0, -3.0, 8.0, 0.5], 6: [8.0, 8.0, 8.01, 2.0, -2.0, 8.0]}
+DIMS = sorted(_FIELDS)
 
 
 def rk4_reference(f, x0, steps, h, eta_at):
@@ -245,7 +254,7 @@ def rk4_reference(f, x0, steps, h, eta_at):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 901])
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", DIMS)
 def test_rk4_bulk_noise_matches_step_draws(dim, seed):
     field = oc.VectorField(dim=dim, func=_FIELDS[dim])
     rng = np.random.default_rng(seed)
@@ -256,7 +265,7 @@ def test_rk4_bulk_noise_matches_step_draws(dim, seed):
     assert_same_bits(tr.samples, expect)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", DIMS)
 def test_rk4_without_and_with_callable_noise_matches_reference(dim):
     field = oc.VectorField(dim=dim, func=_FIELDS[dim])
     x0 = np.array(_STARTS[dim])
@@ -273,6 +282,58 @@ def test_rk4_keeps_negative_zero_states():
     field = oc.VectorField(dim=2, func=lambda x: np.array([0.0 * x[0], -x[1]]))
     tr = oc.integrate_rk4(field, np.array([-0.0, -0.0]), 0.1, 0.05)
     assert_same_bits(tr.samples, rk4_reference(field.func, [-0.0, -0.0], 2, 0.05, None))
+
+
+def polynomial_field(rows):
+    """The field whose coordinate i is the sum of c * prod(x ** e) over (c, e) in rows[i]."""
+    def func(x):
+        return np.array([sum(c * np.prod(x ** np.array(e)) for c, e in row) for row in rows],
+                        dtype=float)
+
+    return func
+
+
+@st.composite
+def polynomial_problems(draw):
+    """(field func, x0, disturbance mode, seed): a random polynomial field in 1 to 4 dimensions."""
+    n = draw(st.integers(1, 4))
+    term = st.tuples(st.floats(-3.0, 3.0), st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(term, max_size=3), min_size=n, max_size=n))
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return (polynomial_field(rows), x0, draw(st.sampled_from([None, "bulk", "callable"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=polynomial_problems())
+def test_rk4_on_polynomial_fields_matches_reference(problem):
+    func, x0, noise, seed = problem
+    n, h, steps = len(x0), 0.05, 20
+    rng = np.random.default_rng(seed)
+    process_noise, eta_at = {
+        None: (None, None),
+        "bulk": ((0.5, seed), lambda x: rng.uniform(-0.5, 0.5, size=n)),
+        "callable": ((lambda x: 0.5 * np.cos(x)),) * 2}[noise]
+    field = oc.VectorField(dim=n, func=func)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = rk4_reference(func, x0, steps, h, eta_at)
+    finite = np.isfinite(expect).all(axis=1)
+    if finite.all():
+        tr = oc.integrate_rk4(field, np.array(x0), steps * h, h, process_noise=process_noise)
+        assert_same_bits(tr.samples, expect)
+    else:  # a polynomial can leave the floats within 20 steps
+        with pytest.raises(DivergenceError) as info:
+            oc.integrate_rk4(field, np.array(x0), steps * h, h, process_noise=process_noise)
+        assert info.value.time_reached == int(np.argmin(finite)) * h
+
+
+@pytest.mark.parametrize("noise", [None, (0.1, 3), lambda x: np.full(x.shape, 0.1)],
+                         ids=["none", "bulk", "callable"])
+@pytest.mark.parametrize("n, gives", [(1, 0), (1, 2), (4, 3), (4, 5)])
+def test_rk4_field_of_another_length_is_named(n, gives, noise):
+    field = oc.VectorField(n, lambda x: np.ones(gives))
+    with pytest.raises(ValueError, match=f"^the field gave {gives} values, not {n}$"):
+        oc.integrate_rk4(field, np.zeros(n), 1.0, 0.1, process_noise=noise)
 
 
 # -- the float Lorenz field vs its numpy-scalar expression ------------------
@@ -462,7 +523,7 @@ def test_loadtxt_route_matches_row_parser(csv_dir, text):
     path.unlink(missing_ok=True)  # a new file each example: rewriting one in place waits on writeback
     path.write_bytes(text.encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trajectory, "_c_parsed", lambda fh, text: None)
+        mp.setattr(trajectory, "_c_parsed", lambda fh: None)
         by_rows = outcome(path)
     assert outcome(path) == by_rows
 
@@ -472,9 +533,8 @@ def test_loadtxt_route_reads_written_files(tmp_path):
     traj = oc.integrate_rk4(field, np.array([-8.0, 7.0, 27.0]), 1.0, 1e-3)
     path = tmp_path / "traj.csv"
     oc.save_csv(traj, path)
-    text = path.read_text()
     with open(path) as fh:
-        table = trajectory._c_parsed(fh, text)
+        table = trajectory._c_parsed(fh)
     assert table.shape == (1001, 4)
     assert np.array_equal(oc.load_csv(path).samples, traj.samples)
 

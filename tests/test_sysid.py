@@ -303,6 +303,13 @@ class TestSolveSparse:
         assert np.allclose(r.theta_hat, 0.0)
         assert r.support.size == 0
 
+    @pytest.mark.parametrize("rcond", [-1.0, np.nan])
+    def test_bad_rcond_rejected_when_the_support_empties(self, rcond):
+        # the threshold empties the support, so no refit ever reads rcond
+        s = oc.ConstraintSystem(np.eye(2), np.array([0.1, -0.2]), 1, 2)
+        with pytest.raises(ValueError, match=f"^rcond must be >= 0, got {rcond}$"):
+            oc.solve_sparse(s, lam=0.05, threshold=10.0, rcond=rcond)
+
     def test_zero_column_rejected(self):
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
         s = oc.ConstraintSystem(A, np.ones(2), 1, 2)

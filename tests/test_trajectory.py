@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -236,6 +239,47 @@ class TestCsv:
         assert back.samples.tobytes() == tr.samples.tobytes()
         assert back.step == tr.step
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_file_with_a_compressed_suffix_loads_as_written(self, tmp_path, suffix):
+        # given the path, numpy's loadtxt would decompress a file named so
+        tr = Trajectory(np.random.default_rng(5).normal(size=(6, 2)), 0.1)
+        path = tmp_path / f"tr.csv{suffix}"
+        oc.save_csv(tr, path)
+        back = oc.load_csv(path)
+        assert back.samples.tobytes() == tr.samples.tobytes()
+        assert back.step == tr.step
+
+    @pytest.mark.parametrize("scan", [1, 3, 7])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_rows_across_block_boundaries(self, tmp_path, monkeypatch, scan, newline):
+        text = "t,x1,x2\n0,1,-2.5\n\n0.1,2e-3,4\n0.2,-0.0,5\n0.3,6,7"  # no final break
+        path = tmp_path / "tr.csv"
+        path.write_bytes(text.replace("\n", newline).encode())
+        monkeypatch.setattr(trajectory, "_SCAN", scan)
+        with open(path) as fh:
+            table = trajectory._c_parsed(fh)
+        expect = np.array([[0, 1, -2.5], [0.1, 2e-3, 4], [0.2, -0.0, 5], [0.3, 6, 7]])
+        assert table.tobytes() == expect.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("text, line", [("t,x1\n0,1\n0.1,2\n0.2,3\n", None),
+                                            ("t,x1\n0,1\n\n0.1,nan\n0.2,3\n", 4)],
+                             ids=["rows", "nan-line"])
+    def test_reads_a_pipe(self, tmp_path, text, line):
+        # a pipe cannot seek, so it is read once, whole
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        if line is None:
+            assert oc.load_csv(fifo).samples.tolist() == [[1.0], [2.0], [3.0]]
+        else:
+            with pytest.raises(TrajectoryParseError, match="x1 must be finite") as exc:
+                oc.load_csv(fifo)
+            assert exc.value.line == line
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "tr.csv"
         oc.save_csv(ramp(5, 2), path)
@@ -274,7 +318,7 @@ class TestCsv:
     def test_non_finite_value_names_its_line(self, tmp_path, monkeypatch, route, text, line,
                                              message):
         if route == "rows":
-            monkeypatch.setattr(trajectory, "_c_parsed", lambda fh, text: None)
+            monkeypatch.setattr(trajectory, "_c_parsed", lambda fh: None)
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(TrajectoryParseError, match=message) as exc:
