@@ -12,13 +12,14 @@ name (`--noise-sigma` for noise_sigma, `--lambda` for lam) or by the same key
 in an optional JSON file given with --config; flags win, and basis_terms is
 set in the file only. Flags and config keys accept the same values: building
 the config converts each one to its field's type and checks its range or
-name, before any data is read. Every command is deterministic for a fixed
-config and seed, apart from the runtime_seconds token in the identify
-summary. Each command computes its results before it creates --out, so a
-failed command writes nothing. Every file goes through trajectory._write_csv,
-and stdout's numbers through its FMT and _cell. Exit codes: 0 success, 2
-configuration or input errors (unreadable paths included), 3 numerical
-failures; error lines go to standard error as `error: <category>: <message>`.
+name, then that the command reads it (as its `_setting` declares), before
+any data is read. Every command is deterministic for a fixed config and
+seed, apart from the runtime_seconds token in the identify summary. Each
+command computes its results before it creates --out, so a failed command
+writes nothing. Every file goes through trajectory._write_csv, and stdout's
+numbers through its FMT and _cell. Exit codes: 0 success, 2 configuration or
+input errors (unreadable paths included), 3 numerical failures; error lines
+go to standard error as `error: <category>: <message>`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -70,6 +71,22 @@ from .trajectory import (
 )
 
 
+# The readers of a setting (`_setting`'s `by`): command names, space separated.
+_FIT = "identify sweep montecarlo convergence"  # the commands that fit through run_identify
+_MODEL = _FIT + " stream"  # the commands that build a kernel and a library
+_BATCH = "simulate " + _FIT  # every command but stream
+_SOLVE = "identify sweep convergence"  # the commands that read --solver
+_POSITIVE = math.ulp(0.0)  # the least positive double: the least value of a "> 0" setting
+
+
+def _setting(default=None, by=_BATCH + " stream", least=None, label=None, **when):
+    """A field that the commands `by` read, with its least value (its range error names it
+    `label`, or the field name with spaces) and the values of other fields (`when`) they
+    need to read it: "ridge sparse" means one of those, "not ils" any other, "" none."""
+    rule = dict(by=by.split(), least=least, label=label, when=when)
+    return field(default=default, metadata=rule)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Merged settings for one command; None means "use the command's default".
@@ -79,58 +96,55 @@ class ExperimentConfig:
     rejected alike.
     """
 
-    system: str | None = None
-    trajectories: tuple[str, ...] = ()
-    control_csv: str | None = None
-    kernel: str = "gaussian"
-    mu: float | None = None
-    degree: int = 2
-    rule: str = "simpson"
-    basis_degree: int | None = None
-    basis_terms: tuple | None = None
-    centers: str | None = None
-    solver: str = "pinv"
-    lam: float | None = None
-    threshold: float | None = None
-    max_refits: int = 10
-    rcond: float = 1e-12
-    noise_sigma: float | None = None
-    filter_window: int | None = None
-    segments: int | None = None
-    seed: int = 0
-    trials: int | None = None
-    n_trajectories: int | None = None
-    T: float | None = None
-    h: float | None = None
-    window: float = 0.0
-    alpha: float | None = None
-    print_every: int = 100
-    settle_steps: int = 500
-    h_values: str | None = None
-    target: str = "identify"
-    param: str | None = None
-    values: str | None = None
-    jobs: int = 1
-    out: str = "."
+    system: str | None = _setting()
+    trajectories: tuple[str, ...] = _setting((), "identify sweep montecarlo")
+    control_csv: str | None = _setting(system="emps_form")
+    kernel: str = _setting("gaussian", _MODEL, solver="not ils")
+    mu: float | None = _setting(None, _MODEL, _POSITIVE, solver="not ils", kernel="not linear")
+    degree: int = _setting(2, _MODEL, solver="not ils", kernel="poly polynomial")
+    rule: str = _setting("simpson", _FIT)
+    basis_degree: int | None = _setting(None, _MODEL, 0, system="not emps_form", target="identify")
+    basis_terms: tuple | None = _setting(None, _MODEL, system="not emps_form", target="identify")
+    centers: str | None = _setting(None, _MODEL, solver="pinv ridge sparse", target="identify")
+    solver: str = _setting("pinv", _SOLVE, target="identify")
+    lam: float | None = _setting(None, _SOLVE, 0, "lambda", solver="ridge sparse")
+    threshold: float | None = _setting(None, _SOLVE, 0, solver="sparse")
+    max_refits: int = _setting(10, _SOLVE, 1, "max_refits", solver="sparse")
+    rcond: float = _setting(1e-12, _FIT, 0, target="identify")
+    noise_sigma: float | None = _setting(None, _BATCH, 0, target="identify")
+    filter_window: int | None = _setting(None, _FIT, 1, target="identify")
+    segments: int | None = _setting(None, _FIT, 1, target="identify")
+    seed: int = _setting(0, _BATCH, target="identify")
+    trials: int | None = _setting(None, "montecarlo", 1)
+    n_trajectories: int | None = _setting(None, _BATCH, 1, "n_trajectories", trajectories="",
+                                          target="identify")
+    T: float | None = _setting(None, _BATCH, _POSITIVE, trajectories="")
+    h: float | None = _setting(None, "simulate identify sweep montecarlo stream", _POSITIVE,
+                               trajectories="")
+    window: float = _setting(0.0, "stream", 0)
+    alpha: float | None = _setting(None, "stream", 0)
+    print_every: int = _setting(100, "stream", 0)
+    settle_steps: int = _setting(500, "stream", 0)
+    h_values: str | None = _setting(None, "convergence")
+    target: str = _setting("identify", "convergence")
+    param: str | None = _setting(None, "sweep")
+    values: str | None = _setting(None, "sweep")
+    jobs: int = _setting(1, "sweep montecarlo convergence", 1, target="identify")
+    out: str = _setting(".", _BATCH)
 
     def __post_init__(self):
-        for name, kind in _FIELD_TYPES.items():
-            object.__setattr__(self, name, _convert(name, getattr(self, name), *kind))
-        for name in ("mu", "T", "h"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        for name, (least, label) in _AT_LEAST.items():
-            value = getattr(self, name)
-            if value is not None and not value >= least:
-                raise ConfigError(f"{label} must be >= {least}, got {value}")
+        for f in fields(self):
+            value = _convert(f.name, getattr(self, f.name), *_FIELD_TYPES[f.name])
+            object.__setattr__(self, f.name, value)
+            least = f.metadata["least"]
+            if value is not None and least is not None and not value >= least:
+                label = f.metadata["label"] or f.name.replace("_", " ")
+                rule = "positive" if least == _POSITIVE else f">= {least}"
+                raise ConfigError(f"{label} must be {rule}, got {value}")
         if self.centers is not None:
             parse_centers(self.centers)
         if self.h_values is not None:
             _h_ladder(self.h_values)
-        for name, what in _SIMULATION.items():
-            if self.trajectories and getattr(self, name) is not None:
-                raise ConfigError(f"{name} {what}; it does not apply to --trajectories files")
         from_name(self.kernel, mu=self.mu or 1.0, degree=self.degree)
         as_rule(self.rule)
         if self.system is not None and self.system not in _SYSTEMS:
@@ -154,17 +168,9 @@ def _field_type(hint) -> tuple:
 _FIELD_TYPES = {name: _field_type(hint)
                 for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 _WORDS = {str: "a string", int: "an integer", float: "a number", tuple: "a list"}
-# the fields that set up a simulation, which --trajectories files replace
-_SIMULATION = {"n_trajectories": "counts simulated start states", "T": "is the simulated span",
-               "h": "is the simulation step", "h_values": "lists simulation steps"}
-# field -> (least allowed value, its name in the error message); None passes
-_AT_LEAST = {"noise_sigma": (0, "noise sigma"), "filter_window": (1, "filter window"),
-             "segments": (1, "segments"), "jobs": (1, "jobs"),
-             "basis_degree": (0, "basis degree"), "trials": (1, "trials"),
-             "n_trajectories": (1, "n_trajectories"), "max_refits": (1, "max_refits"),
-             "print_every": (0, "print every"),
-             "settle_steps": (0, "settle steps"), "rcond": (0, "rcond"), "lam": (0, "lambda"),
-             "threshold": (0, "threshold"), "window": (0, "window"), "alpha": (0, "alpha")}
+# field -> its flag; basis_terms, set in config files only, by its key
+_FLAGS = {name: "--" + name.replace("_", "-") for name in _FIELD_TYPES} | {
+    "lam": "--lambda", "basis_terms": "basis_terms"}
 
 
 def _convert(name: str, value, base: type, item, optional: bool):
@@ -230,7 +236,7 @@ def parse_centers(spec: str) -> np.ndarray:
 
 
 def _h_ladder(text: str) -> list[float]:
-    """The --h-values steps: at least 3 numbers, each finite and > 0."""
+    """The --h-values steps: at least 3 numbers, each finite and > 0, and 2 distinct."""
     try:
         hs = [float(v) for v in text.split(",")]
     except ValueError:
@@ -239,6 +245,8 @@ def _h_ladder(text: str) -> list[float]:
         raise ConfigError(f"insufficient points: need at least 3 h values, got {len(hs)}")
     if not all(0 < h < math.inf for h in hs):
         raise ConfigError(f"all h values must be finite and positive, got {text!r}")
+    if len(set(hs)) < 2:  # one step gives no slope to fit
+        raise ConfigError(f"need at least 2 distinct h values, got {text!r}")
     return hs
 
 
@@ -387,21 +395,13 @@ def _assembled(trajs, basis, kernel, cfg: ExperimentConfig):
     return assemble(trajs, _centers_for(cfg, trajs[0].dim), basis, kernel, cfg.rule)
 
 
-def _solve_sparse(trajs, basis, kernel, cfg: ExperimentConfig):
-    if cfg.lam is None:
-        raise ConfigError("solver sparse requires --lambda")
-    if cfg.threshold is None:
-        raise ConfigError("solver sparse requires --threshold")
-    return solve_sparse(_assembled(trajs, basis, kernel, cfg), cfg.lam, cfg.threshold,
-                        max_refits=cfg.max_refits, rcond=cfg.rcond)
-
-
 # --solver name -> solve(trajectories, basis, kernel, cfg)
 _SOLVERS = {
     "pinv": lambda t, b, k, cfg: solve_pinv(_assembled(t, b, k, cfg), rcond=cfg.rcond),
     "ridge": lambda t, b, k, cfg: solve_ridge(_assembled(t, b, k, cfg), cfg.lam or 0.0,
                                               rcond=cfg.rcond),
-    "sparse": _solve_sparse,
+    "sparse": lambda t, b, k, cfg: solve_sparse(_assembled(t, b, k, cfg), cfg.lam, cfg.threshold,
+                                                max_refits=cfg.max_refits, rcond=cfg.rcond),
     "ils": lambda t, b, k, cfg: ils_solve(t, b, cfg.rule, rcond=cfg.rcond),
     "gram": lambda t, b, k, cfg: gram_solve(gram_assemble(t, b, k, cfg.rule), rcond=cfg.rcond),
 }
@@ -437,12 +437,10 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    if cfg.trajectories:
-        raise ConfigError("simulate writes trajectories; it does not read --trajectories")
     if cfg.system is None:
         raise ConfigError("simulate requires --system")
-    # Only the noise stage applies: the files hold whole, unfiltered paths.
-    trajs = _staged(replace(cfg, filter_window=None, segments=None), _simulate_system(cfg))
+    # Only the noise stage applies (simulate reads no filter or segments): whole paths.
+    trajs = _staged(cfg, _simulate_system(cfg))
     for j, traj in enumerate(trajs):
         save_csv(traj, _out_path(cfg, f"traj_{j:03d}.csv"))
     print(f"wrote {len(trajs)} trajectory files to {cfg.out}")
@@ -598,7 +596,7 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
     if cfg.system is None:
         raise ConfigError("occupation convergence requires --system")
     h_fine = min(hs) / 64.0
-    (fine,) = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1, trajectories=()))
+    (fine,) = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1))
     kernel = _kernel_for(cfg)
     ref = occupation_estimate(fine, kernel, "simpson")
     errors = []
@@ -621,8 +619,6 @@ _TARGETS = {
 
 
 def cmd_stream(cfg: ExperimentConfig) -> int:
-    if cfg.trajectories:
-        raise ConfigError("stream reads its trajectory from stdin, not from --trajectories")
     lines = sys.stdin
     header = lines.readline()
     if header == "":
@@ -687,8 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
     for f in fields(ExperimentConfig):
         if f.name != "basis_terms":  # [exponents, target dim] pairs: config files only
-            flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
-            g.add_argument(flag, dest=f.name, default=argparse.SUPPRESS)
+            g.add_argument(_FLAGS[f.name], dest=f.name, default=argparse.SUPPRESS)
     return parser
 
 
@@ -702,7 +697,8 @@ _COMMANDS = {
 }
 
 
-def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
+def _settings(ns: argparse.Namespace) -> dict:
+    """The settings given by --config keys and by flags, flags winning, as {field: value}."""
     data: dict = {}
     if "config" in ns:
         with open(ns.config) as fh:
@@ -719,14 +715,48 @@ def _merge_config(ns: argparse.Namespace) -> ExperimentConfig:
             data[key] = value
     data.update((k, _parse_text(k, v)) for k, v in vars(ns).items()
                 if k not in ("command", "config"))
-    return ExperimentConfig(**data)
+    return data
+
+
+def _unread(command: str, cfg: ExperimentConfig, f) -> str | None:
+    """Why `command` would not read the setting of field f under cfg: None when
+    it would, "" when it never does, else the field whose condition cfg fails."""
+    if command not in f.metadata["by"]:
+        return ""
+    for other, spec in f.metadata["when"].items():
+        words = spec.split(" ")
+        if (str(getattr(cfg, other) or "") in words) == (words[0] == "not"):
+            return other
+    return None
+
+
+def _config(command: str, settings: dict) -> ExperimentConfig:
+    """The config of the settings given to command, each of which it must read, checked
+    before any data is read or --out exists. sweep reads its --param field at each point,
+    not from its flag; a setting that another unread one rules out is left to that one."""
+    cfg = ExperimentConfig(**settings)
+    given = {name for name, value in settings.items() if value is not None}  # null: unset
+    swept = cfg.param if command == "sweep" and cfg.param in _SWEEP_PARAMS else None
+    causes = {f.name: "param" if f.name == swept and f.name in given else _unread(command, cfg, f)
+              for f in fields(cfg) if f.name in given or f.name == swept}
+    for name, cause in causes.items():
+        if cause is not None and causes.get(cause) is None:
+            value = getattr(cfg, cause, None)
+            why = (f" with {_FLAGS[cause]} {value}" if isinstance(value, str) else
+                   f" with{'' if value else 'out'} {_FLAGS[cause]}" if cause else "")
+            what = _FLAGS[name] if name in given else f"--param {name}"
+            raise ConfigError(f"{command} does not read {what}{why}")
+    for name in ("lam", "threshold"):  # sparse has no default for either
+        if cfg.solver == "sparse" and getattr(cfg, name) is None:
+            raise ConfigError(f"solver sparse requires {_FLAGS[name]}")
+    return cfg
 
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     command = _COMMANDS[ns.command]
     try:
-        return command(_merge_config(ns))
+        return command(_config(ns.command, _settings(ns)))
     except (DivergenceError, IterationLimitError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3

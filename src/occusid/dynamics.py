@@ -265,24 +265,30 @@ def lattice_centers(bounds, width) -> np.ndarray:
              gives one spacing per dimension.
     Points are ordered lexicographically by dimension index (first dimension
     varies slowest). Raises ValueError unless every bound and width is a
-    finite real number, every lo <= hi and width > 0, and the point count is finite.
+    finite real number, every lo <= hi and width > 0, and the lattice can be allocated.
     """
     bounds = [(_real(lo, "bounds"), _real(hi, "bounds")) for lo, hi in bounds]
     widths = [_real(w, "width", "finite and positive")
               for w in ([width] * len(bounds) if np.ndim(width) == 0 else width)]
     if len(widths) != len(bounds):
         raise ValueError("one width per dimension required")
-    axes = []
+    counts = []
     for (lo, hi), w in zip(bounds, widths):
         if not (lo <= hi and math.isfinite(hi - lo)):
             raise ValueError(f"bound ({lo}, {hi}): need lo <= hi with a finite hi - lo")
         if not math.isfinite((hi - lo) / w):
             raise ValueError(f"bound ({lo}, {hi}) with width {w}: (hi - lo) / width "
                              "overflows, so the point count is not finite")
-        count = int(math.floor((hi - lo) / w + 1e-9)) + 1
-        axes.append(lo + w * np.arange(count))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+        counts.append(int(math.floor((hi - lo) / w + 1e-9)) + 1)
+    total = math.prod(counts)  # exact, in Python integers
+    try:  # the whole lattice first, so that one too large to hold fails before any work
+        points = np.empty((total, len(counts)))
+    except (MemoryError, ValueError):  # numpy's ValueError: too many entries to index
+        raise ValueError(f"the lattice has {total} points, too many to allocate") from None
+    grid = points.reshape(*counts, len(counts))  # a view: grid[i, j, ..., k] is a point's x_k
+    for k, ((lo, _), w) in enumerate(zip(bounds, widths)):
+        np.moveaxis(grid[..., k], k, -1)[...] = lo + w * np.arange(counts[k])
+    return points
 
 
 @functools.cache

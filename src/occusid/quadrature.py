@@ -178,8 +178,8 @@ def norm_distance_squared(a: OccupationKernelEstimate, b: OccupationKernelEstima
 def empirical_order(errors) -> float:
     """Least-squares slope of log(err) against log(h).
 
-    errors is a sequence of (h, err) pairs; at least 3 are required and all
-    values must be finite, positive real numbers.
+    errors is a sequence of (h, err) pairs; at least 3 are required, with 2
+    distinct h, and all values must be finite, positive real numbers.
     """
     pts = [(_real(h, "h"), _real(e, "err")) for h, e in errors]
     if len(pts) < 3:
@@ -188,6 +188,8 @@ def empirical_order(errors) -> float:
     es = np.array([p[1] for p in pts])
     if not ((hs > 0).all() and (es > 0).all()):
         raise ValueError("all h and err values must be positive")
+    if np.unique(hs).size < 2:  # one h gives no slope to fit
+        raise ValueError(f"need at least 2 distinct h values, got {np.unique(hs).size}")
     return float(np.polyfit(np.log(hs), np.log(es), 1)[0])
 
 

@@ -275,8 +275,8 @@ class TestIdentify:
     @pytest.mark.parametrize("command", ["identify", "stream"])
     def test_centers_of_another_dimension_are_config_error(self, tmp_path, monkeypatch, capsys,
                                                            command):
-        argv = [command, "--system", "system1", "--centers=0:1:1,0:1:1,0:1:1",
-                "--out", str(tmp_path / "out")]
+        argv = [command, "--system", "system1", "--centers=0:1:1,0:1:1,0:1:1"]
+        argv += [] if command == "stream" else ["--out", str(tmp_path / "out")]  # stdout only
         rows = "t,x1,x2\n" + "".join(f"{0.01 * i!r},0.5,-2.0\n" for i in range(5))
         assert (run_stream(monkeypatch, argv, rows) if command == "stream" else run(argv)) == 2
         assert capsys.readouterr().err == "error: config: centers have dimension 3, expected 2\n"
@@ -287,10 +287,10 @@ class TestIdentify:
         field, _, _ = oc.builtin_system("lorenz")
         csv = tmp_path / "lorenz.csv"
         oc.save_csv(oc.integrate_rk4(field, np.array([-8.0, 7.0, 27.0]), 1.0, 1e-2), csv)
-        argv = ["--system", "system1", "--centers=-20:20:10,-50:50:10,-20:50:10",
-                "--out", str(tmp_path / "out")]
+        argv = ["--system", "system1", "--centers=-20:20:10,-50:50:10,-20:50:10"]
         if command == "identify":
-            rc = run(["identify", "--trajectories", str(csv)] + argv)
+            rc = run(["identify", "--trajectories", str(csv), "--out", str(tmp_path / "out")]
+                     + argv)
         else:
             rc = run_stream(monkeypatch, ["stream"] + argv, csv.read_text())
         assert rc == 2
@@ -387,13 +387,15 @@ def test_flag_and_config_key_give_equal_configs(tmp_path, name):
     path.write_text(json.dumps({name: value}))
     parser = cli.build_parser()
     flag = f"{setting_flags()[name]}={text}"
-    from_flag = cli._merge_config(parser.parse_args(["identify", flag]))
-    from_file = cli._merge_config(parser.parse_args(["identify", "--config", str(path)]))
+    from_flag = ExperimentConfig(**cli._settings(parser.parse_args(["identify", flag])))
+    from_file = ExperimentConfig(
+        **cli._settings(parser.parse_args(["identify", "--config", str(path)])))
     assert from_flag == from_file != ExperimentConfig()
 
 
 def test_readme_experiment_commands_build_configs():
-    # each command of the Experiments table gives the config of its own flags, without running
+    # each command of the Experiments table gives the config of its own flags, and reads
+    # every one of them, without running
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n## Experiments\n")[1].split("\n## ")[0]
     commands = re.findall(r"`occusid ([^`]*)`", table)
@@ -406,7 +408,7 @@ def test_readme_experiment_commands_build_configs():
                                      for f, v in zip(tokens[::2], tokens[1::2])})
         ns = parser.parse_args(command.split())
         assert ns.command == name
-        assert cli._merge_config(ns) == expect
+        assert cli._config(name, cli._settings(ns)) == expect
         # a flag may come before the command as well
         assert parser.parse_args(tokens + [name]) == ns
 
@@ -497,8 +499,9 @@ def test_unusable_path_is_config_error(tmp_path, capsys, argv):
 
 class TestSweep:
     def test_single_value_matches_identify(self, tmp_path):
-        base = ["--system", "system1", "--n-trajectories", "5", "--h", "1e-2"]
-        assert run(["identify"] + base + ["--out", str(tmp_path / "i")]) == 0
+        base = ["--system", "system1", "--h", "1e-2"]
+        assert run(["identify", "--n-trajectories", "5"] + base
+                   + ["--out", str(tmp_path / "i")]) == 0
         assert run(["sweep"] + base + ["--param", "n_trajectories", "--values", "5",
                                        "--out", str(tmp_path / "s")]) == 0
         l2 = summary_floats(tmp_path / "i" / "result.csv")["l2_error"]
@@ -641,10 +644,18 @@ _H_BAD = "all h values must be finite and positive, got "
         (_OCC + ["0.02,nan,0.01"], _H_BAD + "'0.02,nan,0.01'"),
         (_OCC + ["0.02,-0.01,0.01"], _H_BAD + "'0.02,-0.01,0.01'"),
         (_OCC + ["0.02,0.01"], "insufficient points: need at least 3 h values, got 2"),
+        # one step gives no order to fit
+        (["convergence", "--system", "system1", "--h-values", "0.01,0.01,0.01"],
+         "need at least 2 distinct h values, got '0.01,0.01,0.01'"),
+        # 2e15 + 2 points of 16 bytes: past the 2**47-byte address space, so the
+        # allocation fails at once under any overcommit setting, touching no memory
+        (_ID1 + ["--centers=0:1e15:1,0:1:1"],
+         "centers: the lattice has 2000000000000002 points, too many to allocate"),
     ],
     ids=["centers-inf-hi", "centers-inf-width", "centers-nan-width", "centers-inf-span",
          "centers-zero-width", "centers-empty", "centers-syntax", "sweep-centers",
-         "h-values-inf", "h-values-nan", "h-values-negative", "h-values-two"],
+         "h-values-inf", "h-values-nan", "h-values-negative", "h-values-two",
+         "h-values-one-step", "centers-too-many"],
 )
 def test_bad_centers_and_h_values_rejected_before_simulation(tmp_path, capsys, monkeypatch,
                                                             argv, message):
@@ -710,12 +721,13 @@ def test_out_of_range_setting_names_itself(tmp_path, capsys, monkeypatch, argv, 
 def test_number_setting_must_be_finite_and_in_range(name, text, message):
     ns = cli.build_parser().parse_args(["identify", f"{setting_flags()[name]}={text}"])
     with pytest.raises(cli.ConfigError, match=f"^{message}$"):
-        cli._merge_config(ns)
+        ExperimentConfig(**cli._settings(ns))
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
-@pytest.mark.parametrize("count, message", [(1, "it does not apply to --trajectories files"),
-                                            (0, "n_trajectories must be >= 1, got 0")])
+@pytest.mark.parametrize("count, message", [
+    (1, "identify does not read --n-trajectories with --trajectories"),
+    (0, "n_trajectories must be >= 1, got 0")])
 def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, via, count,
                                                               message):
     assert run(["simulate", "--system", "system1", "--n-trajectories", "1", "--h", "1e-2",
@@ -763,17 +775,16 @@ def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, 
      "line 3: time step must be positive, got 0.0"),
     # the files replace the simulation, so its settings would be ignored
     (["identify", "--trajectories", "f.csv", "--centers=-1:3:1", "--h", "0.5"],
-     "h is the simulation step; it does not apply to --trajectories files"),
+     "identify does not read --h with --trajectories"),
     (["identify", "--trajectories", "f.csv", "--centers=-1:3:1", "--T", "0.5"],
-     "T is the simulated span; it does not apply to --trajectories files"),
+     "identify does not read --T with --trajectories"),
     (["convergence", "--trajectories", "f.csv,f.csv", "--centers=-1:3:1",
-      "--h-values", "0.01,0.005,0.0025"],
-     "h_values lists simulation steps; it does not apply to --trajectories files"),
+      "--h-values", "0.01,0.005,0.0025"], "convergence does not read --trajectories"),
     # neither command reads the files, so they would be ignored
     (["simulate", "--system", "system1", "--trajectories", "f.csv"],
-     "simulate writes trajectories; it does not read --trajectories"),
+     "simulate does not read --trajectories"),
     (["stream", "--system", "system1", "--trajectories", "f.csv"],
-     "stream reads its trajectory from stdin, not from --trajectories"),
+     "stream does not read --trajectories"),
 ], ids=["h-values-text", "emps-form-control", "lorenz-count", "no-data", "basis-term-not-pair",
         "no-default-centers", "sweep-without-system", "montecarlo-without-system",
         "convergence-h-values", "occupation-without-system", "occupation-grid",
@@ -789,6 +800,171 @@ def test_error_line_and_exit_code(tmp_path, capsys, monkeypatch, argv, message):
     assert run(argv + ["--out", "out"]) == 2
     assert capsys.readouterr().err == f"error: config: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# a value of each setting that passes its own checks, as flag text
+_SAMPLE = {"system": "system1", "trajectories": "f.csv", "control_csv": "c.csv",
+           "kernel": "poly", "mu": "5", "degree": "3", "rule": "trap", "basis_degree": "3",
+           "centers": "-1:1:1,-1:1:1", "solver": "ridge", "lam": "0.1", "threshold": "0.1",
+           "max_refits": "5", "rcond": "1e-10", "noise_sigma": "0.1", "filter_window": "3",
+           "segments": "2", "seed": "7", "trials": "5", "n_trajectories": "2", "T": "0.5",
+           "h": "0.01", "window": "0.5", "alpha": "0.1", "print_every": "10",
+           "settle_steps": "10", "h_values": "0.04,0.02,0.01", "target": "occupation",
+           "param": "seed", "values": "1,2", "jobs": "2", "out": "out"}
+# settings that each command needs besides the one under test, all of which it reads
+_NEEDS = {"simulate": ["--system", "system1"], "identify": ["--system", "system1"],
+          "sweep": ["--system", "system1", "--param", "seed", "--values", "1,2"],
+          "montecarlo": ["--system", "system1"], "stream": ["--system", "system1"],
+          "convergence": ["--system", "system1", "--h-values", "0.04,0.02,0.01"]}
+_UNREAD = [(command, f.name) for command in cli._COMMANDS for f in fields(ExperimentConfig)
+           if command not in f.metadata["by"]]
+
+
+def run_reading_nothing(monkeypatch, tmp_path, argv):
+    """run(argv) in tmp_path, asserting that it opens no file but --config, reads no stdin
+    and simulates nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"read or simulated data: {args}")
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("f.csv", "c.csv"):
+        (tmp_path / name).write_text("t,x1,x2\n0,1,1\n0.01,1,1\n0.02,1,1\n")
+    opened, real_open = [], open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.path.basename(str(file)))
+        return real_open(file, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        for name in ("integrate_rk4", "load_csv", "control_from_csv"):
+            m.setattr(f"occusid.cli.{name}", refuse)
+        m.setattr("sys.stdin", None)  # any read fails
+        m.setattr("builtins.open", recording_open)
+        rc = run(argv)
+    assert set(opened) <= {"cfg.json"}
+    return rc
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, name", _UNREAD, ids=[f"{c}-{n}" for c, n in _UNREAD])
+def test_setting_that_the_command_never_reads_exits_2(tmp_path, capsys, monkeypatch, command,
+                                                      name, via):
+    argv = [command] + _NEEDS[command] + ([] if command == "stream" else ["--out", "out"])
+    if name == "basis_terms" or via == "config":
+        value = [[[1, 0], 0]] if name == "basis_terms" else cli._parse_text(name, _SAMPLE[name])
+        (tmp_path / "cfg.json").write_text(json.dumps({name: value}))
+        argv += ["--config", "cfg.json"]
+    else:
+        argv += [f"{cli._FLAGS[name]}={_SAMPLE[name]}"]
+    assert run_reading_nothing(monkeypatch, tmp_path, argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: {command} does not read {cli._FLAGS[name]}\n")
+    assert not (tmp_path / "out").exists()
+
+
+_C1 = "--centers=-3:3:1,-3:5:1"
+
+
+# The lines down to the first comment exited 0 before the read rule, ignoring the named setting.
+@pytest.mark.parametrize("argv, message", [
+    (["identify", "--system", "system1", "--trials", "5"], "identify does not read --trials"),
+    (["identify", "--system", "system1", "--window", "3"], "identify does not read --window"),
+    (["identify", "--system", "system1", "--target", "occupation"],
+     "identify does not read --target"),
+    (["identify", "--system", "system1", "--param", "seed", "--values", "1,2"],
+     "identify does not read --param"),
+    (["simulate", "--system", "system1", "--kernel", "polynomial", "--solver", "sparse"],
+     "simulate does not read --kernel"),
+    (["identify", "--system", "system1", "--solver", "pinv", "--lambda", "5"],
+     "identify does not read --lambda with --solver pinv"),
+    (["identify", "--system", "system1", "--solver", "ils", "--kernel", "poly", "--mu", "5", _C1],
+     "identify does not read --kernel with --solver ils"),
+    (["identify", "--system", "system1", "--solver", "gram", "--centers=-9:9:9,-9:9:9"],
+     "identify does not read --centers with --solver gram"),
+    (["convergence", "--system", "system1", "--h", "0.5", "--h-values", "0.04,0.02,0.01"],
+     "convergence does not read --h"),
+    (["convergence", "--system", "system1", "--target", "occupation", "--solver", "gram",
+      "--noise-sigma", "0.1", "--segments", "3", "--h-values", "0.04,0.02,0.01"],
+     "convergence does not read --solver with --target occupation"),
+    (["sweep", "--system", "system1", "--param", "mu", "--values", "5,10", "--mu", "3"],
+     "sweep does not read --mu with --param mu"),
+    (["identify", "--system", "system1", "--kernel", "linear", "--mu", "5"],
+     "identify does not read --mu with --kernel linear"),
+    (["identify", "--system", "system1", "--control-csv", "c.csv"],
+     "identify does not read --control-csv with --system system1"),
+    # the setting that rules another out is the one named
+    (["convergence", "--system", "system1", "--target", "occupation", "--solver", "ils",
+      "--kernel", "poly", "--h-values", "0.04,0.02,0.01"],
+     "convergence does not read --solver with --target occupation"),
+    (["identify", "--trajectories", "f.csv", "--control-csv", "c.csv", _C1],
+     "identify does not read --control-csv without --system"),
+    (["identify", "--system", "emps_form", "--control-csv", "c.csv", "--basis-degree", "3"],
+     "identify does not read --basis-degree with --system emps_form"),
+    (["montecarlo", "--system", "system1", "--lambda", "0.1"],
+     "montecarlo does not read --lambda"),
+    (["identify", "--system", "system1", "--solver", "ridge", "--threshold", "0.1"],
+     "identify does not read --threshold with --solver ridge"),
+    (["convergence", "--system", "system1", "--target", "occupation", _C1,
+      "--h-values", "0.04,0.02,0.01"],
+     "convergence does not read --centers with --target occupation"),
+    # sweep varies only a field that identify reads
+    (["sweep", "--system", "system1", "--kernel", "linear", "--param", "mu", "--values", "1,2"],
+     "sweep does not read --param mu with --kernel linear"),
+    (["sweep", "--trajectories", "f.csv", _C1, "--param", "n_trajectories", "--values", "1"],
+     "sweep does not read --param n_trajectories with --trajectories"),
+    # sparse's two settings without defaults, before any simulation
+    (["identify", "--system", "system1", "--solver", "sparse", "--threshold", "0.1"],
+     "solver sparse requires --lambda"),
+    (["identify", "--system", "system1", "--solver", "sparse", "--lambda", "0.1"],
+     "solver sparse requires --threshold"),
+], ids=["identify-trials", "identify-window", "identify-target", "identify-param",
+        "simulate-kernel-solver", "pinv-lambda", "ils-kernel-mu-centers", "gram-centers",
+        "convergence-h", "occupation-solver-noise-segments", "sweep-swept-flag", "linear-mu",
+        "system1-control-csv", "occupation-ils-kernel", "no-system-control-csv",
+        "emps-form-basis-degree", "montecarlo-lambda", "ridge-threshold", "occupation-centers",
+        "sweep-linear-mu", "sweep-files-n-trajectories", "sparse-lambda", "sparse-threshold"])
+def test_setting_that_the_command_would_not_read_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                                         message):
+    assert run_reading_nothing(monkeypatch, tmp_path, argv + ["--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_config_key_is_not_a_given_setting():
+    # null leaves a setting unset, so a file may carry it for a command that does not read it
+    assert cli._config("identify", {"system": "system1", "lam": None, "trials": None}) == (
+        ExperimentConfig(system="system1"))
+
+
+def _read_by(cell: str, field_of: dict) -> tuple:
+    """(commands, {field: condition}) of a README "read by" cell, conditions as `_setting`'s."""
+    commands, *conditions = cell.split("; ")
+    everyone = list(cli._COMMANDS)
+    if commands == "all" or commands.startswith("all but "):
+        readers = set(everyone) - set(commands[len("all but "):].split(", "))
+    else:
+        readers = set(commands.split(", "))
+    when = {}
+    for condition in conditions:
+        kind, flag, values = re.fullmatch(r"(with|not with|without) `(\S+)`(?: (.+))?",
+                                          condition).groups()
+        words = [] if values is None else re.split(r", | or ", values)
+        when[field_of[flag]] = " ".join((["not"] if kind == "not with" else []) + words)
+    return readers, when
+
+
+def test_readme_read_by_column_is_the_declaration():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    field_of = {flag: name for name, flag in cli._FLAGS.items()}
+    rows = re.findall(r"^\| `(--[\w-]+)` \| .* \| ([^|]+) \|$", readme, re.MULTILINE)
+    table = {field_of[flag]: _read_by(cell, field_of)
+             for flag, cell in rows if flag != "--config"}
+    declared = {f.name: (set(f.metadata["by"]), f.metadata["when"])
+                for f in fields(ExperimentConfig)}
+    # basis_terms, a config key only, is read where --basis-degree is
+    assert declared.pop("basis_terms") == declared["basis_degree"]
+    assert "`basis_terms` is read where `--basis-degree` is" in readme
+    assert table == declared
 
 
 class TestMonteCarlo:

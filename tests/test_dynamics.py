@@ -124,6 +124,24 @@ class TestLattice:
         with pytest.raises(ValueError, match="point count is not finite"):
             oc.lattice_centers(bounds, width)
 
+    def test_points_in_order_first_dimension_slowest(self):
+        bounds, widths = [(-1, 1), (0, 0.5), (2, 3)], [1.0, 0.25, 0.5]
+        axes = [lo + w * np.arange(n) for (lo, _), w, n in zip(bounds, widths, (3, 3, 3))]
+        expect = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert np.array_equal(oc.lattice_centers(bounds, widths), expect)
+
+    @pytest.mark.parametrize("bounds, count", [
+        # 16 bytes a point: past the 2**47-byte address space, so the request fails at
+        # once under any overcommit setting, touching no memory
+        ([(0, 1e15), (0, 1)], 2 * (10**15 + 1)),
+        ([(0, 1e300), (0, 1e300)], (int(1e300) + 1) ** 2),  # past what numpy can index
+    ], ids=["past-the-address-space", "past-the-index-range"])
+    def test_lattice_too_large_to_allocate_names_its_exact_count(self, bounds, count):
+        assert count * 2 * 8 > 2**47
+        with pytest.raises(ValueError, match=f"^the lattice has {count} points, too many to "
+                                             "allocate$"):
+            oc.lattice_centers(bounds, 1.0)
+
 
 class TestIntegrateRk4:
     def test_constant_field_exact(self):

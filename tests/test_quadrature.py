@@ -255,6 +255,15 @@ class TestEmpiricalOrder:
         with pytest.raises(ValueError):
             oc.empirical_order([(0.1, 1.0), (0.05, 0.0), (0.025, 0.1)])
 
+    def test_one_distinct_h_has_no_slope(self):
+        # polyfit returned 1.25 here, with a RankWarning
+        with pytest.raises(ValueError, match="^need at least 2 distinct h values, got 1$"):
+            oc.empirical_order([(0.01, 1e-5)] * 3)
+
+    def test_two_distinct_h_fit(self):
+        pairs = [(0.1, 0.01), (0.1, 0.01), (0.05, 0.0025)]
+        assert oc.empirical_order(pairs) == pytest.approx(2.0, rel=1e-12)
+
 
 class TestHomotopy:
     def setup_method(self):
