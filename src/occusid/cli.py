@@ -12,14 +12,15 @@ name (`--noise-sigma` for noise_sigma, `--lambda` for lam) or by the same key
 in an optional JSON file given with --config; flags win, and basis_terms is
 set in the file only. Flags and config keys accept the same values: building
 the config converts each one to its field's type and checks its range or
-name, then that the command reads it (as its `_setting` declares), before
-any data is read. Every command is deterministic for a fixed config and
-seed, apart from the runtime_seconds token in the identify summary. Each
-command computes its results before it creates --out, so a failed command
-writes nothing. Every file goes through trajectory._write_csv, and stdout's
-numbers through its FMT and _cell. Exit codes: 0 success, 2 configuration or
-input errors (unreadable paths included), 3 numerical failures; error lines
-go to standard error as `error: <category>: <message>`.
+name, then that the command reads it and is given each setting it requires
+(as its `_setting` declares), before any data is read. Every command is
+deterministic for a fixed config and seed, apart from the runtime_seconds
+token in the identify summary. Each command computes its results before it
+creates --out, so a failed command writes nothing. Every file goes through
+trajectory._write_csv, and stdout's numbers through its FMT and _cell. Exit
+codes: 0 success, 2 configuration or input errors (unreadable paths
+included), 3 numerical failures; error lines go to standard error as
+`error: <category>: <message>`.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ _SOLVE = "identify sweep convergence"  # the commands that read --solver
 _POSITIVE = math.ulp(0.0)  # the least positive double: the least value of a "> 0" setting
 
 
-def _setting(default=None, by=_BATCH + " stream", least=None, label=None, **when):
+def _setting(default=None, by=_BATCH + " stream", least=None, label=None, need="", **when):
     """A field that the commands `by` read, with its least value (its range error names it
-    `label`, or the field name with spaces) and the values of other fields (`when`) they
-    need to read it: "ridge sparse" means one of those, "not ils" any other, "" none."""
-    rule = dict(by=by.split(), least=least, label=label, when=when)
+    `label`, or the field name with spaces), the values of other fields (`when`) they need
+    to read it ("ridge sparse": one of those, "not ils": any other, "": none, "not ": any
+    but none, 0 counting as none), and those of them that require a value (`need`)."""
+    rule = dict(by=by.split(), least=least, label=label, need=need.split(), when=when)
     return field(default=default, metadata=rule)
 
 
@@ -91,14 +93,14 @@ def _setting(default=None, by=_BATCH + " stream", least=None, label=None, **when
 class ExperimentConfig:
     """Merged settings for one command; None means "use the command's default".
 
-    Construction converts each field to its annotated type and checks its
-    range or name, so a flag, a config key and a sweep value are accepted or
-    rejected alike.
+    Construction converts each field to its annotated type and checks its range or
+    name, so a flag, a config key and a sweep value are accepted or rejected alike;
+    `_config` checks which commands read and require it, as its `_setting` declares.
     """
 
-    system: str | None = _setting()
+    system: str | None = _setting(need="simulate sweep montecarlo convergence")
     trajectories: tuple[str, ...] = _setting((), "identify sweep montecarlo")
-    control_csv: str | None = _setting(system="emps_form")
+    control_csv: str | None = _setting(need=_BATCH + " stream", system="emps_form")
     kernel: str = _setting("gaussian", _MODEL, solver="not ils")
     mu: float | None = _setting(None, _MODEL, _POSITIVE, solver="not ils", kernel="not linear")
     degree: int = _setting(2, _MODEL, solver="not ils", kernel="poly polynomial")
@@ -108,13 +110,13 @@ class ExperimentConfig:
     centers: str | None = _setting(None, _MODEL, solver="pinv ridge sparse", target="identify")
     solver: str = _setting("pinv", _SOLVE, target="identify")
     lam: float | None = _setting(None, _SOLVE, 0, "lambda", solver="ridge sparse")
-    threshold: float | None = _setting(None, _SOLVE, 0, solver="sparse")
+    threshold: float | None = _setting(None, _SOLVE, 0, need=_SOLVE, solver="sparse")
     max_refits: int = _setting(10, _SOLVE, 1, "max_refits", solver="sparse")
     rcond: float = _setting(1e-12, _FIT, 0, target="identify")
     noise_sigma: float | None = _setting(None, _BATCH, 0, target="identify")
     filter_window: int | None = _setting(None, _FIT, 1, target="identify")
     segments: int | None = _setting(None, _FIT, 1, target="identify")
-    seed: int = _setting(0, _BATCH, target="identify")
+    seed: int = _setting(0, _BATCH, target="identify", noise_sigma="not ")
     trials: int | None = _setting(None, "montecarlo", 1)
     n_trajectories: int | None = _setting(None, _BATCH, 1, "n_trajectories", trajectories="",
                                           target="identify")
@@ -125,10 +127,10 @@ class ExperimentConfig:
     alpha: float | None = _setting(None, "stream", 0)
     print_every: int = _setting(100, "stream", 0)
     settle_steps: int = _setting(500, "stream", 0)
-    h_values: str | None = _setting(None, "convergence")
+    h_values: str | None = _setting(None, "convergence", need="convergence")
     target: str = _setting("identify", "convergence")
-    param: str | None = _setting(None, "sweep")
-    values: str | None = _setting(None, "sweep")
+    param: str | None = _setting(None, "sweep", need="sweep")
+    values: str | None = _setting(None, "sweep", need="sweep")
     jobs: int = _setting(1, "sweep montecarlo convergence", 1, target="identify")
     out: str = _setting(".", _BATCH)
 
@@ -259,8 +261,6 @@ def _kernel_for(cfg: ExperimentConfig):
 
 def _builtin(cfg: ExperimentConfig):
     """builtin_system(cfg.system), with the control signal read from --control-csv."""
-    if cfg.system == "emps_form" and cfg.control_csv is None:
-        raise ConfigError("emps_form needs --control-csv with the control signal")
     control = control_from_csv(cfg.control_csv) if cfg.control_csv else None
     return builtin_system(cfg.system, control=control)
 
@@ -350,7 +350,7 @@ def _build_basis(cfg: ExperimentConfig, dim: int):
     return basis, _on_library(basis, true)
 
 
-def _centers_for(cfg: ExperimentConfig, dim: int) -> np.ndarray:
+def _centers_for(cfg: ExperimentConfig, dim: int | None = None) -> np.ndarray:
     spec = cfg.centers
     if spec is None:
         spec = _SYSTEMS.get(cfg.system, _NO_SYSTEM)["centers"]
@@ -437,8 +437,6 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    if cfg.system is None:
-        raise ConfigError("simulate requires --system")
     # Only the noise stage applies (simulate reads no filter or segments): whole paths.
     trajs = _staged(cfg, _simulate_system(cfg))
     for j, traj in enumerate(trajs):
@@ -491,8 +489,6 @@ def _identify_error(task) -> float:
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    if cfg.param is None or cfg.values is None:
-        raise ConfigError("sweep requires --param and --values")
     if cfg.param not in _SWEEP_PARAMS:
         raise ConfigError(
             f"unknown sweep parameter {cfg.param!r}; one of {sorted(_SWEEP_PARAMS)}"
@@ -547,9 +543,6 @@ def _mc_trial(args):
 
 
 def cmd_montecarlo(cfg: ExperimentConfig) -> int:
-    cfg = _mc_defaults(cfg)
-    if cfg.system is None:
-        raise ConfigError("montecarlo requires --system (or the default lorenz setup)")
     # Base data is simulated once, clean; noise/filter/segments are per trial.
     base = _clean_base(cfg)
     tasks = [(cfg, trial, base) for trial in range(cfg.trials)]
@@ -566,8 +559,6 @@ def cmd_montecarlo(cfg: ExperimentConfig) -> int:
 
 
 def cmd_convergence(cfg: ExperimentConfig) -> int:
-    if cfg.h_values is None:
-        raise ConfigError("convergence requires --h-values h1,h2,...")
     hs = _h_ladder(cfg.h_values)
     errors = _TARGETS[cfg.target](cfg, hs)
     if 0.0 in errors:  # an error at the roundoff floor has no logarithm to fit
@@ -593,8 +584,6 @@ def _occupation_ladder(cfg: ExperimentConfig, hs) -> list[float]:
     One trajectory is simulated once at min(h)/64 and the ladder grids are
     exact subsamples of it, so the differences isolate the quadrature rule.
     """
-    if cfg.system is None:
-        raise ConfigError("occupation convergence requires --system")
     h_fine = min(hs) / 64.0
     (fine,) = _simulate_system(replace(cfg, h=h_fine, n_trajectories=1))
     kernel = _kernel_for(cfg)
@@ -718,27 +707,31 @@ def _settings(ns: argparse.Namespace) -> dict:
     return data
 
 
-def _unread(command: str, cfg: ExperimentConfig, f) -> str | None:
-    """Why `command` would not read the setting of field f under cfg: None when
-    it would, "" when it never does, else the field whose condition cfg fails."""
+def _unread(command: str, cfg: ExperimentConfig, f, swept=None) -> str | None:
+    """Why `command` would not read the setting of field f under cfg: None when it would,
+    "" when it never does, else the field whose condition cfg fails (not the swept one)."""
     if command not in f.metadata["by"]:
         return ""
     for other, spec in f.metadata["when"].items():
         words = spec.split(" ")
-        if (str(getattr(cfg, other) or "") in words) == (words[0] == "not"):
+        if other != swept and (str(getattr(cfg, other) or "") in words) == (words[0] == "not"):
             return other
     return None
 
 
 def _config(command: str, settings: dict) -> ExperimentConfig:
-    """The config of the settings given to command, each of which it must read, checked
-    before any data is read or --out exists. sweep reads its --param field at each point,
+    """The config command runs with (montecarlo's setup applied), checked before any data is
+    read or --out exists: it must read each given setting and be given each it requires
+    (centers too, where there is no default). sweep reads its --param field at each point,
     not from its flag; a setting that another unread one rules out is left to that one."""
     cfg = ExperimentConfig(**settings)
+    if command == "montecarlo":
+        cfg = _mc_defaults(cfg)
     given = {name for name, value in settings.items() if value is not None}  # null: unset
     swept = cfg.param if command == "sweep" and cfg.param in _SWEEP_PARAMS else None
-    causes = {f.name: "param" if f.name == swept and f.name in given else _unread(command, cfg, f)
-              for f in fields(cfg) if f.name in given or f.name == swept}
+    read = {f.name: _unread(command, cfg, f, swept) for f in fields(cfg)}
+    causes = {name: "param" if name == swept and name in given else read[name]
+              for name in read if name in given or name == swept}
     for name, cause in causes.items():
         if cause is not None and causes.get(cause) is None:
             value = getattr(cfg, cause, None)
@@ -746,9 +739,14 @@ def _config(command: str, settings: dict) -> ExperimentConfig:
                    f" with{'' if value else 'out'} {_FLAGS[cause]}" if cause else "")
             what = _FLAGS[name] if name in given else f"--param {name}"
             raise ConfigError(f"{command} does not read {what}{why}")
-    for name in ("lam", "threshold"):  # sparse has no default for either
-        if cfg.solver == "sparse" and getattr(cfg, name) is None:
-            raise ConfigError(f"solver sparse requires {_FLAGS[name]}")
+    if cfg.solver == "sparse" and cfg.lam is None:  # ridge reads an unset lambda as 0
+        raise ConfigError(f"{command} requires --lambda")
+    for f in fields(cfg):
+        if command in f.metadata["need"] and read[f.name] is None and getattr(cfg, f.name) is None:
+            raise ConfigError(f"{command} requires {_FLAGS[f.name]}")
+    # no --centers and no default lattice; identify without any data is left to _clean_base
+    if read["centers"] is None and (cfg.system or cfg.trajectories or command == "stream"):
+        _centers_for(cfg)
     return cfg
 
 

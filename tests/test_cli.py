@@ -164,7 +164,7 @@ class TestIdentify:
         assert "error: config:" in capsys.readouterr().err
         rc = run(self.ARGS + ["--solver", "sparse", "--lambda", "1e-3", "--out", str(tmp_path)])
         assert rc == 2
-        assert "error: config: solver sparse requires --threshold" in capsys.readouterr().err
+        assert "error: config: identify requires --threshold" in capsys.readouterr().err
 
     SPARSE = ["--solver", "sparse", "--lambda", "1e-3", "--threshold", "0.02"]
 
@@ -194,7 +194,7 @@ class TestIdentify:
         ctl = tmp_path / "u.csv"
         ctl.write_text("t,tau\n0,1\n1,abc\n")
         rc = run(["identify", "--system", "emps_form", "--control-csv", str(ctl),
-                  "--out", str(tmp_path / "out")])
+                  "--centers=-1:1:1,-1:1:1,0:1:0.5", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
@@ -408,6 +408,8 @@ def test_readme_experiment_commands_build_configs():
                                      for f, v in zip(tokens[::2], tokens[1::2])})
         ns = parser.parse_args(command.split())
         assert ns.command == name
+        if name == "montecarlo":  # it runs with its noise-trial setup filled in
+            expect = cli._mc_defaults(expect)
         assert cli._config(name, cli._settings(ns)) == expect
         # a flag may come before the command as well
         assert parser.parse_args(tokens + [name]) == ns
@@ -750,8 +752,7 @@ def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, 
 @pytest.mark.parametrize("argv, message", [
     (["convergence", "--system", "system1", "--h-values", "a,b,c"],
      "could not parse --h-values 'a,b,c'"),
-    (["identify", "--system", "emps_form"],
-     "emps_form needs --control-csv with the control signal"),
+    (["identify", "--system", "emps_form"], "identify requires --control-csv"),
     (["identify", "--system", "lorenz", "--n-trajectories", "2"],
      "n_trajectories must be in 1..1 for lorenz, got 2"),
     (["identify"], "either --system or --trajectories is required"),
@@ -760,12 +761,11 @@ def test_n_trajectories_with_trajectory_files_is_config_error(tmp_path, capsys, 
     (["identify", "--trajectories", "f.csv"],
      "no default centers for this input; pass --centers lo:hi:width,..."),
     (["sweep", "--trajectories", "f.csv", "--centers=-1:3:1", "--param", "seed",
-      "--values", "1,2"], "errors need a built-in system whose true terms are all in the basis"),
-    (["montecarlo", "--trajectories", "f.csv"],
-     "montecarlo requires --system (or the default lorenz setup)"),
-    (["convergence", "--system", "system1"], "convergence requires --h-values h1,h2,..."),
+      "--values", "1,2", "--noise-sigma", "0.01"], "sweep requires --system"),
+    (["montecarlo", "--trajectories", "f.csv"], "montecarlo requires --system"),
+    (["convergence", "--system", "system1"], "convergence requires --h-values"),
     (["convergence", "--target", "occupation", "--h-values", "0.02,0.01,0.005"],
-     "occupation convergence requires --system"),
+     "convergence requires --system"),
     (["convergence", "--target", "occupation", "--system", "system1",
       "--h-values", "0.064,0.032,0.02"],
      "h=0.064 is not an exact multiple of the fine grid 0.0003125"),
@@ -813,7 +813,7 @@ _SAMPLE = {"system": "system1", "trajectories": "f.csv", "control_csv": "c.csv",
            "param": "seed", "values": "1,2", "jobs": "2", "out": "out"}
 # settings that each command needs besides the one under test, all of which it reads
 _NEEDS = {"simulate": ["--system", "system1"], "identify": ["--system", "system1"],
-          "sweep": ["--system", "system1", "--param", "seed", "--values", "1,2"],
+          "sweep": ["--system", "system1", "--param", "segments", "--values", "1,2"],
           "montecarlo": ["--system", "system1"], "stream": ["--system", "system1"],
           "convergence": ["--system", "system1", "--h-values", "0.04,0.02,0.01"]}
 _UNREAD = [(command, f.name) for command in cli._COMMANDS for f in fields(ExperimentConfig)
@@ -914,20 +914,78 @@ _C1 = "--centers=-3:3:1,-3:5:1"
      "sweep does not read --param n_trajectories with --trajectories"),
     # sparse's two settings without defaults, before any simulation
     (["identify", "--system", "system1", "--solver", "sparse", "--threshold", "0.1"],
-     "solver sparse requires --lambda"),
+     "identify requires --lambda"),
     (["identify", "--system", "system1", "--solver", "sparse", "--lambda", "0.1"],
-     "solver sparse requires --threshold"),
+     "identify requires --threshold"),
+    # a setting its command requires where it reads it, before any file or stdin line is
+    # read (most of these raised in the command, some after the data were read)
+    (["simulate"], "simulate requires --system"),
+    (["sweep", "--trajectories", "f.csv", _C1, "--param", "segments", "--values", "1,2"],
+     "sweep requires --system"),
+    (["sweep", "--system", "system1", "--values", "1,2"], "sweep requires --param"),
+    (["sweep", "--system", "system1", "--param", "segments"], "sweep requires --values"),
+    (["montecarlo", "--trajectories", "f.csv"], "montecarlo requires --system"),
+    (["convergence", "--system", "system1"], "convergence requires --h-values"),
+    (["convergence", "--h-values", "0.04,0.02,0.01"], "convergence requires --system"),
+    (["convergence", "--target", "occupation", "--h-values", "0.04,0.02,0.01"],
+     "convergence requires --system"),
+    (["identify", "--system", "emps_form", "--centers=-1:1:1,-1:1:1,0:1:1"],
+     "identify requires --control-csv"),
+    (["stream", "--system", "emps_form", "--centers=-1:1:1,-1:1:1,0:1:1"],
+     "stream requires --control-csv"),
+    (["identify", "--system", "system1", "--solver", "sparse"], "identify requires --lambda"),
+    (["sweep", "--system", "system1", "--solver", "sparse", "--lambda", "0.1", "--param",
+      "segments", "--values", "1,2"], "sweep requires --threshold"),
+    # no --centers where the input has no default lattice
+    (["identify", "--trajectories", "f.csv"],
+     "no default centers for this input; pass --centers lo:hi:width,..."),
+    (["stream"], "no default centers for this input; pass --centers lo:hi:width,..."),
+    (["identify", "--system", "emps_form", "--control-csv", "c.csv"],
+     "no default centers for this input; pass --centers lo:hi:width,..."),
+    (["montecarlo", "--system", "emps_form", "--control-csv", "c.csv"],
+     "no default centers for this input; pass --centers lo:hi:width,..."),
+    # --seed is read only where noise is drawn
+    (["identify", "--system", "system1", "--seed", "5"],
+     "identify does not read --seed without --noise-sigma"),
+    (["identify", "--system", "system1", "--noise-sigma", "0", "--seed", "5"],
+     "identify does not read --seed without --noise-sigma"),
+    (["simulate", "--system", "system1", "--seed", "5"],
+     "simulate does not read --seed without --noise-sigma"),
+    (["sweep", "--system", "system1", "--param", "seed", "--values", "1,2"],
+     "sweep does not read --param seed without --noise-sigma"),
+    (["montecarlo", "--noise-sigma", "0", "--seed", "5"],
+     "montecarlo does not read --seed without --noise-sigma"),
 ], ids=["identify-trials", "identify-window", "identify-target", "identify-param",
         "simulate-kernel-solver", "pinv-lambda", "ils-kernel-mu-centers", "gram-centers",
         "convergence-h", "occupation-solver-noise-segments", "sweep-swept-flag", "linear-mu",
         "system1-control-csv", "occupation-ils-kernel", "no-system-control-csv",
         "emps-form-basis-degree", "montecarlo-lambda", "ridge-threshold", "occupation-centers",
-        "sweep-linear-mu", "sweep-files-n-trajectories", "sparse-lambda", "sparse-threshold"])
+        "sweep-linear-mu", "sweep-files-n-trajectories", "sparse-lambda", "sparse-threshold",
+        "simulate-system", "sweep-system", "sweep-param", "sweep-values", "montecarlo-system",
+        "convergence-h-values", "convergence-system", "occupation-system",
+        "identify-control-csv", "stream-control-csv", "sparse-neither", "sweep-sparse-threshold",
+        "files-centers", "stream-centers", "emps-form-centers", "montecarlo-emps-form-centers",
+        "identify-seed", "identify-zero-sigma-seed", "simulate-seed", "sweep-seed",
+        "montecarlo-zero-sigma-seed"])
 def test_setting_that_the_command_would_not_read_exits_2(tmp_path, capsys, monkeypatch, argv,
                                                          message):
-    assert run_reading_nothing(monkeypatch, tmp_path, argv + ["--out", "out"]) == 2
+    out = [] if argv[0] == "stream" else ["--out", "out"]  # stream writes stdout only
+    assert run_reading_nothing(monkeypatch, tmp_path, argv + out) == 2
     assert capsys.readouterr().err == f"error: config: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    # a condition on the swept field holds
+    ("sweep", ["--system", "system1", "--param", "noise_sigma", "--values", "0,0.01",
+               "--seed", "3"]),
+    # the benchmark's lorenz_mc op: the noise-trial setup draws sigma 0.01
+    ("montecarlo", ["--system", "lorenz", "--trajectories", "f.csv", "--trials", "1",
+                    "--seed", "3"]),
+])
+def test_seed_is_read_where_noise_may_be_drawn(command, argv):
+    ns = cli.build_parser().parse_args([command] + argv)
+    assert cli._config(command, cli._settings(ns)).seed == 3
 
 
 def test_null_config_key_is_not_a_given_setting():
@@ -937,20 +995,29 @@ def test_null_config_key_is_not_a_given_setting():
 
 
 def _read_by(cell: str, field_of: dict) -> tuple:
-    """(commands, {field: condition}) of a README "read by" cell, conditions as `_setting`'s."""
+    """(commands, {field: condition}, requiring commands) of a README "read by" cell,
+    conditions as `_setting`'s."""
     commands, *conditions = cell.split("; ")
+    required = commands.endswith(", required")  # by every reader
+    commands = commands.removesuffix(", required")
     everyone = list(cli._COMMANDS)
     if commands == "all" or commands.startswith("all but "):
         readers = set(everyone) - set(commands[len("all but "):].split(", "))
     else:
         readers = set(commands.split(", "))
+    need = readers if required else set()
     when = {}
     for condition in conditions:
+        if condition.startswith("required by "):
+            need = set(condition[len("required by "):].split(", "))
+            continue
         kind, flag, values = re.fullmatch(r"(with|not with|without) `(\S+)`(?: (.+))?",
                                           condition).groups()
         words = [] if values is None else re.split(r", | or ", values)
+        if kind == "with" and not words:  # any value but none
+            kind, words = "not with", [""]
         when[field_of[flag]] = " ".join((["not"] if kind == "not with" else []) + words)
-    return readers, when
+    return readers, when, need
 
 
 def test_readme_read_by_column_is_the_declaration():
@@ -959,7 +1026,7 @@ def test_readme_read_by_column_is_the_declaration():
     rows = re.findall(r"^\| `(--[\w-]+)` \| .* \| ([^|]+) \|$", readme, re.MULTILINE)
     table = {field_of[flag]: _read_by(cell, field_of)
              for flag, cell in rows if flag != "--config"}
-    declared = {f.name: (set(f.metadata["by"]), f.metadata["when"])
+    declared = {f.name: (set(f.metadata["by"]), f.metadata["when"], set(f.metadata["need"]))
                 for f in fields(ExperimentConfig)}
     # basis_terms, a config key only, is read where --basis-degree is
     assert declared.pop("basis_terms") == declared["basis_degree"]
